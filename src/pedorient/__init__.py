@@ -19,7 +19,6 @@ from .binning import (
     encode_targets,
     exclusion_mask_batch,
     exclusion_vote,
-    multibin_baseline_decode,
     orientation_loss,
     per_bin_global_angles,
 )
@@ -65,6 +64,7 @@ from .kitti_io import (
 from .model import (
     DEFAULT_SWEEP_FACTORS,
     Batch,
+    DecodedBins,
     ForwardResult,
     LossGraph,
     ModelConfig,
@@ -76,6 +76,7 @@ from .model import (
     analytic_selector_curve,
     build_loss_graph,
     build_model,
+    decode_bins,
     evaluate_model,
     forward,
     forward_batch,

@@ -5,6 +5,10 @@ Orientation is regressed redundantly: the full circle is split into
 predicts a (sin, cos) pair per bin for the *residual* angle theta - offset.
 After adding offsets back, every bin should report the same global angle,
 which enables an outlier vote across bins and a circular-mean aggregate.
+
+The per-sample functions (:func:`per_bin_global_angles`,
+:func:`exclusion_vote`, :func:`aggregate_orientation`) are the reference
+that the batched path, ``model.decode_bins``, is tested against.
 """
 
 from __future__ import annotations
@@ -177,29 +181,22 @@ def exclusion_mask_batch(angles: np.ndarray, tau: float) -> np.ndarray:
     """Vectorized vote over a batch: rows of angles -> boolean include mask.
 
     Equivalent to running :func:`exclusion_vote` per row (True = kept).
+    Both conditions become counts over the (n, b, b) distance matrix: bin j
+    is far from all b - 1 others, and the close pairs k < m that avoid j
+    number (b - 1)(b - 2) / 2.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
     a = np.asarray(angles, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected (n, num_bins) array, got shape {a.shape}")
-    n, b = a.shape
+    b = a.shape[1]
     diff = np.abs(wrap_angle(a[:, :, None] - a[:, None, :]))  # (n, b, b)
-    excluded = np.zeros((n, b), dtype=bool)
-    for j in range(b):
-        others = [k for k in range(b) if k != j]
-        if not others:
-            continue
-        cond_a = np.all(diff[:, j, others] > tau, axis=1)
-        sub = diff[np.ix_(np.arange(n), others, others)]
-        iu = np.triu_indices(len(others), k=1)
-        if iu[0].size:
-            cond_b = np.all(sub[:, iu[0], iu[1]] < tau, axis=1)
-        else:
-            cond_b = np.ones(n, dtype=bool)
-        excluded[:, j] = cond_a & cond_b
-    all_out = excluded.all(axis=1)
-    excluded[all_out] = False
+    isolated = (diff > tau).sum(axis=2) == b - 1
+    close = (diff < tau) & (np.arange(b)[:, None] < np.arange(b))  # pairs k < m
+    close_avoiding = close.sum(axis=(1, 2))[:, None] - close.sum(axis=2) - close.sum(axis=1)
+    excluded = isolated & (close_avoiding == (b - 1) * (b - 2) // 2)
+    excluded[excluded.all(axis=1)] = False
     return ~excluded
 
 
@@ -225,20 +222,3 @@ def aggregate_orientation(angles, excluded=frozenset()) -> float:
         )
     return wrap_angle(math.atan2(s, c))
 
-
-def multibin_baseline_decode(confidences, residuals, cfg: BinConfig) -> float:
-    """Classic confidence-argmax decoding, for comparison with the vote.
-
-    Picks the bin with the highest confidence (lowest index wins ties) and
-    decodes only that bin's residual pair.
-    """
-    conf = np.asarray(confidences, dtype=float)
-    res = np.asarray(residuals, dtype=float)
-    if conf.shape != (cfg.num_bins,):
-        raise ValueError(f"expected {cfg.num_bins} confidences, got {conf.shape}")
-    if res.shape != (cfg.num_bins, 2):
-        raise ValueError(f"expected shape ({cfg.num_bins}, 2), got {res.shape}")
-    if not np.all(np.isfinite(conf)):
-        raise ValueError("confidences must be finite")
-    i = int(np.argmax(conf))
-    return wrap_angle(decode_angle(res[i, 0], res[i, 1]) + cfg.offsets[i])

@@ -31,12 +31,13 @@ import math
 import statistics
 import sys
 import time
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, config
 from .evaluation import Detection, GroundTruth, evaluate_detections
 from .geometry import Dims2D, Dims3D, invert_orientation_candidates, implied_width_span
 from .kitti_io import DONT_CARE, Difficulty, classify_difficulty, parse_label_file
@@ -70,12 +71,18 @@ _SIMILAR_CLASSES = ("Person_sitting",)
 
 
 def _load_ini(path) -> configparser.ConfigParser:
+    """Read an INI file; a bad [synth], [model] or [train] entry fails here."""
     cp = configparser.ConfigParser()
     if path is not None:
         p = Path(path)
         if not p.is_file():
             raise ValueError(f"config file not found: {p}")
         cp.read(p)
+        try:
+            _synth_config(cp)
+            _model_config(cp)
+        except ValueError as e:
+            raise ValueError(f"{p}: {e}") from None
     return cp
 
 
@@ -88,98 +95,52 @@ def _getfloat(sec, key: str, default: float) -> float:
     return default if v is None else float(v)
 
 
-def _getint(sec, key: str, default: int) -> int:
-    v = sec.get(key)
-    return default if v is None else int(v)
-
-
-def _getbool(sec, key: str, default: bool) -> bool:
-    v = sec.get(key)
-    if v is None:
-        return default
-    lowered = str(v).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean {key} = {v!r}")
-
-
-def _getints(sec, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    v = sec.get(key)
-    if v is None:
-        return default
-    parts = [p for p in str(v).replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError(f"empty integer list for {key}")
-    return tuple(int(p) for p in parts)
-
-
 def parse_lr_schedule(text: str) -> tuple[tuple[int, float], ...]:
     """Parse "600:1e-3,1400:1e-4" into ((600, 1e-3), (1400, 1e-4))."""
-    segments = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        steps, sep, lr = part.partition(":")
-        if not sep:
-            raise ValueError(f"bad schedule segment {part!r}, expected STEPS:LR")
-        segments.append((int(steps), float(lr)))
-    if not segments:
-        raise ValueError(f"empty learning rate schedule {text!r}")
-    return tuple(segments)
+    return config.coerce(text, tuple[tuple[int, float], ...])
+
+
+def _ini_values(cls, cp, sections, **given) -> dict:
+    """Field values of ``cls`` set in the INI sections: each field by its
+    own name, a field ``X_range`` also by ``X_min`` and ``X_max``, and
+    ``exclusion_tau`` by ``exclusion_tau_deg``.  ``given`` values that are
+    not None override the file; unset fields keep the dataclass defaults."""
+    types = typing.get_type_hints(cls)
+    values, seen = {}, set()
+    for section in sections:
+        for key, text in _sec(cp, section).items():
+            if (section, key) == ("train", "holdout_fraction"):
+                continue  # read by train and compare
+            stem, end = key[:-4], key[-4:]
+            try:
+                if key in types:
+                    name, value = key, config.coerce(text, types[key])
+                elif key == "exclusion_tau_deg" and "exclusion_tau" in types:
+                    name, value = "exclusion_tau", math.radians(config.coerce(text, float))
+                elif end in ("_min", "_max") and f"{stem}_range" in types:
+                    name = f"{stem}_range"
+                    lo, hi = values.get(name, getattr(cls, name))
+                    v = config.coerce(text, float)
+                    value = (v, hi) if end == "_min" else (lo, v)
+                else:
+                    raise ValueError("unknown key")
+            except ValueError as e:
+                raise ValueError(f"[{section}] {key} = {text!r}: {e}") from None
+            # One key per field, except a range's _min and _max pair.
+            if key in seen or (name in values and (key == name or name in seen)):
+                raise ValueError(f"[{section}] {key}: {name} is already set")
+            seen.add(key)
+            values[name] = value
+    return {**values, **{k: v for k, v in given.items() if v is not None}}
 
 
 def _synth_config(cp, seed=None, n=None) -> SynthConfig:
-    s = _sec(cp, "synth")
-    return SynthConfig(
-        n=n if n is not None else _getint(s, "n", 1000),
-        seed=seed if seed is not None else _getint(s, "seed", 0),
-        h1_mean=_getfloat(s, "h1_mean", 1.7),
-        h1_sd=_getfloat(s, "h1_sd", 0.1),
-        h1_range=(_getfloat(s, "h1_min", 1.4), _getfloat(s, "h1_max", 2.0)),
-        w1_mean=_getfloat(s, "w1_mean", 0.6),
-        w1_sd=_getfloat(s, "w1_sd", 0.1),
-        w1_range=(_getfloat(s, "w1_min", 0.3), _getfloat(s, "w1_max", 0.9)),
-        l1_mean=_getfloat(s, "l1_mean", 0.5),
-        l1_sd=_getfloat(s, "l1_sd", 0.15),
-        l1_range=(_getfloat(s, "l1_min", 0.2), _getfloat(s, "l1_max", 0.9)),
-        scale_range=(_getfloat(s, "scale_min", 30.0), _getfloat(s, "scale_max", 120.0)),
-        box_noise_sd=_getfloat(s, "box_noise_sd", 1.0),
-        context_noise=_getfloat(s, "context_noise", 0.5),
-        context_width=_getint(s, "context_width", 16),
-    )
+    # SynthConfig.n has no default; gen writes 1000 samples unless told.
+    return SynthConfig(**{"n": 1000, **_ini_values(SynthConfig, cp, ("synth",), seed=seed, n=n)})
 
 
 def _model_config(cp, seed=None) -> ModelConfig:
-    m = _sec(cp, "model")
-    t = _sec(cp, "train")
-    return ModelConfig(
-        num_bins=_getint(m, "num_bins", 4),
-        context_width=_getint(m, "context_width", 16),
-        encoder_hidden=_getints(m, "encoder_hidden", (64, 64)),
-        proc_hidden=_getints(m, "proc_hidden", (512, 2048)),
-        head_hidden=_getint(m, "head_hidden", 512),
-        use_feedforward=_getbool(m, "use_feedforward", True),
-        use_consistency_loss=_getbool(m, "use_consistency_loss", False),
-        consistency_weight=_getfloat(m, "consistency_weight", 0.01),
-        exclusion_tau=math.radians(_getfloat(m, "exclusion_tau_deg", 15.0)),
-        teacher_force_dims3d=_getbool(m, "teacher_force_dims3d", False),
-        dims2d_scale=_getfloat(m, "dims2d_scale", 0.01),
-        seed=seed if seed is not None else _getint(t, "seed", 0),
-        batch_size=_getint(t, "batch_size", 32),
-        momentum=_getfloat(t, "momentum", 0.9),
-        lr_schedule=parse_lr_schedule(t.get("lr_schedule") or "600:1e-3,1400:1e-4"),
-    )
-
-
-def _config_snapshot(cfg) -> dict:
-    d = dataclasses.asdict(cfg)
-    for k, v in d.items():
-        if isinstance(v, tuple):
-            d[k] = list(list(x) if isinstance(x, tuple) else x for x in v)
-    return d
+    return ModelConfig(**_ini_values(ModelConfig, cp, ("model", "train"), seed=seed))
 
 
 def _sha256(path: Path) -> str:
@@ -241,7 +202,7 @@ def cmd_gen(args) -> int:
     data_path = out / "dataset.txt"
     write_dataset(data_path, samples)
     print(f"wrote {len(samples)} samples to {data_path}")
-    _write_manifest(out, "gen", _config_snapshot(cfg), cfg.seed,
+    _write_manifest(out, "gen", config.snapshot(cfg), cfg.seed,
                     inputs=[args.config] if args.config else [],
                     outputs=[data_path], started=started)
     return 0
@@ -281,7 +242,7 @@ def cmd_train(args) -> int:
     print(f"{metrics['evaluated_on']} loss {metrics['loss']:.4f},"
           f" yaw MAE {metrics['mae_deg']:.2f} deg over {metrics['n']} samples")
     inputs = [args.data] + ([args.config] if args.config else [])
-    _write_manifest(out, "train", _config_snapshot(cfg), cfg.seed,
+    _write_manifest(out, "train", config.snapshot(cfg), cfg.seed,
                     inputs=inputs, outputs=[model_path, log_path, metrics_path],
                     started=started)
     return 0
@@ -299,9 +260,9 @@ def cmd_compare(args) -> int:
     started = time.monotonic()
     cp = _load_ini(args.config)
     base = _model_config(cp)
-    seeds = _getints(_sec(cp, "compare"), "seeds", (0, 1, 2))
+    seeds = config.coerce(_sec(cp, "compare").get("seeds", "0, 1, 2"), tuple[int, ...])
     if args.seeds:
-        seeds = tuple(int(p) for p in args.seeds.replace(",", " ").split())
+        seeds = config.coerce(args.seeds, tuple[int, ...])
     samples = read_dataset(args.data)
     holdout = _getfloat(_sec(cp, "train"), "holdout_fraction", 0.1)
 
@@ -346,7 +307,7 @@ def cmd_compare(args) -> int:
         {"runs": runs, "medians": medians, "seeds": list(seeds)},
         sort_keys=True, indent=2) + "\n")
     inputs = [args.data] + ([args.config] if args.config else [])
-    _write_manifest(out, "compare", _config_snapshot(base), list(seeds),
+    _write_manifest(out, "compare", config.snapshot(base), list(seeds),
                     inputs=inputs, outputs=[report_path], started=started)
     return 0
 
@@ -506,11 +467,11 @@ def cmd_gradcheck(args) -> int:
     cp = _load_ini(args.config)
     g = _sec(cp, "gradcheck")
     cfg = _model_config(cp, seed=args.seed)
-    if _getbool(g, "include_consistency", True):
+    if config.coerce(g.get("include_consistency", "true"), bool):
         cfg = dataclasses.replace(cfg, use_consistency_loss=True)
-    batch_size = _getint(g, "batch_size", 8)
+    batch_size = int(g.get("batch_size", 8))
     eps = _getfloat(g, "eps", 1e-5)
-    max_entries = _getint(g, "max_entries_per_param", 25)
+    max_entries = int(g.get("max_entries_per_param", 25))
     threshold = _getfloat(g, "threshold", 1e-4)
 
     synth_cfg = SynthConfig(n=batch_size, seed=cfg.seed,
@@ -537,7 +498,7 @@ def cmd_gradcheck(args) -> int:
             "threshold": threshold,
             "passed": bool(passed),
         }, sort_keys=True, indent=2) + "\n")
-        _write_manifest(out, "gradcheck", _config_snapshot(cfg), cfg.seed,
+        _write_manifest(out, "gradcheck", config.snapshot(cfg), cfg.seed,
                         inputs=[args.config] if args.config else [],
                         outputs=[path], started=started)
     return 0 if passed else 1

@@ -25,15 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import (
-    BinConfig,
-    aggregate_orientation,
-    exclusion_mask_batch,
-    exclusion_vote,
-    per_bin_global_angles,
-    orientation_loss,
-)
-from .geometry import Dims2D, candidates_for_span, circ_abs_diff, implied_width_span, wrap_angle
+from . import config
+from .binning import BinConfig, exclusion_mask_batch, orientation_loss
+from .geometry import candidates_for_span, circ_abs_diff, implied_width_span, wrap_angle
 from .kitti_io import TrainingSample
 from .nn_core import (
     DenseLayer,
@@ -232,8 +226,9 @@ def _apply_stack(stack, x: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(model: OrientationNet, batch: Batch,
-                  h1_feed_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Value-only forward over a batch.
+                  h1_feed_scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Value-only forward over a batch.  ``h1_feed_scale`` (a scalar, or
+    one factor per row) scales the 3D height fed to the dimension processor.
 
     Returns:
         (dims3d_pred (n, 3), bin_outputs (n, 2 * num_bins)).
@@ -247,10 +242,8 @@ def forward_batch(model: OrientationNet, batch: Batch,
     dims_pred = _apply_stack(model.dims3d_regressor, enc)
     if cfg.use_feedforward:
         p2 = _apply_stack(model.proc2d, batch.dims2d * cfg.dims2d_scale)
-        feed = batch.dims3d if cfg.teacher_force_dims3d else dims_pred
-        if h1_feed_scale != 1.0:
-            feed = feed.copy()
-            feed[:, 0] *= h1_feed_scale
+        feed = (batch.dims3d if cfg.teacher_force_dims3d else dims_pred).copy()
+        feed[:, 0] *= h1_feed_scale
         p3 = _apply_stack(model.proc3d, feed)
         head_in = np.concatenate([enc, p2, p3], axis=1)
     else:
@@ -259,11 +252,47 @@ def forward_batch(model: OrientationNet, batch: Batch,
 
 
 @dataclass
+class DecodedBins:
+    """Batch decode of head outputs; see :func:`decode_bins`."""
+
+    angles: np.ndarray      # (n, num_bins) per-bin global angles
+    include: np.ndarray     # (n, num_bins) bool, kept by the exclusion vote
+    theta: np.ndarray       # (n,) circular mean of the kept angles, NaN if undefined
+    defined: np.ndarray     # (n,) bool
+    degenerate: np.ndarray  # (n, num_bins) bool, pair exactly (0, 0) or not finite
+
+
+def _bin_angles(pairs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(n, num_bins, 2) (sin, cos) pairs -> (n, num_bins) global angles."""
+    return wrap_angle(np.arctan2(pairs[..., 0], pairs[..., 1]) + offsets)
+
+
+def decode_bins(bin_outputs: np.ndarray, cfg: ModelConfig) -> DecodedBins:
+    """Decode, vote and aggregate every row of head outputs at once.
+
+    Each (sin, cos) pair gives a global angle (atan2 plus the bin offset),
+    the exclusion vote drops an outlying bin, and theta is the circular mean
+    of the kept angles: undefined when a pair is degenerate or they cancel.
+    """
+    pairs = np.asarray(bin_outputs, dtype=float).reshape(-1, cfg.num_bins, 2)
+    s, c = pairs[..., 0], pairs[..., 1]
+    degenerate = ((s == 0.0) & (c == 0.0)) | ~np.isfinite(s) | ~np.isfinite(c)
+    angles = _bin_angles(pairs, np.array(cfg.bin_config().offsets))
+    include = exclusion_mask_batch(angles, cfg.exclusion_tau)
+    sin_sum = (np.sin(angles) * include).sum(axis=1)
+    cos_sum = (np.cos(angles) * include).sum(axis=1)
+    defined = ~degenerate.any(axis=1) & (np.hypot(sin_sum, cos_sum) >= 1e-9)
+    theta = np.where(defined, wrap_angle(np.arctan2(sin_sum, cos_sum)), np.nan)
+    return DecodedBins(angles, include, theta, defined, degenerate)
+
+
+@dataclass
 class ForwardResult:
     """Everything one forward pass produced for a single sample.
 
-    ``theta_pred`` is None when any bin pair is exactly (0, 0) (degenerate,
-    listed in ``degenerate_bins``) or when the surviving bins cancel.
+    ``theta_pred`` is None when any bin pair is exactly (0, 0) or not
+    finite (degenerate, listed in ``degenerate_bins``) or when the
+    surviving bins cancel.
     """
 
     dims3d_pred: np.ndarray
@@ -274,34 +303,27 @@ class ForwardResult:
     degenerate_bins: tuple[int, ...] = ()
 
 
-def forward(model: OrientationNet, sample: TrainingSample,
-            cfg: ModelConfig | None = None,
-            h1_feed_scale: float = 1.0) -> ForwardResult:
-    """Single-sample forward pass: predict dims, decode, vote, aggregate."""
-    cfg = model.cfg if cfg is None else cfg
-    batch = make_batch([sample])
+def _forward_rows(model: OrientationNet, batch: Batch, h1_feed_scale=1.0) -> list[ForwardResult]:
     dims_pred, bin_out = forward_batch(model, batch, h1_feed_scale)
-    bcfg = cfg.bin_config()
-    pairs = bin_out.reshape(bcfg.num_bins, 2)
-    degenerate = tuple(
-        i for i in range(bcfg.num_bins)
-        if pairs[i, 0] == 0.0 and pairs[i, 1] == 0.0
-    )
-    if degenerate:
-        return ForwardResult(dims_pred[0], pairs, None, set(), None, degenerate)
-    angles = per_bin_global_angles(pairs, bcfg)
-    excluded = exclusion_vote(angles, cfg.exclusion_tau)
-    try:
-        theta = aggregate_orientation(angles, excluded)
-    except ValueError:
-        theta = None
-    return ForwardResult(dims_pred[0], pairs, angles, excluded, theta)
+    dec = decode_bins(bin_out, model.cfg)
+    pairs = bin_out.reshape(len(batch), model.cfg.num_bins, 2)
+    return [ForwardResult(dims_pred[i], pairs[i],
+                          None if bad.any() else dec.angles[i].tolist(),
+                          set() if bad.any() else set(np.flatnonzero(~dec.include[i]).tolist()),
+                          float(dec.theta[i]) if dec.defined[i] else None,
+                          tuple(np.flatnonzero(bad).tolist()))
+            for i, bad in enumerate(dec.degenerate)]
 
 
-def predict_orientation(model: OrientationNet, sample: TrainingSample,
-                        cfg: ModelConfig | None = None) -> tuple[float, ForwardResult]:
+def forward(model: OrientationNet, sample: TrainingSample) -> ForwardResult:
+    """Single-sample forward pass: predict dims, decode, vote, aggregate."""
+    return _forward_rows(model, make_batch([sample]))[0]
+
+
+def predict_orientation(model: OrientationNet,
+                        sample: TrainingSample) -> tuple[float, ForwardResult]:
     """Forward pass returning the aggregated yaw, or raising if undefined."""
-    result = forward(model, sample, cfg)
+    result = forward(model, sample)
     if result.theta_pred is None:
         raise ValueError(
             f"orientation undefined: degenerate bins {result.degenerate_bins}"
@@ -433,9 +455,9 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     n = len(batch)
     offsets = np.array(bcfg.offsets)
     if include_mask is None:
-        bin_vals = t.value(head_out).reshape(n, bcfg.num_bins, 2)
-        angles = wrap_angle(np.arctan2(bin_vals[..., 0], bin_vals[..., 1]) + offsets)
-        include_mask = exclusion_mask_batch(angles, cfg.exclusion_tau).astype(float)
+        pairs = t.value(head_out).reshape(n, bcfg.num_bins, 2)
+        include_mask = exclusion_mask_batch(_bin_angles(pairs, offsets),
+                                            cfg.exclusion_tau).astype(float)
     else:
         include_mask = np.asarray(include_mask, dtype=float)
         if include_mask.shape != (n, bcfg.num_bins):
@@ -447,19 +469,15 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         diff = t.sub(dims_pred, t.leaf(batch.dims3d))
         term_ids["dims"] = t.mean(t.rowsum(t.mul(diff, diff)))
 
-    norm_pairs = [t.rownorm(t.cols(head_out, 2 * i, 2 * i + 2))
-                  for i in range(bcfg.num_bins)]
+    # Every (sin, cos) pair at unit length: (n, 2 * num_bins).
+    unit_pairs = t.rownorm(head_out, group=2)
 
     if "orientation" in terms:
         res = batch.theta[:, None] - offsets  # (n, B) residual targets
-        target = np.stack([np.sin(res), np.cos(res)], axis=2)
-        rows = None
-        for i in range(bcfg.num_bins):
-            dot = t.rowsum(t.cmul(norm_pairs[i], target[:, i, :]))
-            term = t.cadd(t.cmul(dot, -1.0), 1.0)
-            masked = t.cmul(term, include_mask[:, i:i + 1])
-            rows = masked if rows is None else t.add(rows, masked)
-        term_ids["orientation"] = t.mean(rows)
+        target = np.stack([np.sin(res), np.cos(res)], axis=2).reshape(n, -1)
+        dots = t.rowsum(t.cmul(unit_pairs, target), group=2)  # (n, B)
+        per_bin = t.cmul(t.cadd(t.cmul(dots, -1.0), 1.0), include_mask)
+        term_ids["orientation"] = t.mean(t.rowsum(per_bin))
 
     if "consistency" in terms and cfg.use_consistency_loss:
         h = batch.dims2d[:, 0:1]
@@ -475,8 +493,8 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
 
         s_sum = c_sum = None
         for i in range(bcfg.num_bins):
-            si = t.cols(norm_pairs[i], 0, 1)
-            ci = t.cols(norm_pairs[i], 1, 2)
+            si = t.cols(unit_pairs, 2 * i, 2 * i + 1)
+            ci = t.cols(unit_pairs, 2 * i + 1, 2 * i + 2)
             so, co = math.sin(bcfg.offsets[i]), math.cos(bcfg.offsets[i])
             gs = t.add(t.cmul(si, co), t.cmul(ci, so))
             gc = t.sub(t.cmul(ci, co), t.cmul(si, so))
@@ -523,6 +541,21 @@ class TrainResult:
     log: list[TrainLogRow]
 
 
+def _share_one_buffer(model: OrientationNet) -> np.ndarray:
+    """Move every parameter into one flat array, in :func:`named_parameters`
+    order, and rebind each layer's weights and bias as views into it, so
+    one SGD update covers them all.  Returns the flat array."""
+    layers = [layer for _, stack in model.stacks() for layer in stack]
+    flat = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
+    pos = 0
+    for layer in layers:
+        for attr in ("weights", "bias"):
+            arr = getattr(layer, attr)
+            setattr(layer, attr, flat[pos:pos + arr.size].reshape(arr.shape))
+            pos += arr.size
+    return flat
+
+
 def train(samples, cfg: ModelConfig) -> TrainResult:
     """Train a freshly initialized model on the given samples.
 
@@ -535,8 +568,8 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     """
     data = make_batch(samples)
     model = build_model(cfg)
-    arrays = [arr for _, arr in named_parameters(model)]
-    velocities = [np.zeros_like(a) for a in arrays]
+    params = _share_one_buffer(model)
+    velocity = np.zeros_like(params)
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[TrainLogRow] = []
     for step in range(cfg.total_steps()):
@@ -554,10 +587,11 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
         if not math.isfinite(row.total):
             raise TrainingDivergedError(step, vals)
         grads_by_node = lg.tape.backward(lg.loss)
-        grads = [grads_by_node.get(nid, np.zeros_like(arr))
-                 for _, nid, arr in lg.param_nodes]
+        grad = np.concatenate([
+            grads_by_node[nid].ravel() if nid in grads_by_node else np.zeros(arr.size)
+            for _, nid, arr in lg.param_nodes])
         try:
-            sgd_step(arrays, grads, velocities, row.lr, cfg.momentum)
+            sgd_step([params], [grad], [velocity], row.lr, cfg.momentum)
         except NonFiniteGradientError as e:
             # Gradients can overflow a step before the logged loss does.
             raise TrainingDivergedError(step, vals) from e
@@ -565,7 +599,7 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     return TrainResult(model, log)
 
 
-def evaluate_model(model: OrientationNet, samples, cfg: ModelConfig | None = None) -> dict:
+def evaluate_model(model: OrientationNet, samples) -> dict:
     """Held-out metrics: validation loss (dims + orientation only) and MAE.
 
     Consistency terms are a training-time device and are not included in
@@ -573,41 +607,25 @@ def evaluate_model(model: OrientationNet, samples, cfg: ModelConfig | None = Non
     undefined (degenerate pairs or a cancelling aggregate) are skipped for
     the angular metrics and counted in ``n_undefined``.
     """
-    cfg = model.cfg if cfg is None else cfg
-    bcfg = cfg.bin_config()
+    cfg = model.cfg
     batch = make_batch(samples)
     dims_pred, bin_out = forward_batch(model, batch)
+    dec = decode_bins(bin_out, cfg)
     n = len(batch)
-    pairs = bin_out.reshape(n, bcfg.num_bins, 2)
-    s, c = pairs[..., 0], pairs[..., 1]
-    norm = np.hypot(s, c)
-    degenerate = norm == 0.0
-    ok = ~degenerate.any(axis=1)
-    safe = np.where(norm == 0.0, 1.0, norm)
-    s_hat, c_hat = s / safe, c / safe
-
-    offsets = np.array(bcfg.offsets)
-    res = batch.theta[:, None] - offsets
-    ts, tc = np.sin(res), np.cos(res)
-    angles = wrap_angle(np.arctan2(s, c) + offsets)
-    include = exclusion_mask_batch(angles, cfg.exclusion_tau) & ~degenerate
-
-    per_bin = np.maximum(1.0 - ts * s_hat - tc * c_hat, 0.0)
-    orient_ps = (per_bin * include).sum(axis=1)
+    ok = ~dec.degenerate.any(axis=1)
+    pairs = bin_out.reshape(n, cfg.num_bins, 2)[ok]
+    unit = pairs / np.hypot(pairs[..., 0], pairs[..., 1])[..., None]
+    res = batch.theta[ok, None] - np.array(cfg.bin_config().offsets)
+    per_bin = np.maximum(1.0 - np.sin(res) * unit[..., 0] - np.cos(res) * unit[..., 1], 0.0)
+    orient_ps = (per_bin * dec.include[ok]).sum(axis=1)
     dims_ps = ((dims_pred - batch.dims3d) ** 2).sum(axis=1)
-
-    sin_sum = (np.sin(angles) * include).sum(axis=1)
-    cos_sum = (np.cos(angles) * include).sum(axis=1)
-    defined = ok & (np.hypot(sin_sum, cos_sum) >= 1e-9)
-    theta_hat = wrap_angle(np.arctan2(sin_sum, cos_sum))
-    err = np.abs(wrap_angle(theta_hat - batch.theta))
-
-    n_def = int(defined.sum())
+    err = np.abs(wrap_angle(dec.theta - batch.theta))[dec.defined]
+    n_def = int(dec.defined.sum())
     return {
-        "loss": float((dims_ps[ok] + orient_ps[ok]).mean()) if ok.any() else float("nan"),
+        "loss": float((dims_ps[ok] + orient_ps).mean()) if ok.any() else float("nan"),
         "dims_loss": float(dims_ps.mean()),
-        "orientation_loss": float(orient_ps[ok].mean()) if ok.any() else float("nan"),
-        "mae_deg": float(np.degrees(err[defined]).mean()) if n_def else float("nan"),
+        "orientation_loss": float(orient_ps.mean()) if ok.any() else float("nan"),
+        "mae_deg": float(np.degrees(err).mean()) if n_def else float("nan"),
         "n": n,
         "n_undefined": n - n_def,
     }
@@ -629,13 +647,13 @@ class SweepPoint:
 def sweep_2d_width(model: OrientationNet, sample: TrainingSample,
                    factors=None) -> list[SweepPoint]:
     """Scale the sample's 2D box width by each factor and re-predict."""
-    factors = DEFAULT_SWEEP_FACTORS if factors is None else factors
-    points = []
-    for f in factors:
-        scaled = replace_sample_width(sample, f)
-        r = forward(model, scaled)
-        points.append(SweepPoint(float(f), r.theta_pred, r.per_bin_angles, r.excluded))
-    return points
+    factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
+    batch = make_batch([sample] * len(factors))
+    batch.dims2d[:, 1] *= factors
+    if not np.all(np.isfinite(batch.dims2d[:, 1]) & (batch.dims2d[:, 1] > 0)):
+        raise ValueError(f"scaled 2D widths must be finite and > 0, got factors {factors}")
+    return [SweepPoint(float(f), r.theta_pred, r.per_bin_angles, r.excluded)
+            for f, r in zip(factors, _forward_rows(model, batch))]
 
 
 def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
@@ -645,19 +663,10 @@ def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
     The scaling applies to the processor's input (the predicted height, or
     the teacher-forced one), not to the sample's ground truth.
     """
-    factors = DEFAULT_SWEEP_FACTORS if factors is None else factors
-    points = []
-    for f in factors:
-        r = forward(model, sample, h1_feed_scale=float(f))
-        points.append(SweepPoint(float(f), r.theta_pred, r.per_bin_angles, r.excluded))
-    return points
-
-
-def replace_sample_width(sample: TrainingSample, factor: float) -> TrainingSample:
-    return TrainingSample(
-        Dims2D(sample.dims2d.h, sample.dims2d.w * factor),
-        sample.dims3d, sample.theta, sample.context.copy(),
-    )
+    factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
+    rows = _forward_rows(model, make_batch([sample] * len(factors)), h1_feed_scale=factors)
+    return [SweepPoint(float(f), r.theta_pred, r.per_bin_angles, r.excluded)
+            for f, r in zip(factors, rows)]
 
 
 def analytic_selector_curve(sample: TrainingSample, factors=None,
@@ -696,39 +705,35 @@ def save_model(model: OrientationNet, path) -> None:
     Arrays are stored as float64 without any rounding, so load(save(m))
     reproduces the model bit-exactly.
     """
-    cfg = model.cfg
-    meta = {
-        "format_version": _CHECKPOINT_VERSION,
-        "config": {
-            **{k: getattr(cfg, k) for k in (
-                "num_bins", "context_width", "use_feedforward",
-                "use_consistency_loss", "consistency_weight", "exclusion_tau",
-                "teacher_force_dims3d", "dims2d_scale", "seed", "batch_size",
-                "momentum", "head_hidden",
-            )},
-            "encoder_hidden": list(cfg.encoder_hidden),
-            "proc_hidden": list(cfg.proc_hidden),
-            "lr_schedule": [list(seg) for seg in cfg.lr_schedule],
-        },
-    }
+    meta = {"format_version": _CHECKPOINT_VERSION, "config": config.snapshot(model.cfg)}
     arrays = {name.replace(".", "__"): arr for name, arr in named_parameters(model)}
     np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def load_model(path) -> OrientationNet:
-    """Load a checkpoint written by :func:`save_model`."""
+    """Load a checkpoint written by :func:`save_model`.  Raises ValueError
+    on an unknown version, a config that does not name every ModelConfig
+    field exactly once, or a missing, unexpected, mis-shaped or non-finite
+    parameter array."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["__meta__"][()]))
         if meta.get("format_version") != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
-        raw = dict(meta["config"])
-        raw["encoder_hidden"] = tuple(raw["encoder_hidden"])
-        raw["proc_hidden"] = tuple(raw["proc_hidden"])
-        raw["lr_schedule"] = tuple((int(s), float(lr)) for s, lr in raw["lr_schedule"])
-        cfg = ModelConfig(**raw)
-        model = build_model(cfg)
-        for name, arr in named_parameters(model):
-            arr[...] = data[name.replace(".", "__")]
+        model = build_model(config.from_mapping(ModelConfig, meta.get("config")))
+        params = dict(named_parameters(model))
+        stored = {key.replace("__", "."): key for key in data.files if key != "__meta__"}
+        if stored.keys() != params.keys():
+            raise ValueError(f"checkpoint {path}: missing arrays "
+                             f"{sorted(params.keys() - stored.keys())}, unexpected arrays "
+                             f"{sorted(stored.keys() - params.keys())}")
+        for name, arr in params.items():
+            value = data[stored[name]].astype(float)
+            if value.shape != arr.shape:
+                raise ValueError(f"checkpoint {path}: array {name} has shape "
+                                 f"{value.shape}, not {arr.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"checkpoint {path}: array {name} is not finite")
+            arr[...] = value
     return model
 
 

@@ -86,7 +86,15 @@ def dense_forward(layer: DenseLayer, x, activation: str | None = None) -> np.nda
     return y
 
 
-@dataclass(eq=False)
+def _grouped(xv: np.ndarray, group: int | None) -> np.ndarray:
+    """View (n, k * group) as (n, k, group); ``group=None`` is the whole row."""
+    width = xv.shape[1] if group is None else group
+    if width < 1 or xv.shape[1] % width:
+        raise ValueError(f"cannot split width {xv.shape[1]} into groups of {width}")
+    return xv.reshape(xv.shape[0], -1, width)
+
+
+@dataclass(eq=False, slots=True)
 class TapeNode:
     """One recorded operation: its kind, cached value, parents, and the
     function mapping the node's gradient to per-parent gradients."""
@@ -208,29 +216,33 @@ class Tape:
 
         return self._push(TapeNode("absval", val, (x,), grad))
 
-    def rownorm(self, x: int, eps: float = 1e-12) -> int:
+    def rownorm(self, x: int, eps: float = 1e-12, group: int | None = None) -> int:
         """Normalize each row to unit L2 length, with a floor: y = x / max(|x|, eps).
 
         Below the floor the map is linear (x / eps), so the gradient stays
-        bounded near the origin.
+        bounded near the origin.  With ``group`` set, each run of ``group``
+        consecutive columns is normalized on its own instead of the row.
         """
-        xv = self.nodes[x].value
-        n = np.sqrt((xv * xv).sum(axis=1, keepdims=True))
+        xv = _grouped(self.nodes[x].value, group)
+        n = np.sqrt((xv * xv).sum(axis=2, keepdims=True))
         d = np.maximum(n, eps)
-        val = xv / d
+        val = (xv / d).reshape(xv.shape[0], -1)
 
         def grad(g, xv=xv, n=n, d=d):
-            dot = (xv * g).sum(axis=1, keepdims=True)
-            return (g / d - (n > eps) * xv * dot / d**3,)
+            g = g.reshape(xv.shape)
+            dot = (xv * g).sum(axis=2, keepdims=True)
+            return ((g / d - (n > eps) * xv * dot / d**3).reshape(xv.shape[0], -1),)
 
         return self._push(TapeNode("rownorm", val, (x,), grad))
 
-    def rowsum(self, x: int) -> int:
-        xv = self.nodes[x].value
-        val = xv.sum(axis=1, keepdims=True)
+    def rowsum(self, x: int, group: int | None = None) -> int:
+        """Sum each row to width 1, or with ``group`` set, each run of
+        ``group`` consecutive columns to one column."""
+        xv = _grouped(self.nodes[x].value, group)
+        val = xv.sum(axis=2)
 
-        def grad(g, shape=xv.shape):
-            return (np.broadcast_to(g, shape),)
+        def grad(g, width=xv.shape[2]):
+            return (np.repeat(g, width, axis=1),)
 
         return self._push(TapeNode("rowsum", val, (x,), grad))
 
@@ -248,7 +260,8 @@ class Tape:
 
         Nodes flagged ``stop_gradient`` receive a gradient but pass nothing
         upstream.  Returns {node_id: gradient array}; nodes with no path to
-        the output are absent.
+        the output are absent.  Treat the gradient arrays as read-only, like
+        node values: several entries may share one array.
         """
         if not self.nodes:
             raise ValueError("backward called on an empty tape")
@@ -265,10 +278,7 @@ class Tape:
             for pid, pg in zip(node.parents, node.grad_fn(g)):
                 if pg is None:
                     continue
-                if pid in grads:
-                    grads[pid] = grads[pid] + pg
-                else:
-                    grads[pid] = np.array(pg, dtype=float)
+                grads[pid] = grads[pid] + pg if pid in grads else pg
         return grads
 
 

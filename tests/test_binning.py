@@ -15,7 +15,6 @@ from pedorient.binning import (
     encode_targets,
     exclusion_mask_batch,
     exclusion_vote,
-    multibin_baseline_decode,
     orientation_loss,
     per_bin_global_angles,
 )
@@ -212,18 +211,22 @@ class TestExclusionMaskBatch:
     def test_matches_scalar_vote(self):
         rng = np.random.default_rng(42)
         tau = math.radians(15)
-        for b in (1, 2, 3, 4, 6):
+        for b in range(1, 7):
             angles = rng.uniform(-math.pi, math.pi, size=(50, b))
-            # Salt in some near-consensus rows so exclusions actually occur.
-            for i in range(0, 50, 5):
+            # Salt in clustered rows, some with one outlier, and rows spread
+            # around tau, so both vote conditions are exercised.
+            for i in range(0, 50, 3):
                 base = rng.uniform(-math.pi, math.pi)
+                spread = (0.05, tau / 2, tau)[(i // 3) % 3]
                 angles[i] = wrap_angle(
-                    base + rng.uniform(-0.05, 0.05, size=b)
+                    base + rng.uniform(-spread, spread, size=b)
                 )
-                if b >= 2:
-                    angles[i, -1] = wrap_angle(base + 2.0)
+                if b >= 2 and i % 2 == 0:
+                    angles[i, rng.integers(b)] = wrap_angle(base + 2.0)
+            angles[49, 0] = np.nan
             mask = exclusion_mask_batch(angles, tau)
             assert mask.shape == (50, b)
+            assert b < 3 or not mask.all()
             for i in range(50):
                 expect = exclusion_vote(angles[i], tau)
                 got = {j for j in range(b) if not mask[i, j]}
@@ -262,24 +265,3 @@ class TestAggregateOrientation:
         with pytest.raises(DegenerateAggregateError):
             aggregate_orientation([0.0, math.pi])
 
-
-class TestBaselineDecode:
-    def test_argmax_selection(self):
-        cfg = BinConfig.default(4)
-        th = 2.1
-        res = encode_targets(th, cfg)
-        conf = [0.1, 0.9, 0.2, 0.3]
-        assert multibin_baseline_decode(conf, res, cfg) == pytest.approx(th)
-
-    def test_tie_goes_to_lowest_index(self):
-        cfg = BinConfig.default(2)
-        res = np.array([[0.0, 1.0], [1.0, 0.0]])
-        got = multibin_baseline_decode([0.5, 0.5], res, cfg)
-        assert got == pytest.approx(wrap_angle(cfg.offsets[0]))
-
-    def test_validation(self):
-        cfg = BinConfig.default(2)
-        with pytest.raises(ValueError):
-            multibin_baseline_decode([0.5], np.zeros((2, 2)), cfg)
-        with pytest.raises(ValueError):
-            multibin_baseline_decode([0.5, float("inf")], np.ones((2, 2)), cfg)

@@ -1,14 +1,16 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from pedorient.cli import main, parse_lr_schedule
-from pedorient.synth import read_dataset
+from pedorient.cli import _load_ini, _model_config, _synth_config, main, parse_lr_schedule
+from pedorient.model import ModelConfig
+from pedorient.synth import SynthConfig, read_dataset
 
 TINY_INI = """\
 [synth]
@@ -81,6 +83,69 @@ class TestScheduleParsing:
             parse_lr_schedule("600")
         with pytest.raises(ValueError):
             parse_lr_schedule("")
+
+
+def ini_text(value) -> str:
+    if isinstance(value, tuple) and isinstance(value[0], tuple):
+        return ",".join(f"{a}:{b}" for a, b in value)
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+class TestConfig:
+    SYNTH = dict(n=7, seed=3, h1_mean=1.6, h1_sd=0.2, h1_range=(1.3, 2.1),
+                 w1_mean=0.5, w1_sd=0.05, w1_range=(0.2, 0.8), l1_mean=0.4,
+                 l1_sd=0.1, l1_range=(0.1, 0.8), scale_range=(20.0, 100.0),
+                 box_noise_sd=0.5, context_noise=0.25, context_width=9)
+    MODEL = dict(num_bins=3, context_width=9, encoder_hidden=(5, 6),
+                 proc_hidden=(7, 8), head_hidden=9, use_feedforward=False,
+                 use_consistency_loss=True, consistency_weight=0.02,
+                 exclusion_tau=0.3, teacher_force_dims3d=True, dims2d_scale=0.02)
+    TRAIN = dict(seed=4, batch_size=5, momentum=0.8, lr_schedule=((3, 0.01), (4, 0.001)))
+
+    def write(self, tmp_path, sections) -> str:
+        path = tmp_path / "cfg.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {ini_text(v)}\n" for k, v in values.items())
+            for name, values in sections.items()))
+        return str(path)
+
+    def test_every_field_reaches_the_dataclass(self, tmp_path):
+        for cls, values in ((SynthConfig, self.SYNTH), (ModelConfig, {**self.MODEL, **self.TRAIN})):
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            assert set(values) == set(defaults)
+            assert all(defaults[k] != v for k, v in values.items())
+        cp = _load_ini(self.write(tmp_path, {"synth": self.SYNTH, "model": self.MODEL,
+                                             "train": self.TRAIN}))
+        assert _synth_config(cp) == SynthConfig(**self.SYNTH)
+        assert _model_config(cp) == ModelConfig(**self.MODEL, **self.TRAIN)
+        assert _synth_config(cp, seed=11, n=2) == SynthConfig(**{**self.SYNTH, "seed": 11, "n": 2})
+        assert _model_config(cp, seed=12).seed == 12
+
+    def test_aliases_and_defaults(self, tmp_path):
+        cp = _load_ini(self.write(tmp_path, {
+            "synth": {"h1_min": 1.3, "scale_max": 100, "w1_min": 0.2, "w1_max": 0.8},
+            "model": {"exclusion_tau_deg": 10}}))
+        assert _synth_config(cp) == SynthConfig(
+            n=1000, h1_range=(1.3, 2.0), scale_range=(30.0, 100.0), w1_range=(0.2, 0.8))
+        assert _model_config(cp) == ModelConfig(exclusion_tau=math.radians(10))
+
+    def test_bad_keys_exit_1_naming_file_section_and_key(self, tmp_path, capsys):
+        cases = [
+            ({"synth": {"sede": 3}}, "synth", "sede"),
+            ({"model": {"use_feedfoward": False}}, "model", "use_feedfoward"),
+            ({"train": {"batch_sise": 8}}, "train", "batch_sise"),
+            ({"synth": {"h1_range": (1.3, 2.0), "h1_min": 1.2}}, "synth", "h1_min"),
+            ({"model": {"seed": 1}, "train": {"seed": 2}}, "train", "seed"),
+            ({"model": {"use_feedforward": "maybe"}}, "model", "use_feedforward"),
+            ({"model": {"encoder_hidden": (8, 8, 8)}}, "model", "encoder_hidden"),
+        ]
+        for sections, section, key in cases:
+            path = self.write(tmp_path, sections)
+            assert main(["gen", "--config", path, "--out", str(tmp_path / "g")]) == 1
+            err = capsys.readouterr().err
+            assert path in err and f"[{section}]" in err and key in err, err
 
 
 class TestGen:
@@ -265,6 +330,19 @@ class TestSweep:
                    "--out", str(tmp_path / "s"), "--which", "2d",
                    "--factors", "nonsense"])
         assert rc == 1
+
+    def test_bad_checkpoint_exits_1(self, tmp_path, workspace, capsys):
+        with np.load(workspace["model"], allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        meta = json.loads(str(payload["__meta__"][()]))
+        meta["config"]["use_feedfoward"] = True
+        payload["__meta__"] = np.array(json.dumps(meta))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **payload)
+        rc = main(["sweep", "--checkpoint", str(bad), "--data", str(workspace["data"]),
+                   "--out", str(tmp_path / "s"), "--which", "2d"])
+        assert rc == 1
+        assert "use_feedfoward" in capsys.readouterr().err
 
     def test_bad_index(self, tmp_path, workspace):
         rc = main(["sweep", "--checkpoint", str(workspace["model"]),

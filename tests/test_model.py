@@ -2,11 +2,18 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pedorient.binning import aggregate_orientation
+from pedorient.binning import (
+    DegenerateAggregateError,
+    aggregate_orientation,
+    encode_targets,
+    exclusion_vote,
+    per_bin_global_angles,
+)
 from pedorient.geometry import Dims2D, Dims3D, circ_abs_diff, width_span_abs
 from pedorient.kitti_io import TrainingSample
 from pedorient.model import (
@@ -17,6 +24,7 @@ from pedorient.model import (
     analytic_selector_curve,
     build_loss_graph,
     build_model,
+    decode_bins,
     evaluate_model,
     forward,
     forward_batch,
@@ -25,8 +33,8 @@ from pedorient.model import (
     model_gradient_check,
     named_parameters,
     predict_orientation,
-    replace_sample_width,
     save_model,
+    sgd_step,
     sweep_2d_width,
     sweep_3d_height,
     total_loss,
@@ -45,6 +53,20 @@ def tiny_cfg(**kw):
 def tiny_samples(n=24, seed=0, **kw):
     samples, _ = gen_dataset(SynthConfig(n=n, seed=seed, context_width=8, **kw))
     return samples
+
+
+def scalar_decode(pairs, cfg):
+    """The per-sample reference chain: angles, excluded bins, theta or None."""
+    angles = per_bin_global_angles(pairs, cfg.bin_config())
+    excluded = exclusion_vote(angles, cfg.exclusion_tau)
+    try:
+        return angles, excluded, aggregate_orientation(angles, excluded)
+    except DegenerateAggregateError:
+        return angles, excluded, None
+
+
+def max_circ_gap(a, b):
+    return max(circ_abs_diff(x, y) for x, y in zip(a, b))
 
 
 class TestModelConfig:
@@ -176,13 +198,54 @@ class TestForward:
         model = build_model(tiny_cfg())
         for layer in model.head:
             layer.weights[...] = 0.0
-            layer.bias[...] = 0.0
-        sample = tiny_samples(1)[0]
-        r = forward(model, sample)
-        assert r.degenerate_bins == (0, 1, 2, 3)
-        assert r.theta_pred is None and r.per_bin_angles is None
-        with pytest.raises(ValueError, match="degenerate"):
-            predict_orientation(model, sample)
+        samples = tiny_samples(2)
+        # The head outputs its last bias: all zero, then bin 1 not finite.
+        good = [0.3, 1.0] * 4
+        for bias, want in (([0.0] * 8, (0, 1, 2, 3)),
+                           (good[:2] + [np.nan, 1.0] + good[4:], (1,)),
+                           (good[:2] + [0.3, np.inf] + good[4:], (1,))):
+            model.head[-1].bias[...] = bias
+            r = forward(model, samples[0])
+            assert r.degenerate_bins == want
+            assert r.theta_pred is None and r.per_bin_angles is None
+            with pytest.raises(ValueError, match="degenerate"):
+                predict_orientation(model, samples[0])
+            assert evaluate_model(model, samples)["n_undefined"] == 2
+
+
+class TestDecodeBins:
+    def test_rows_match_scalar_chain(self):
+        rng = np.random.default_rng(3)
+        for b in range(1, 7):
+            cfg = tiny_cfg(num_bins=b)
+            bcfg = cfg.bin_config()
+            rows = [rng.normal(size=(b, 2)) for _ in range(20)]
+            for _ in range(20):  # consistent bins, some with one outlier
+                row = encode_targets(rng.uniform(-math.pi, math.pi), bcfg)
+                row += rng.normal(scale=0.05, size=(b, 2))
+                if rng.random() < 0.5:
+                    row[rng.integers(b)] = rng.normal(size=2)
+                rows.append(row * rng.uniform(0.1, 10.0))
+            for bad in ((0.0, 0.0), (np.nan, 1.0), (0.5, np.inf)):
+                row = rng.normal(size=(b, 2))
+                row[rng.integers(b)] = bad
+                rows.append(row)
+            if b == 2:  # global angles 0 and pi cancel
+                rows.append(np.array([[1.0, 0.0], [1.0, 0.0]]))
+            dec = decode_bins(np.stack(rows).reshape(len(rows), 2 * b), cfg)
+            for i, row in enumerate(rows):
+                want_bad = ~np.isfinite(row).all(axis=1) | (row == 0.0).all(axis=1)
+                assert np.array_equal(dec.degenerate[i], want_bad)
+                if want_bad.any():
+                    assert not dec.defined[i] and math.isnan(dec.theta[i])
+                    continue
+                angles, excluded, theta = scalar_decode(row, cfg)
+                assert max_circ_gap(dec.angles[i], angles) <= 1e-12
+                assert {j for j in range(b) if not dec.include[i, j]} == excluded
+                assert dec.defined[i] == (theta is not None)
+                if theta is not None:
+                    assert circ_abs_diff(dec.theta[i], theta) <= 1e-12
+            assert b != 2 or not dec.defined[-1]
 
 
 class TestLossGraph:
@@ -293,6 +356,27 @@ class TestTraining:
         res = train(samples, cfg)
         assert res.log[-1].total < 1e-6
 
+    def test_matches_per_array_update_loop(self):
+        # train() updates every parameter through one flat buffer; the
+        # result must equal one SGD update per array, bit for bit.
+        samples = tiny_samples(40)
+        for kw in (dict(), dict(use_feedforward=False, use_consistency_loss=True)):
+            cfg = tiny_cfg(seed=2, momentum=0.9, lr_schedule=((25, 1e-3), (5, 1e-4)), **kw)
+            got = train(samples, cfg)
+            ref = build_model(cfg)
+            arrays = [arr for _, arr in named_parameters(ref)]
+            velocities = [np.zeros_like(arr) for arr in arrays]
+            data = make_batch(samples)
+            rng = np.random.default_rng([cfg.seed, 1])
+            for step in range(cfg.total_steps()):
+                lg = build_loss_graph(ref, data.take(rng.integers(0, len(data), size=cfg.batch_size)))
+                grads = lg.tape.backward(lg.loss)
+                sgd_step(arrays, [grads.get(nid, np.zeros_like(arr)) for _, nid, arr in lg.param_nodes],
+                         velocities, cfg.lr_at(step), cfg.momentum)
+                assert got.log[step].total == sum(lg.term_values().values())
+            for (name, a), (_, b) in zip(named_parameters(got.model), named_parameters(ref)):
+                assert np.array_equal(a, b), (kw, name)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
         samples = tiny_samples(20)
@@ -334,18 +418,41 @@ class TestSweeps:
         assert DEFAULT_SWEEP_FACTORS[0] == pytest.approx(0.1)
         assert DEFAULT_SWEEP_FACTORS[-1] == pytest.approx(2.0)
 
-    def test_replace_sample_width(self):
-        s = tiny_samples(1)[0]
-        t = replace_sample_width(s, 1.5)
-        assert t.dims2d.w == pytest.approx(1.5 * s.dims2d.w)
-        assert t.dims2d.h == s.dims2d.h
-        assert t.dims3d == s.dims3d
-
     def test_width_sweep_runs(self):
         model = build_model(tiny_cfg())
         s = tiny_samples(1)[0]
         points = sweep_2d_width(model, s, factors=(0.5, 1.0, 1.5))
         assert [p.factor for p in points] == [0.5, 1.0, 1.5]
+        with pytest.raises(ValueError):
+            sweep_2d_width(model, s, factors=(0.0, 1.0))
+
+    def test_batched_sweeps_match_per_factor_forward(self):
+        s = tiny_samples(1)[0]
+        factors = tuple(np.linspace(0.2, 2.0, 7))
+
+        def width_scaled(f):
+            return TrainingSample(Dims2D(s.dims2d.h, s.dims2d.w * f),
+                                  s.dims3d, s.theta, s.context), 1.0
+
+        fired = 0
+        for kw in (dict(use_feedforward=False), dict(), dict(teacher_force_dims3d=True)):
+            # Three bins and a wide tau, so the vote fires on these models.
+            cfg = tiny_cfg(seed=2, num_bins=3, exclusion_tau=1.0,
+                           lr_schedule=((40, 1e-3),), **kw)
+            model = train(tiny_samples(16), cfg).model
+            for sweep, per_factor in ((sweep_2d_width, width_scaled),
+                                      (sweep_3d_height, lambda f: (s, f))):
+                for p, f in zip(sweep(model, s, factors), factors):
+                    sample, scale = per_factor(f)
+                    _, out = forward_batch(model, make_batch([sample]), h1_feed_scale=scale)
+                    angles, excluded, theta = scalar_decode(out.reshape(-1, 2), cfg)
+                    assert p.factor == f and p.excluded == excluded
+                    fired += len(excluded)
+                    assert max_circ_gap(p.per_bin_angles, angles) <= 1e-12
+                    assert (p.theta_pred is None) == (theta is None)
+                    if theta is not None:
+                        assert circ_abs_diff(p.theta_pred, theta) <= 1e-12
+        assert fired > 0
 
     def test_height_sweep_inert_for_plain_model(self):
         model = build_model(tiny_cfg(use_feedforward=False))
@@ -408,6 +515,34 @@ class TestCheckpoint:
         np.savez(path, **payload)
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    def test_rejects_bad_checkpoints(self, tmp_path):
+        model = build_model(tiny_cfg())
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path, allow_pickle=False) as data:
+            good = {k: data[k] for k in data.files}
+        meta = json.loads(str(good["__meta__"][()]))
+
+        def with_config(drop=None, **change):
+            cfg = {k: v for k, v in meta["config"].items() if k != drop}
+            return {**good, "__meta__": np.array(json.dumps({**meta, "config": {**cfg, **change}}))}
+
+        cases = [
+            (with_config(use_feedfoward=True), "use_feedfoward"),
+            (with_config(drop="momentum"), "momentum"),
+            (with_config(num_bins=4.0), "num_bins"),
+            (with_config(encoder_hidden=[8]), "encoder_hidden"),
+            ({**good, "head__1__bias": np.zeros(1)}, "head.1.bias"),
+            ({**good, "head__1__bias": np.full(8, np.nan)}, "head.1.bias"),
+            ({k: v for k, v in good.items() if k != "encoder__0__weights"},
+             "encoder.0.weights"),
+            ({**good, "extra__0__bias": np.zeros(3)}, "extra.0.bias"),
+        ]
+        for payload, name in cases:
+            np.savez(path, **payload)
+            with pytest.raises(ValueError, match=re.escape(name)):
+                load_model(path)
 
 
 class TestGradientCheck:

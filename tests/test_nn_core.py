@@ -109,6 +109,21 @@ class TestTapeValues:
         norms = np.linalg.norm(a, axis=1, keepdims=True)
         np.testing.assert_allclose(t.value(t.rownorm(ia)), a / norms)
 
+    def test_grouped_ops_match_per_group(self):
+        x = np.random.default_rng(5).normal(size=(4, 6))
+        t = Tape()
+        ix = t.leaf(x)
+        norm = t.value(t.rownorm(ix, group=2))
+        total = t.value(t.rowsum(ix, group=3))
+        for k in range(3):
+            want = t.value(t.rownorm(t.cols(ix, 2 * k, 2 * k + 2)))
+            assert np.array_equal(norm[:, 2 * k:2 * k + 2], want)
+        for k in range(2):
+            want = t.value(t.rowsum(t.cols(ix, 3 * k, 3 * k + 3)))
+            assert np.array_equal(total[:, k:k + 1], want)
+        with pytest.raises(ValueError, match="groups of 4"):
+            t.rowsum(ix, group=4)
+
     def test_rownorm_floor(self):
         t = Tape()
         x = np.array([[1e-15, 0.0], [3.0, 4.0]])
@@ -144,6 +159,13 @@ class TestTapeGradients:
         self.check_unary(lambda t, i: t.rownorm(i), x.copy())
         self.check_unary(lambda t, i: t.cols(i, 1, 3), x.copy())
         self.check_unary(lambda t, i: t.rowsum(i), x.copy())
+
+    def test_grouped_op_gradients(self):
+        rng = np.random.default_rng(43)
+        x = rng.uniform(0.2, 1.5, size=(3, 4)) * rng.choice([-1, 1], size=(3, 4))
+        weights = rng.normal(size=(3, 4))
+        self.check_unary(lambda t, i: t.cmul(t.rownorm(i, group=2), weights), x.copy())
+        self.check_unary(lambda t, i: t.cmul(t.rowsum(i, group=2), weights[:, :2]), x.copy())
 
     def test_affine_gradients(self):
         rng = np.random.default_rng(42)
