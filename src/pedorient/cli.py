@@ -70,8 +70,32 @@ _SIMILAR_CLASSES = ("Person_sitting",)
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class CompareSettings:
+    """The [compare] section."""
+
+    seeds: tuple[int, ...] = (0, 1, 2)
+
+
+@dataclasses.dataclass(frozen=True)
+class GradcheckSettings:
+    """The [gradcheck] section."""
+
+    batch_size: int = 8
+    eps: float = 1e-5
+    max_entries_per_param: int = 25
+    threshold: float = 1e-4
+    include_consistency: bool = True
+
+    def __post_init__(self):
+        for key in ("batch_size", "eps", "max_entries_per_param", "threshold"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"[gradcheck] {key} = {value!r}: must be finite and > 0")
+
+
 def _load_ini(path) -> configparser.ConfigParser:
-    """Read an INI file; a bad [synth], [model] or [train] entry fails here."""
+    """Read an INI file; a bad entry in any known section fails here."""
     cp = configparser.ConfigParser()
     if path is not None:
         p = Path(path)
@@ -81,6 +105,8 @@ def _load_ini(path) -> configparser.ConfigParser:
         try:
             _synth_config(cp)
             _model_config(cp)
+            _settings(CompareSettings, cp, "compare")
+            _settings(GradcheckSettings, cp, "gradcheck")
         except ValueError as e:
             raise ValueError(f"{p}: {e}") from None
     return cp
@@ -141,6 +167,10 @@ def _synth_config(cp, seed=None, n=None) -> SynthConfig:
 
 def _model_config(cp, seed=None) -> ModelConfig:
     return ModelConfig(**_ini_values(ModelConfig, cp, ("model", "train"), seed=seed))
+
+
+def _settings(cls, cp, section: str):
+    return cls(**_ini_values(cls, cp, (section,)))
 
 
 def _sha256(path: Path) -> str:
@@ -260,7 +290,7 @@ def cmd_compare(args) -> int:
     started = time.monotonic()
     cp = _load_ini(args.config)
     base = _model_config(cp)
-    seeds = config.coerce(_sec(cp, "compare").get("seeds", "0, 1, 2"), tuple[int, ...])
+    seeds = _settings(CompareSettings, cp, "compare").seeds
     if args.seeds:
         seeds = config.coerce(args.seeds, tuple[int, ...])
     samples = read_dataset(args.data)
@@ -465,29 +495,25 @@ def cmd_invert(args) -> int:
 def cmd_gradcheck(args) -> int:
     started = time.monotonic()
     cp = _load_ini(args.config)
-    g = _sec(cp, "gradcheck")
+    g = _settings(GradcheckSettings, cp, "gradcheck")
     cfg = _model_config(cp, seed=args.seed)
-    if config.coerce(g.get("include_consistency", "true"), bool):
+    if g.include_consistency:
         cfg = dataclasses.replace(cfg, use_consistency_loss=True)
-    batch_size = int(g.get("batch_size", 8))
-    eps = _getfloat(g, "eps", 1e-5)
-    max_entries = int(g.get("max_entries_per_param", 25))
-    threshold = _getfloat(g, "threshold", 1e-4)
 
-    synth_cfg = SynthConfig(n=batch_size, seed=cfg.seed,
+    synth_cfg = SynthConfig(n=g.batch_size, seed=cfg.seed,
                             context_width=cfg.context_width)
     samples, _ = gen_dataset(synth_cfg)
     model = build_model(cfg)
-    report = model_gradient_check(model, make_batch(samples), eps=eps,
-                                  max_entries_per_param=max_entries,
+    report = model_gradient_check(model, make_batch(samples), eps=g.eps,
+                                  max_entries_per_param=g.max_entries_per_param,
                                   seed=cfg.seed)
 
     width = max(len(name) for name, _ in report.per_param)
     for name, err in report.per_param:
         print(f"  {name:<{width}s}  max rel err {err:.3e}")
-    passed = report.passed(threshold)
+    passed = report.passed(g.threshold)
     print(f"overall max rel err {report.max_rel_error:.3e}"
-          f" vs threshold {threshold:.1e}: {'PASS' if passed else 'FAIL'}")
+          f" vs threshold {g.threshold:.1e}: {'PASS' if passed else 'FAIL'}")
 
     if args.out:
         out = _out_dir(args)
@@ -495,7 +521,7 @@ def cmd_gradcheck(args) -> int:
         path.write_text(json.dumps({
             "max_rel_error": float(report.max_rel_error),
             "per_param": {name: float(err) for name, err in report.per_param},
-            "threshold": threshold,
+            "threshold": g.threshold,
             "passed": bool(passed),
         }, sort_keys=True, indent=2) + "\n")
         _write_manifest(out, "gradcheck", config.snapshot(cfg), cfg.seed,

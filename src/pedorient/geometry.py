@@ -19,6 +19,7 @@ that relation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,17 @@ def circ_abs_diff(a, b):
     return abs(d) if np.ndim(d) == 0 else np.abs(d)
 
 
+def _store_positive_floats(dims, names) -> None:
+    """Check that each named field is a finite real number > 0 (Python or
+    NumPy, not a bool) and store it as a Python float."""
+    for name in names:
+        v = getattr(dims, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+                math.isfinite(v) and v > 0):
+            raise ValueError(f"{type(dims).__name__}.{name} must be finite and > 0, got {v!r}")
+        object.__setattr__(dims, name, float(v))
+
+
 @dataclass(frozen=True)
 class Dims2D:
     """2D bounding-box dimensions in pixels.
@@ -67,10 +79,7 @@ class Dims2D:
     w: float
 
     def __post_init__(self):
-        for name in ("h", "w"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"Dims2D.{name} must be finite and > 0, got {v!r}")
+        _store_positive_floats(self, ("h", "w"))
 
 
 @dataclass(frozen=True)
@@ -82,10 +91,7 @@ class Dims3D:
     l1: float
 
     def __post_init__(self):
-        for name in ("h1", "w1", "l1"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"Dims3D.{name} must be finite and > 0, got {v!r}")
+        _store_positive_floats(self, ("h1", "w1", "l1"))
 
 
 def _as_hw(d2) -> tuple[float, float]:

@@ -237,7 +237,10 @@ class TrainingSample:
     context: np.ndarray
 
     def __post_init__(self):
-        self.theta = wrap_angle(float(self.theta))
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"TrainingSample.theta must be finite, got {theta!r}")
+        self.theta = wrap_angle(theta)
         self.context = np.asarray(self.context, dtype=float)
         if self.context.ndim != 1:
             raise ValueError(f"context must be 1-D, got shape {self.context.shape}")

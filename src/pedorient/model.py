@@ -480,33 +480,29 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         term_ids["orientation"] = t.mean(t.rowsum(per_bin))
 
     if "consistency" in terms and cfg.use_consistency_loss:
+        # Columns are picked by products with constants holding zeros, which
+        # add exactly +-0; each row sum has at most two nonzero terms, or runs
+        # left to right over fewer than eight bins, so the arithmetic is that
+        # of one scalar chain per bin.
         h = batch.dims2d[:, 0:1]
         w = batch.dims2d[:, 1:2]
-        abs_sin = np.abs(np.sin(batch.theta))[:, None]
-        abs_cos = np.abs(np.cos(batch.theta))[:, None]
-        h1p = t.cols(dims_pred, 0, 1)
-        w1p = t.cols(dims_pred, 1, 2)
-        l1p = t.cols(dims_pred, 2, 3)
-        span_pred = t.add(t.cmul(w1p, abs_sin), t.cmul(l1p, abs_cos))
-        resid_d = t.sub(t.cmul(span_pred, h), t.cmul(h1p, w))
+        th = batch.theta
+        abs_trig = np.abs(np.stack([np.zeros_like(th), np.sin(th), np.cos(th)], axis=1))
+        span_pred = t.rowsum(t.cmul(dims_pred, abs_trig))  # w1 |sin| + l1 |cos|
+        h1_w = t.rowsum(t.cmul(dims_pred, w * [1.0, 0.0, 0.0]))
+        resid_d = t.sub(t.cmul(span_pred, h), h1_w)
         cons = t.mean(t.mul(resid_d, resid_d))
 
-        s_sum = c_sum = None
-        for i in range(bcfg.num_bins):
-            si = t.cols(unit_pairs, 2 * i, 2 * i + 1)
-            ci = t.cols(unit_pairs, 2 * i + 1, 2 * i + 2)
-            so, co = math.sin(bcfg.offsets[i]), math.cos(bcfg.offsets[i])
-            gs = t.add(t.cmul(si, co), t.cmul(ci, so))
-            gc = t.sub(t.cmul(ci, co), t.cmul(si, so))
-            ms = t.cmul(gs, include_mask[:, i:i + 1])
-            mc = t.cmul(gc, include_mask[:, i:i + 1])
-            s_sum = ms if s_sum is None else t.add(s_sum, ms)
-            c_sum = mc if c_sum is None else t.add(c_sum, mc)
+        # Rotate each unit pair by its bin offset to the global (sin, cos),
+        # then sum the kept bins.
+        rot_sin = [v for o in bcfg.offsets for v in (math.cos(o), math.sin(o))]
+        rot_cos = [v for o in bcfg.offsets for v in (-math.sin(o), math.cos(o))]
+        global_sin = t.rowsum(t.cmul(unit_pairs, rot_sin), group=2)
+        global_cos = t.rowsum(t.cmul(unit_pairs, rot_cos), group=2)
+        s_sum = t.rowsum(t.cmul(global_sin, include_mask))
+        c_sum = t.rowsum(t.cmul(global_cos, include_mask))
         direction = t.absval(t.rownorm(t.concat([s_sum, c_sum])))
-        span_true = t.add(
-            t.cmul(t.cols(direction, 0, 1), batch.dims3d[:, 1:2]),
-            t.cmul(t.cols(direction, 1, 2), batch.dims3d[:, 2:3]),
-        )
+        span_true = t.rowsum(t.cmul(direction, batch.dims3d[:, 1:3]))
         resid_o = t.cadd(t.cmul(span_true, h), -(w * batch.dims3d[:, 0:1]))
         cons = t.add(cons, t.mean(t.mul(resid_o, resid_o)))
         term_ids["consistency"] = t.cmul(cons, cfg.consistency_weight)
@@ -711,29 +707,39 @@ def save_model(model: OrientationNet, path) -> None:
 
 
 def load_model(path) -> OrientationNet:
-    """Load a checkpoint written by :func:`save_model`.  Raises ValueError
-    on an unknown version, a config that does not name every ModelConfig
-    field exactly once, or a missing, unexpected, mis-shaped or non-finite
+    """Load a checkpoint written by :func:`save_model`.  Raises ValueError,
+    naming the file, on a missing or non-object ``__meta__`` entry, an
+    unknown version, a config that does not name every ModelConfig field
+    exactly once, or a missing, unexpected, mis-shaped or non-finite
     parameter array."""
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"][()]))
-        if meta.get("format_version") != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
-        model = build_model(config.from_mapping(ModelConfig, meta.get("config")))
-        params = dict(named_parameters(model))
-        stored = {key.replace("__", "."): key for key in data.files if key != "__meta__"}
-        if stored.keys() != params.keys():
-            raise ValueError(f"checkpoint {path}: missing arrays "
-                             f"{sorted(params.keys() - stored.keys())}, unexpected arrays "
-                             f"{sorted(stored.keys() - params.keys())}")
-        for name, arr in params.items():
-            value = data[stored[name]].astype(float)
-            if value.shape != arr.shape:
-                raise ValueError(f"checkpoint {path}: array {name} has shape "
-                                 f"{value.shape}, not {arr.shape}")
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"checkpoint {path}: array {name} is not finite")
-            arr[...] = value
+        try:
+            return _load_arrays(data)
+        except ValueError as e:
+            raise ValueError(f"checkpoint {path}: {e}") from None
+
+
+def _load_arrays(data) -> OrientationNet:
+    if "__meta__" not in data.files:
+        raise ValueError("no __meta__ entry")
+    meta = json.loads(str(data["__meta__"][()]))
+    if not isinstance(meta, dict):
+        raise ValueError(f"__meta__ is not a JSON object: {meta!r}")
+    if meta.get("format_version") != _CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
+    model = build_model(config.from_mapping(ModelConfig, meta.get("config")))
+    params = dict(named_parameters(model))
+    stored = {key.replace("__", "."): key for key in data.files if key != "__meta__"}
+    if stored.keys() != params.keys():
+        raise ValueError(f"missing arrays {sorted(params.keys() - stored.keys())},"
+                         f" unexpected arrays {sorted(stored.keys() - params.keys())}")
+    for name, arr in params.items():
+        value = data[stored[name]].astype(float)
+        if value.shape != arr.shape:
+            raise ValueError(f"array {name} has shape {value.shape}, not {arr.shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"array {name} is not finite")
+        arr[...] = value
     return model
 
 

@@ -165,17 +165,6 @@ class Tape:
 
         return self._push(TapeNode("concat", val, tuple(xs), grad))
 
-    def cols(self, x: int, lo: int, hi: int) -> int:
-        xv = self.nodes[x].value
-        val = xv[:, lo:hi]
-
-        def grad(g, shape=xv.shape, lo=lo, hi=hi):
-            full = np.zeros(shape)
-            full[:, lo:hi] = g
-            return (full,)
-
-        return self._push(TapeNode("cols", val, (x,), grad))
-
     def add(self, a: int, b: int) -> int:
         val = self.nodes[a].value + self.nodes[b].value
         return self._push(TapeNode("add", val, (a, b), lambda g: (g, g)))

@@ -247,7 +247,13 @@ def read_dataset(path) -> list[TrainingSample]:
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: non-numeric column") from None
             h, w, h1, w1, l1, theta = vals[:6]
-            samples.append(TrainingSample(
-                Dims2D(h, w), Dims3D(h1, w1, l1), theta, np.array(vals[6:]),
-            ))
+            if samples and len(vals) - 6 != samples[0].context.size:
+                raise ValueError(f"{path}: line {line_no}: context has {len(vals) - 6}"
+                                 f" values, the first row's has {samples[0].context.size}")
+            try:
+                samples.append(TrainingSample(
+                    Dims2D(h, w), Dims3D(h1, w1, l1), theta, np.array(vals[6:]),
+                ))
+            except ValueError as e:
+                raise ValueError(f"{path}: line {line_no}: {e}") from None
     return samples

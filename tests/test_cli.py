@@ -8,7 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from pedorient.cli import _load_ini, _model_config, _synth_config, main, parse_lr_schedule
+from pedorient.cli import (
+    CompareSettings,
+    GradcheckSettings,
+    _load_ini,
+    _model_config,
+    _settings,
+    _synth_config,
+    main,
+    parse_lr_schedule,
+)
 from pedorient.model import ModelConfig
 from pedorient.synth import SynthConfig, read_dataset
 
@@ -103,6 +112,9 @@ class TestConfig:
                  use_consistency_loss=True, consistency_weight=0.02,
                  exclusion_tau=0.3, teacher_force_dims3d=True, dims2d_scale=0.02)
     TRAIN = dict(seed=4, batch_size=5, momentum=0.8, lr_schedule=((3, 0.01), (4, 0.001)))
+    COMPARE = dict(seeds=(4, 5))
+    GRADCHECK = dict(batch_size=3, eps=1e-6, max_entries_per_param=7, threshold=1e-3,
+                     include_consistency=False)
 
     def write(self, tmp_path, sections) -> str:
         path = tmp_path / "cfg.ini"
@@ -112,12 +124,17 @@ class TestConfig:
         return str(path)
 
     def test_every_field_reaches_the_dataclass(self, tmp_path):
-        for cls, values in ((SynthConfig, self.SYNTH), (ModelConfig, {**self.MODEL, **self.TRAIN})):
+        for cls, values in ((SynthConfig, self.SYNTH), (ModelConfig, {**self.MODEL, **self.TRAIN}),
+                            (CompareSettings, self.COMPARE),
+                            (GradcheckSettings, self.GRADCHECK)):
             defaults = {f.name: f.default for f in dataclasses.fields(cls)}
             assert set(values) == set(defaults)
             assert all(defaults[k] != v for k, v in values.items())
         cp = _load_ini(self.write(tmp_path, {"synth": self.SYNTH, "model": self.MODEL,
-                                             "train": self.TRAIN}))
+                                             "train": self.TRAIN, "compare": self.COMPARE,
+                                             "gradcheck": self.GRADCHECK}))
+        assert _settings(CompareSettings, cp, "compare") == CompareSettings(**self.COMPARE)
+        assert _settings(GradcheckSettings, cp, "gradcheck") == GradcheckSettings(**self.GRADCHECK)
         assert _synth_config(cp) == SynthConfig(**self.SYNTH)
         assert _model_config(cp) == ModelConfig(**self.MODEL, **self.TRAIN)
         assert _synth_config(cp, seed=11, n=2) == SynthConfig(**{**self.SYNTH, "seed": 11, "n": 2})
@@ -140,6 +157,12 @@ class TestConfig:
             ({"model": {"seed": 1}, "train": {"seed": 2}}, "train", "seed"),
             ({"model": {"use_feedforward": "maybe"}}, "model", "use_feedforward"),
             ({"model": {"encoder_hidden": (8, 8, 8)}}, "model", "encoder_hidden"),
+            ({"compare": {"seed": 1}}, "compare", "seed"),
+            ({"compare": {"seeds": "0, x"}}, "compare", "seeds"),
+            ({"gradcheck": {"include_consistancy": False}}, "gradcheck", "include_consistancy"),
+            ({"gradcheck": {"eps": "small"}}, "gradcheck", "eps"),
+            ({"gradcheck": {"batch_size": 0}}, "gradcheck", "batch_size"),
+            ({"gradcheck": {"threshold": "nan"}}, "gradcheck", "threshold"),
         ]
         for sections, section, key in cases:
             path = self.write(tmp_path, sections)
@@ -333,16 +356,22 @@ class TestSweep:
 
     def test_bad_checkpoint_exits_1(self, tmp_path, workspace, capsys):
         with np.load(workspace["model"], allow_pickle=False) as data:
-            payload = {k: data[k] for k in data.files}
-        meta = json.loads(str(payload["__meta__"][()]))
+            good = {k: data[k] for k in data.files}
+        meta = json.loads(str(good["__meta__"][()]))
         meta["config"]["use_feedfoward"] = True
-        payload["__meta__"] = np.array(json.dumps(meta))
+        cases = [
+            ({**good, "__meta__": np.array(json.dumps(meta))}, "use_feedfoward"),
+            ({k: v for k, v in good.items() if k != "__meta__"}, "__meta__"),
+            ({**good, "__meta__": np.array(json.dumps([1, 2]))}, "__meta__"),
+        ]
         bad = tmp_path / "bad.npz"
-        np.savez(bad, **payload)
-        rc = main(["sweep", "--checkpoint", str(bad), "--data", str(workspace["data"]),
-                   "--out", str(tmp_path / "s"), "--which", "2d"])
-        assert rc == 1
-        assert "use_feedfoward" in capsys.readouterr().err
+        for payload, name in cases:
+            np.savez(bad, **payload)
+            rc = main(["sweep", "--checkpoint", str(bad), "--data", str(workspace["data"]),
+                       "--out", str(tmp_path / "s"), "--which", "2d"])
+            assert rc == 1, name
+            err = capsys.readouterr().err
+            assert name in err and str(bad) in err
 
     def test_bad_index(self, tmp_path, workspace):
         rc = main(["sweep", "--checkpoint", str(workspace["model"]),
@@ -385,6 +414,14 @@ class TestGradcheck:
         assert report["passed"] is True
         assert report["max_rel_error"] < 1e-4
         assert "encoder.0.weights" in report["per_param"]
+
+    def test_include_consistency_reaches_the_check(self, tmp_path):
+        ini, out = tmp_path / "gc.ini", tmp_path / "gc"
+        for value in (False, True):
+            ini.write_text(TINY_INI + f"include_consistency = {str(value).lower()}\n")
+            assert main(["gradcheck", "--config", str(ini), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["use_consistency_loss"] is value
 
     def test_impossible_threshold_fails(self, tmp_path, workspace, capsys):
         strict = tmp_path / "strict.ini"

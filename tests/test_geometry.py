@@ -95,6 +95,17 @@ class TestDimsValidation:
         with pytest.raises(ValueError):
             Dims3D(1.7, 0.5, float("inf"))
 
+    def test_numpy_reals_accepted_as_floats_and_bools_rejected(self):
+        d2 = Dims2D(np.float32(1.5), np.int64(40))
+        d3 = Dims3D(np.float64(1.7), np.float32(0.5), 1)
+        assert (d2, d3) == (Dims2D(1.5, 40.0), Dims3D(1.7, 0.5, 1.0))
+        assert all(type(v) is float for v in (d2.h, d2.w, d3.h1, d3.w1, d3.l1))
+        for bad in (True, np.bool_(True), "1.5", None):
+            with pytest.raises(ValueError, match="Dims2D.w"):
+                Dims2D(10.0, bad)
+            with pytest.raises(ValueError, match="Dims3D.h1"):
+                Dims3D(bad, 0.5, 0.5)
+
 
 class TestWidthSpan:
     def test_axis_angles(self):

@@ -180,6 +180,12 @@ class TestTrainingSample:
                            4.0, np.zeros(4))
         assert s.theta == pytest.approx(4.0 - 2 * math.pi)
 
+    def test_sample_rejects_nonfinite_theta(self):
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="theta"):
+                TrainingSample(Dims2D(100.0, 40.0), Dims3D(1.7, 0.6, 0.5),
+                               theta, np.zeros(4))
+
     def test_sample_context_validation(self):
         with pytest.raises(ValueError):
             TrainingSample(Dims2D(100.0, 40.0), Dims3D(1.7, 0.6, 0.5),

@@ -250,20 +250,34 @@ class TestDecodeBins:
 
 class TestLossGraph:
     def test_matches_reference_loss(self):
-        for kw in (dict(), dict(use_consistency_loss=True),
-                   dict(use_feedforward=False),
-                   dict(teacher_force_dims3d=True)):
+        samples = tiny_samples(6)
+        configs = [dict(), dict(use_feedforward=False), dict(teacher_force_dims3d=True)]
+        configs += [dict(use_consistency_loss=True, num_bins=b, use_feedforward=ff)
+                    for b in range(1, 7) for ff in (True, False)]
+        for kw in configs:
             cfg = tiny_cfg(**kw)
             model = build_model(cfg)
-            sample = tiny_samples(5)[2]
-            lg = build_loss_graph(model, make_batch([sample]))
-            ref_total, ref_terms = total_loss(forward(model, sample), sample, cfg)
+            # Every bin near one global angle except bin 0, turned half a
+            # turn, with small weights so the rows still differ: the vote
+            # drops bin 0 where the others stay within tau of each other.
+            last = model.head[-1]
+            last.weights *= 0.05
+            local = 0.3 - np.array(cfg.bin_config().offsets)
+            local[0] += math.pi
+            last.bias[:] = np.stack([np.sin(local), np.cos(local)], axis=1).ravel()
+
+            lg = build_loss_graph(model, make_batch(samples))
+            if cfg.num_bins >= 3:
+                assert not lg.include_mask.all(), kw
+            refs = [total_loss(forward(model, s), s, cfg) for s in samples]
+            ref_total = np.mean([total for total, _ in refs])
             assert lg.loss_value() == pytest.approx(ref_total, rel=1e-9), kw
             got_terms = lg.term_values()
-            for key, want in ref_terms.items():
+            for key in refs[0][1]:
                 if key == "consistency" and not cfg.use_consistency_loss:
                     assert key not in got_terms
                     continue
+                want = np.mean([terms[key] for _, terms in refs])
                 assert got_terms[key] == pytest.approx(want, rel=1e-9, abs=1e-12), (kw, key)
 
     def test_batch_loss_is_mean_of_samples(self):
@@ -538,11 +552,14 @@ class TestCheckpoint:
             ({k: v for k, v in good.items() if k != "encoder__0__weights"},
              "encoder.0.weights"),
             ({**good, "extra__0__bias": np.zeros(3)}, "extra.0.bias"),
+            ({k: v for k, v in good.items() if k != "__meta__"}, "__meta__"),
+            ({**good, "__meta__": np.array(json.dumps([1, 2]))}, "__meta__"),
         ]
         for payload, name in cases:
             np.savez(path, **payload)
-            with pytest.raises(ValueError, match=re.escape(name)):
+            with pytest.raises(ValueError, match=re.escape(name)) as info:
                 load_model(path)
+            assert str(path) in str(info.value)
 
 
 class TestGradientCheck:

@@ -176,3 +176,13 @@ class TestDatasetFiles:
         path.write_text("90 40 1.7 0.6 0.5 x 0 0 0\n")
         with pytest.raises(ValueError, match="non-numeric"):
             read_dataset(path)
+        good = "90 40 1.7 0.6 0.5 0.3 0 0 0\n"
+        for row, field in (("90 40 1.7 0.6 0.5 0.3 0 0\n", "context"),
+                           ("90 40 1.7 0.6 0.5 0.3 0 0 0 0\n", "context"),
+                           ("90 40 1.7 0.6 0.5 nan 0 0 0\n", "theta"),
+                           ("90 40 1.7 0.6 0.5 inf 0 0 0\n", "theta"),
+                           ("90 -4 1.7 0.6 0.5 0.3 0 0 0\n", "Dims2D.w")):
+            path.write_text("# header\n" + good + row)
+            with pytest.raises(ValueError, match=f"line 3: .*{field}") as info:
+                read_dataset(path)
+            assert str(path) in str(info.value)
