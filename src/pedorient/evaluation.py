@@ -23,9 +23,17 @@ RECALL_ANCHORS = tuple(np.linspace(0.0, 1.0, 11))
 
 def _check_box(box) -> tuple[float, float, float, float]:
     left, top, right, bottom = (float(v) for v in box)
-    if not (right > left and bottom > top):
-        raise ValueError(f"degenerate box {box}")
+    if not (-math.inf < left < right < math.inf and -math.inf < top < bottom < math.inf):
+        raise ValueError(f"degenerate or non-finite box {box}")
     return left, top, right, bottom
+
+
+def _finite_theta(record) -> None:
+    """Check the record's yaw is finite and store it wrapped, as a float."""
+    theta = float(record.theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"{type(record).__name__}.theta must be finite, got {theta!r}")
+    object.__setattr__(record, "theta", wrap_angle(theta))
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,7 @@ class Detection:
         _check_box(self.box2d)
         if not math.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score}")
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
+        _finite_theta(self)
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ class GroundTruth:
 
     def __post_init__(self):
         _check_box(self.box2d)
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
+        _finite_theta(self)
 
 
 def box_iou(a, b) -> float:

@@ -33,7 +33,16 @@ def wrap_angle(theta):
 
     Values already in range are returned unchanged (bit-identical), which
     keeps round trips exact; only out-of-range values are reduced.
+
+    A ``float`` (``np.float64`` included) takes a plain-float path and
+    comes back as a Python ``float``.  Python's float ``%`` and
+    ``np.remainder`` both take fmod and adjust its sign the same way, so
+    that path matches the array path bit for bit; NaN and +/-inf give NaN.
     """
+    if isinstance(theta, float):
+        if -math.pi < theta <= math.pi:
+            return float(theta)
+        return float(math.pi - (math.pi - theta) % TWO_PI)
     th = np.asarray(theta, dtype=float)
     out = (th <= -math.pi) | (th > math.pi)
     if np.any(out):
@@ -46,13 +55,15 @@ def wrap_angle(theta):
 
 def circ_diff(a, b):
     """Signed circular difference a - b, wrapped into (-pi, pi]."""
+    if isinstance(a, float) and isinstance(b, float):
+        return wrap_angle(a - b)
     return wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
 def circ_abs_diff(a, b):
     """Absolute circular distance between two angles, in [0, pi]."""
     d = circ_diff(a, b)
-    return abs(d) if np.ndim(d) == 0 else np.abs(d)
+    return abs(d) if isinstance(d, float) else np.abs(d)
 
 
 def _store_positive_floats(dims, names) -> None:
@@ -129,11 +140,21 @@ def width_span(dims: Dims3D, theta):
         Span in meters (float for scalar input, ndarray otherwise),
         non-negative and at most hypot(w1, l1).
     """
-    th = np.asarray(wrap_angle(theta), dtype=float)
+    w1, l1 = dims.w1, dims.l1
+    th = wrap_angle(theta)
+    if isinstance(th, float):
+        s = float(np.sin(th))
+        c = float(np.cos(th))
+        if 0.0 <= th < HALF_PI:
+            return w1 * s + l1 * c
+        if th >= HALF_PI:
+            return w1 * s - l1 * c
+        if th >= -HALF_PI:
+            return l1 * c - w1 * s
+        return -l1 * c - w1 * s
     s = np.sin(th)
     c = np.cos(th)
-    w1, l1 = dims.w1, dims.l1
-    val = np.where(
+    return np.where(
         (th >= 0.0) & (th < HALF_PI),
         w1 * s + l1 * c,
         np.where(
@@ -142,9 +163,6 @@ def width_span(dims: Dims3D, theta):
             np.where(th >= -HALF_PI, l1 * c - w1 * s, -l1 * c - w1 * s),
         ),
     )
-    if np.ndim(theta) == 0:
-        return float(val)
-    return val
 
 
 def width_span_abs(dims: Dims3D, theta):

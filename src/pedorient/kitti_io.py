@@ -79,6 +79,12 @@ class ObjectLabel:
             raise ValueError(f"truncation {self.truncation} outside [0, 1]")
         if self.occlusion not in (0, 1, 2, 3):
             raise ValueError(f"occlusion {self.occlusion} not in {{0, 1, 2, 3}}")
+        for name, v in zip(("bbox_left", "bbox_top", "bbox_right", "bbox_bottom", "x", "y", "z"),
+                           (*self.box2d, *self.location)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+        if self.score is not None and not math.isfinite(self.score):
+            raise ValueError(f"score must be finite, got {self.score}")
         left, top, right, bottom = self.box2d
         if not right > left:
             raise ValueError(f"bbox_right {right} must exceed bbox_left {left}")
@@ -133,7 +139,7 @@ def _parse_line(line_no: int, parts: list[str]) -> tuple[ObjectLabel, int]:
 
     warnings = 0
     if class_name != DONT_CARE:
-        if occ_f != int(occ_f):
+        if not math.isfinite(occ_f) or occ_f != int(occ_f):
             raise KittiParseError(line_no, f"field 'occlusion' must be an integer, got {occ_f}")
         for ang_name, a in (("alpha", alpha), ("rotation_y", rot)):
             if not math.isfinite(a):
@@ -149,7 +155,7 @@ def _parse_line(line_no: int, parts: list[str]) -> tuple[ObjectLabel, int]:
             (left, top, right, bottom), (h3, w3, l3), (x, y, z),
             rot, score,
         )
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise KittiParseError(line_no, str(e)) from None
     return label, warnings
 

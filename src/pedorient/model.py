@@ -307,12 +307,14 @@ def _forward_rows(model: OrientationNet, batch: Batch, h1_feed_scale=1.0) -> lis
     dims_pred, bin_out = forward_batch(model, batch, h1_feed_scale)
     dec = decode_bins(bin_out, model.cfg)
     pairs = bin_out.reshape(len(batch), model.cfg.num_bins, 2)
+    rows = zip(dec.angles.tolist(), dec.include.tolist(), dec.theta.tolist(),
+               dec.defined.tolist(), dec.degenerate.tolist())
     return [ForwardResult(dims_pred[i], pairs[i],
-                          None if bad.any() else dec.angles[i].tolist(),
-                          set() if bad.any() else set(np.flatnonzero(~dec.include[i]).tolist()),
-                          float(dec.theta[i]) if dec.defined[i] else None,
-                          tuple(np.flatnonzero(bad).tolist()))
-            for i, bad in enumerate(dec.degenerate)]
+                          None if any(bad) else angles,
+                          set() if any(bad) else {k for k, kept in enumerate(include) if not kept},
+                          theta if defined else None,
+                          tuple(k for k, b in enumerate(bad) if b))
+            for i, (angles, include, theta, defined, bad) in enumerate(rows)]
 
 
 def forward(model: OrientationNet, sample: TrainingSample) -> ForwardResult:

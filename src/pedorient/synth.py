@@ -107,9 +107,10 @@ def gen_dataset(cfg: SynthConfig) -> tuple[list[TrainingSample], list[GenRecord]
     records: list[GenRecord] = []
     for i in range(cfg.n):
         rng = np.random.default_rng([cfg.seed, i])
-        h1 = float(np.clip(rng.normal(cfg.h1_mean, cfg.h1_sd), *cfg.h1_range))
-        w1 = float(np.clip(rng.normal(cfg.w1_mean, cfg.w1_sd), *cfg.w1_range))
-        l1 = float(np.clip(rng.normal(cfg.l1_mean, cfg.l1_sd), *cfg.l1_range))
+        # min(max(...)) is np.clip without its 0-d array round trip.
+        h1 = min(max(rng.normal(cfg.h1_mean, cfg.h1_sd), cfg.h1_range[0]), cfg.h1_range[1])
+        w1 = min(max(rng.normal(cfg.w1_mean, cfg.w1_sd), cfg.w1_range[0]), cfg.w1_range[1])
+        l1 = min(max(rng.normal(cfg.l1_mean, cfg.l1_sd), cfg.l1_range[0]), cfg.l1_range[1])
         dims3d = Dims3D(h1, w1, l1)
         theta = wrap_angle(rng.uniform(-math.pi, math.pi))
         scale = rng.uniform(*cfg.scale_range)

@@ -50,6 +50,20 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             Detection((0, 0, -1, 10), 1.0, 0.0)
 
+    def test_nonfinite_theta_and_box_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="Detection.theta"):
+                Detection((0, 0, 10, 10), 1.0, bad)
+            with pytest.raises(ValueError, match="GroundTruth.theta"):
+                GroundTruth((0, 0, 10, 10), bad)
+            for box in ((0, 0, bad, 10), (-bad, 0, 10, 10), (0, 0, 10, bad)):
+                with pytest.raises(ValueError, match="box"):
+                    Detection(box, 1.0, 0.0)
+                with pytest.raises(ValueError, match="box"):
+                    GroundTruth(box, 0.0)
+                with pytest.raises(ValueError, match="box"):
+                    box_iou(box, (0, 0, 10, 10))
+
     def test_theta_wrapped(self):
         assert Detection((0, 0, 1, 1), 1.0, 4.0).theta == pytest.approx(
             4.0 - 2 * math.pi

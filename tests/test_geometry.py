@@ -1,6 +1,7 @@
 """Tests for the 2D/3D box geometry: spans, residuals, yaw inversion."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +28,52 @@ def random_dims(rng):
     return Dims3D(h1, w1, l1)
 
 
+# Seam, quadrant-edge, signed-zero, huge and non-finite angles.
+EDGE_ANGLES = (math.pi, -math.pi, math.nextafter(math.pi, 4), math.nextafter(-math.pi, -4),
+               math.pi / 2, -math.pi / 2, 0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
+def probe_angles(seed=0, n=400):
+    return np.concatenate([np.random.default_rng(seed).uniform(-50.0, 50.0, n), EDGE_ANGLES])
+
+
+def same_bits(scalar, element):
+    """Bit equality of a scalar result and an array element; any NaN
+    matches any NaN."""
+    if math.isnan(element):
+        return math.isnan(scalar)
+    return struct.pack("<d", scalar) == struct.pack("<d", element)
+
+
+class TestScalarMatchesArray:
+    """The plain-float paths give the array paths' elements bit for bit."""
+
+    def check(self, fn, *arrays):
+        with np.errstate(invalid="ignore"):
+            want = fn(*arrays)
+            for i, elem in enumerate(want):
+                for cast in (float, np.float64):
+                    got = fn(*(cast(a[i]) for a in arrays))
+                    assert type(got) is float, (fn.__name__, cast, got)
+                    assert same_bits(got, elem), (fn.__name__, [a[i] for a in arrays], got, elem)
+
+    def test_wrap_angle(self):
+        self.check(wrap_angle, probe_angles())
+
+    def test_circular_differences(self):
+        a = probe_angles(1)
+        b = np.concatenate([np.random.default_rng(2).permutation(a), a[::-1], a])
+        a = np.concatenate([a, a, a[::-1]])
+        self.check(circ_diff, a, b)
+        self.check(circ_abs_diff, a, b)
+
+    def test_width_span(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            dims = random_dims(rng)
+            self.check(lambda th: width_span(dims, th), probe_angles(int(rng.integers(100))))
+
+
 class TestWrapAngle:
     def test_known_values(self):
         assert wrap_angle(0.0) == 0.0
@@ -50,8 +97,14 @@ class TestWrapAngle:
         np.testing.assert_allclose(np.cos(out), np.cos(vals), atol=1e-12)
 
     def test_scalar_returns_float(self):
-        assert isinstance(wrap_angle(7.0), float)
-        assert isinstance(wrap_angle(np.float64(7.0)), float)
+        # np.float64 is a float subclass, so check the exact type: an
+        # out-of-range np.float64 must not come back as np.float64.
+        for theta in (7.0, 1.0, -math.pi, np.float64(7.0), np.float64(1.0),
+                      np.float64(-math.pi), np.float32(7.0), 7, np.array(7.0)):
+            assert type(wrap_angle(theta)) is float, theta
+            assert type(circ_diff(theta, np.float64(0.5))) is float, theta
+            assert type(circ_abs_diff(0.5, theta)) is float, theta
+            assert type(width_span(Dims3D(1.7, 0.6, 0.5), theta)) is float, theta
 
 
 class TestCircularDiff:

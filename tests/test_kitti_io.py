@@ -99,6 +99,31 @@ class TestParsing:
             with pytest.raises(KittiParseError):
                 parse_label_file(" ".join(parts))
 
+    def test_nonfinite_fields_rejected(self):
+        # Field index, bad value, expected message: box edges, location
+        # coordinates, the score and the occlusion.
+        cases = [(6, "inf", "bbox_right must be finite"), (4, "-inf", "bbox_left must be finite"),
+                 (11, "nan", "x must be finite"), (13, "inf", "z must be finite"),
+                 (15, "nan", "score must be finite"), (15, "inf", "score must be finite"),
+                 (2, "nan", "field 'occlusion' must be an integer"),
+                 (2, "inf", "field 'occlusion' must be an integer")]
+        for idx, bad, message in cases:
+            parts = DET_LINE.split()
+            parts[idx] = bad
+            with pytest.raises(KittiParseError, match=f"^line 2: {message}"):
+                parse_label_file(PED_LINE + "\n" + " ".join(parts))
+        with pytest.raises(ValueError, match="bbox_bottom"):
+            ObjectLabel("Pedestrian", 0.0, 0, 0.0, (0.0, 0.0, 10.0, math.inf),
+                        (1.7, 0.6, 0.5), (0.0, 1.6, 20.0), 0.0)
+        # DontCare rows keep whatever sentinels they carry, but the
+        # occlusion must still convert to an integer.
+        dc = DONT_CARE_LINE.split()
+        dc[11:14] = ["inf", "nan", "-inf"]
+        assert parse_label_file(" ".join(dc)).labels[0].class_name == "DontCare"
+        dc[2] = "inf"
+        with pytest.raises(KittiParseError, match="^line 1: "):
+            parse_label_file(" ".join(dc))
+
     def test_inverted_box_rejected(self):
         parts = PED_LINE.split()
         parts[4], parts[6] = parts[6], parts[4]  # left > right

@@ -12,6 +12,7 @@ from pedorient.geometry import (
     implied_width_span,
     width_span,
     width_span_abs,
+    wrap_angle,
 )
 from pedorient.synth import (
     SynthConfig,
@@ -48,6 +49,29 @@ class TestGenDataset:
             assert np.array_equal(sa.context, sb.context)
         assert ra == rb
         assert any(x.theta != y.theta for x, y in zip(a, c))
+
+    def test_matches_array_reference(self):
+        # Sample i redrawn from its own stream with np.clip and the array
+        # forms of wrap_angle and width_span gives the same bits.  Wide
+        # spreads make the clip fire at both ends.
+        cfg = SynthConfig(n=300, seed=4, h1_sd=0.3, w1_sd=0.3, l1_sd=0.3)
+        samples, records = gen_dataset(cfg)
+        dims = []
+        for i, (s, r) in enumerate(zip(samples, records)):
+            rng = np.random.default_rng([cfg.seed, i])
+            want = [float(np.clip(rng.normal(m, sd), *rg)) for m, sd, rg in (
+                (cfg.h1_mean, cfg.h1_sd, cfg.h1_range), (cfg.w1_mean, cfg.w1_sd, cfg.w1_range),
+                (cfg.l1_mean, cfg.l1_sd, cfg.l1_range))]
+            theta = wrap_angle(np.array([rng.uniform(-math.pi, math.pi)]))[0]
+            scale = rng.uniform(*cfg.scale_range)
+            span = width_span(s.dims3d, np.array([theta]))[0]
+            assert [s.dims3d.h1, s.dims3d.w1, s.dims3d.l1] == want
+            assert (s.theta, r.scale, r.span) == (theta, scale, span)
+            assert (r.h_clean, r.w_clean) == (scale * want[0], scale * span)
+            dims.append(want)
+        lo, hi = np.min(dims, axis=0), np.max(dims, axis=0)
+        assert lo.tolist() == [cfg.h1_range[0], cfg.w1_range[0], cfg.l1_range[0]]
+        assert hi.tolist() == [cfg.h1_range[1], cfg.w1_range[1], cfg.l1_range[1]]
 
     def test_prefix_stability(self):
         # Sample i depends only on (seed, i), so growing n keeps a prefix.
