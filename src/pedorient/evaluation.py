@@ -36,6 +36,11 @@ def _finite_theta(record) -> None:
     object.__setattr__(record, "theta", wrap_angle(theta))
 
 
+def _checked_box(record) -> None:
+    """Check the record's box and store it as a tuple of floats."""
+    object.__setattr__(record, "box2d", _check_box(record.box2d))
+
+
 @dataclass(frozen=True)
 class Detection:
     """A scored detection: box (left, top, right, bottom) px, score, yaw."""
@@ -45,7 +50,7 @@ class Detection:
     theta: float
 
     def __post_init__(self):
-        _check_box(self.box2d)
+        _checked_box(self)
         if not math.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score}")
         _finite_theta(self)
@@ -59,14 +64,19 @@ class GroundTruth:
     theta: float
 
     def __post_init__(self):
-        _check_box(self.box2d)
+        _checked_box(self)
         _finite_theta(self)
 
 
 def box_iou(a, b) -> float:
     """Intersection over union of two (left, top, right, bottom) boxes."""
-    al, at, ar, ab = _check_box(a)
-    bl, bt, br, bb = _check_box(b)
+    return _iou(_check_box(a), _check_box(b))
+
+
+def _iou(a, b) -> float:
+    """:func:`box_iou` of two boxes already checked by :func:`_check_box`."""
+    al, at, ar, ab = a
+    bl, bt, br, bb = b
     iw = min(ar, br) - max(al, bl)
     ih = min(ab, bb) - max(at, bt)
     if iw <= 0 or ih <= 0:
@@ -78,9 +88,10 @@ def box_iou(a, b) -> float:
 
 def _ignore_overlap(det_box, ignore_box) -> float:
     """Overlap of a detection with an ignore region, normalized by the
-    detection's own area (an ignore region may be much larger)."""
-    dl, dt, dr, db = _check_box(det_box)
-    il, it, ir, ib = _check_box(ignore_box)
+    detection's own area (an ignore region may be much larger).  Both
+    boxes are already checked."""
+    dl, dt, dr, db = det_box
+    il, it, ir, ib = ignore_box
     iw = min(dr, ir) - max(dl, il)
     ih = min(db, ib) - max(dt, it)
     if iw <= 0 or ih <= 0:
@@ -114,11 +125,13 @@ def match_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> 
     Each detection claims the highest-IoU still-unclaimed ground truth if
     that IoU reaches the threshold.  Unmatched detections overlapping an
     ignore region by at least the threshold (measured against the
-    detection's own area) are set aside as ignored.
+    detection's own area) are set aside as ignored.  Each ignore box is
+    checked once per call, like the records' boxes at construction.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     result = MatchResult()
+    ignore_boxes = [_check_box(b) for b in ignore_boxes]
     order = np.argsort([-d.score for d in dets], kind="stable")
     taken = set()
     for di in order:
@@ -127,7 +140,7 @@ def match_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> 
         for gi, gt in enumerate(gts):
             if gi in taken:
                 continue
-            iou = box_iou(det.box2d, gt.box2d)
+            iou = _iou(det.box2d, gt.box2d)
             if iou > best_iou:
                 best_gi, best_iou = gi, iou
         if best_gi >= 0 and best_iou >= iou_threshold:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -148,6 +149,8 @@ class OrientationNet:
     head: list[DenseLayer]
     proc2d: list[DenseLayer] | None = None
     proc3d: list[DenseLayer] | None = None
+    # Not a field: set by train() for the length of one run.
+    _loss_plan = None
 
     def stacks(self) -> list[tuple[str, list[DenseLayer]]]:
         out = [("encoder", self.encoder), ("dims3d_regressor", self.dims3d_regressor)]
@@ -377,7 +380,8 @@ class LossGraph:
     ``proc3d_feed`` holds the values that entered the dimension processor
     behind the stop-gradient (None when the path does not exist or was
     teacher forced); freezing it makes the loss differentiable-equivalent
-    to what training backpropagates.
+    to what training backpropagates.  ``include_mask`` and ``proc3d_feed``
+    are arrays of the tape, so they change when it is replayed.
     """
 
     tape: Tape
@@ -394,6 +398,61 @@ class LossGraph:
         return {k: float(self.tape.value(v)[0, 0]) for k, v in self.terms.items()}
 
 
+@dataclass(eq=False)
+class _LossPlan:
+    """:func:`train`'s loss graph: recorded by the first
+    :func:`build_loss_graph` call of the run and replayed by the others,
+    with each parameter gradient kept in a view of ``grad``."""
+
+    grad: np.ndarray  # flat, in named_parameters order
+    graph: LossGraph | None = None
+    inputs: dict[str, np.ndarray] | None = None
+    compute: Callable[[Batch], dict[str, np.ndarray]] | None = None
+
+    def keep(self, lg: LossGraph, inputs: dict[str, np.ndarray],
+             compute: Callable[[Batch], dict[str, np.ndarray]]) -> None:
+        """Hold ``lg``, the arrays it reads from its batch and the function
+        computing them from a batch."""
+        views, pos = {}, 0
+        for _, nid, arr in lg.param_nodes:
+            views[nid] = self.grad[pos:pos + arr.size].reshape(arr.shape)
+            pos += arr.size
+        lg.tape.keep_gradients(lg.loss, views)
+        self.graph, self.inputs, self.compute = lg, inputs, compute
+
+    def replay(self, batch: Batch) -> LossGraph:
+        for key, value in self.compute(batch).items():
+            np.copyto(self.inputs[key], value)
+        self.graph.tape.replay()
+        return self.graph
+
+
+def _graph_inputs(batch: Batch, cfg: ModelConfig, offsets: np.ndarray,
+                  consistency: bool) -> dict[str, np.ndarray]:
+    """Everything the loss graph takes from a batch: its data leaves and
+    the batch-derived constants of its ``cmul`` / ``cadd`` nodes."""
+    n = len(batch)
+    res = batch.theta[:, None] - offsets  # (n, B) residual targets
+    inputs = {
+        "context": batch.context,
+        "dims3d": batch.dims3d,
+        "target": np.stack([np.sin(res), np.cos(res)], axis=2).reshape(n, -1),
+    }
+    if cfg.use_feedforward:
+        inputs["dims2d"] = batch.dims2d * cfg.dims2d_scale
+    if consistency:
+        w = batch.dims2d[:, 1:2]
+        th = batch.theta
+        inputs.update(
+            h=batch.dims2d[:, 0:1],
+            abs_trig=np.abs(np.stack([np.zeros_like(th), np.sin(th), np.cos(th)], axis=1)),
+            w_h1=w * [1.0, 0.0, 0.0],
+            w1_l1=batch.dims3d[:, 1:3],
+            neg_w_h1=-(w * batch.dims3d[:, 0:1]),
+        )
+    return inputs
+
+
 def build_loss_graph(model: OrientationNet, batch: Batch,
                      include_mask: np.ndarray | None = None,
                      terms: tuple[str, ...] = ("dims", "orientation", "consistency"),
@@ -403,15 +462,30 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
 
     The consistency term is built only when requested by ``terms`` AND
     enabled in the config.  ``include_mask`` (n, num_bins) fixes the
-    exclusion vote externally; by default the vote is recomputed from the
-    current head outputs, once, before the loss nodes are laid down.
-    Restricting ``terms`` isolates loss components for gradient analysis.
-    ``proc3d_feed`` replaces the stop-gradient input of the dimension
-    processor with a fixed constant, which finite-difference checking
-    needs: the truncated path must not move under perturbation.
+    exclusion vote externally; by default the vote is a value-only node
+    recomputed from the current head outputs, after the head and before
+    the loss nodes that read it.  Restricting ``terms`` isolates loss
+    components for gradient analysis.  ``proc3d_feed`` replaces the
+    stop-gradient input of the dimension processor with a fixed constant,
+    which finite-difference checking needs: the truncated path must not
+    move under perturbation.  The batch's arrays are data leaves and take
+    no gradient.
+
+    Every call returns a new graph, except inside :func:`train`, which
+    passes only the model and the batch: its first call records the graph,
+    and each later call writes the new batch into that graph's data leaves
+    and constants, replays it and returns it again, so a graph from one
+    step is valid until the next.
     """
+    plan = model._loss_plan
+    if plan is not None and plan.graph is not None:
+        return plan.replay(batch)
     cfg = model.cfg
     bcfg = cfg.bin_config()
+    offsets = np.array(bcfg.offsets)
+    consistency = "consistency" in terms and cfg.use_consistency_loss
+    inputs = {key: np.array(value, dtype=float, order="C") for key, value
+              in _graph_inputs(batch, cfg, offsets, consistency).items()}
     t = Tape()
     param_nodes: list[tuple[str, int, np.ndarray]] = []
     stack_ids: dict[str, list[tuple[int, int, str]]] = {}
@@ -432,16 +506,16 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
                 x = t.relu(x)
         return x
 
-    ctx = t.leaf(batch.context)
+    ctx = t.data(inputs["context"])
     enc = apply("encoder", ctx)
     dims_pred = apply("dims3d_regressor", enc)
     feed_values = None
     if cfg.use_feedforward:
-        p2 = apply("proc2d", t.leaf(batch.dims2d * cfg.dims2d_scale))
+        p2 = apply("proc2d", t.data(inputs["dims2d"]))
         if cfg.teacher_force_dims3d:
-            feed = t.leaf(batch.dims3d)
+            feed = t.data(inputs["dims3d"])
         elif proc3d_feed is not None:
-            feed = t.leaf(np.asarray(proc3d_feed, dtype=float))
+            feed = t.data(proc3d_feed)
             feed_values = t.value(feed)
         else:
             feed = t.stop_gradient(dims_pred)
@@ -452,14 +526,15 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         head_in = enc
     head_out = apply("head", head_in)
 
-    # Exclusion vote on the current outputs (value-level, held constant
-    # through this graph).
+    # Exclusion vote on the current outputs: a value-only node, held
+    # constant by backward and recomputed by a replay.
     n = len(batch)
-    offsets = np.array(bcfg.offsets)
     if include_mask is None:
-        pairs = t.value(head_out).reshape(n, bcfg.num_bins, 2)
-        include_mask = exclusion_mask_batch(_bin_angles(pairs, offsets),
-                                            cfg.exclusion_tau).astype(float)
+        def vote(out: np.ndarray) -> np.ndarray:
+            pairs = out.reshape(n, bcfg.num_bins, 2)
+            return exclusion_mask_batch(_bin_angles(pairs, offsets), cfg.exclusion_tau)
+
+        include_mask = t.value(t.value_only(head_out, vote, (n, bcfg.num_bins)))
     else:
         include_mask = np.asarray(include_mask, dtype=float)
         if include_mask.shape != (n, bcfg.num_bins):
@@ -468,31 +543,25 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     term_ids: dict[str, int] = {}
 
     if "dims" in terms:
-        diff = t.sub(dims_pred, t.leaf(batch.dims3d))
+        diff = t.sub(dims_pred, t.data(inputs["dims3d"]))
         term_ids["dims"] = t.mean(t.rowsum(t.mul(diff, diff)))
 
     # Every (sin, cos) pair at unit length: (n, 2 * num_bins).
     unit_pairs = t.rownorm(head_out, group=2)
 
     if "orientation" in terms:
-        res = batch.theta[:, None] - offsets  # (n, B) residual targets
-        target = np.stack([np.sin(res), np.cos(res)], axis=2).reshape(n, -1)
-        dots = t.rowsum(t.cmul(unit_pairs, target), group=2)  # (n, B)
+        dots = t.rowsum(t.cmul(unit_pairs, inputs["target"]), group=2)  # (n, B)
         per_bin = t.cmul(t.cadd(t.cmul(dots, -1.0), 1.0), include_mask)
         term_ids["orientation"] = t.mean(t.rowsum(per_bin))
 
-    if "consistency" in terms and cfg.use_consistency_loss:
+    if consistency:
         # Columns are picked by products with constants holding zeros, which
         # add exactly +-0; each row sum has at most two nonzero terms, or runs
         # left to right over fewer than eight bins, so the arithmetic is that
         # of one scalar chain per bin.
-        h = batch.dims2d[:, 0:1]
-        w = batch.dims2d[:, 1:2]
-        th = batch.theta
-        abs_trig = np.abs(np.stack([np.zeros_like(th), np.sin(th), np.cos(th)], axis=1))
-        span_pred = t.rowsum(t.cmul(dims_pred, abs_trig))  # w1 |sin| + l1 |cos|
-        h1_w = t.rowsum(t.cmul(dims_pred, w * [1.0, 0.0, 0.0]))
-        resid_d = t.sub(t.cmul(span_pred, h), h1_w)
+        span_pred = t.rowsum(t.cmul(dims_pred, inputs["abs_trig"]))  # w1 |sin| + l1 |cos|
+        h1_w = t.rowsum(t.cmul(dims_pred, inputs["w_h1"]))
+        resid_d = t.sub(t.cmul(span_pred, inputs["h"]), h1_w)
         cons = t.mean(t.mul(resid_d, resid_d))
 
         # Rotate each unit pair by its bin offset to the global (sin, cos),
@@ -504,8 +573,8 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         s_sum = t.rowsum(t.cmul(global_sin, include_mask))
         c_sum = t.rowsum(t.cmul(global_cos, include_mask))
         direction = t.absval(t.rownorm(t.concat([s_sum, c_sum])))
-        span_true = t.rowsum(t.cmul(direction, batch.dims3d[:, 1:3]))
-        resid_o = t.cadd(t.cmul(span_true, h), -(w * batch.dims3d[:, 0:1]))
+        span_true = t.rowsum(t.cmul(direction, inputs["w1_l1"]))
+        resid_o = t.cadd(t.cmul(span_true, inputs["h"]), inputs["neg_w_h1"])
         cons = t.add(cons, t.mean(t.mul(resid_o, resid_o)))
         term_ids["consistency"] = t.cmul(cons, cfg.consistency_weight)
 
@@ -515,7 +584,10 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     for key in ("dims", "orientation", "consistency"):
         if key in term_ids:
             loss = term_ids[key] if loss is None else t.add(loss, term_ids[key])
-    return LossGraph(t, loss, term_ids, param_nodes, include_mask, feed_values)
+    lg = LossGraph(t, loss, term_ids, param_nodes, include_mask, feed_values)
+    if plan is not None:
+        plan.keep(lg, inputs, lambda b: _graph_inputs(b, cfg, offsets, consistency))
+    return lg
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +631,11 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
 
     Fully deterministic for a fixed config and sample order: parameter
     initialization, batch sampling, and every update derive from
-    ``cfg.seed``.
+    ``cfg.seed``.  The loss graph is recorded on the first step and
+    replayed on every later one, each parameter gradient landing in one
+    flat buffer that the SGD step reads; the results are those of a new
+    graph and a new backward pass per step, bit for bit.  The returned
+    model keeps none of it.
 
     Raises:
         TrainingDivergedError: as soon as any loss term goes non-finite.
@@ -567,33 +643,35 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     data = make_batch(samples)
     model = build_model(cfg)
     params = _share_one_buffer(model)
+    grad = np.zeros_like(params)
     velocity = np.zeros_like(params)
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[TrainLogRow] = []
-    for step in range(cfg.total_steps()):
-        idx = rng.integers(0, len(data), size=cfg.batch_size)
-        lg = build_loss_graph(model, data.take(idx))
-        vals = lg.term_values()
-        row = TrainLogRow(
-            step=step,
-            lr=cfg.lr_at(step),
-            total=sum(vals.values()),
-            dims=vals.get("dims", 0.0),
-            orientation=vals.get("orientation", 0.0),
-            consistency=vals.get("consistency", 0.0),
-        )
-        if not math.isfinite(row.total):
-            raise TrainingDivergedError(step, vals)
-        grads_by_node = lg.tape.backward(lg.loss)
-        grad = np.concatenate([
-            grads_by_node[nid].ravel() if nid in grads_by_node else np.zeros(arr.size)
-            for _, nid, arr in lg.param_nodes])
-        try:
-            sgd_step([params], [grad], [velocity], row.lr, cfg.momentum)
-        except NonFiniteGradientError as e:
-            # Gradients can overflow a step before the logged loss does.
-            raise TrainingDivergedError(step, vals) from e
-        log.append(row)
+    model._loss_plan = _LossPlan(grad)
+    try:
+        for step in range(cfg.total_steps()):
+            idx = rng.integers(0, len(data), size=cfg.batch_size)
+            lg = build_loss_graph(model, data.take(idx))
+            vals = lg.term_values()
+            row = TrainLogRow(
+                step=step,
+                lr=cfg.lr_at(step),
+                total=sum(vals.values()),
+                dims=vals.get("dims", 0.0),
+                orientation=vals.get("orientation", 0.0),
+                consistency=vals.get("consistency", 0.0),
+            )
+            if not math.isfinite(row.total):
+                raise TrainingDivergedError(step, vals)
+            lg.tape.backward(lg.loss)
+            try:
+                sgd_step([params], [grad], [velocity], row.lr, cfg.momentum)
+            except NonFiniteGradientError as e:
+                # Gradients can overflow a step before the logged loss does.
+                raise TrainingDivergedError(step, vals) from e
+            log.append(row)
+    finally:
+        del model._loss_plan
     return TrainResult(model, log)
 
 

@@ -4,11 +4,15 @@ Everything is float64 numpy.  Values flowing through a :class:`Tape` are
 2-D arrays shaped (batch, width); parameters are 2-D weight matrices
 (out, in) and 1-D biases.  Backpropagation is reverse-mode over an
 explicit node list, so gradients are exact and reproducible, and a
-``stop_gradient`` node cuts every path through it.
+``stop_gradient`` node cuts every path through it.  A tape is recorded
+once and can be replayed: new leaf data in, every node value and (with
+kept gradient arrays) every gradient overwritten in place, the arithmetic
+of each op written once for both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -96,114 +100,212 @@ def _grouped(xv: np.ndarray, group: int | None) -> np.ndarray:
 
 @dataclass(eq=False, slots=True)
 class TapeNode:
-    """One recorded operation: its kind, cached value, parents, and the
-    function mapping the node's gradient to per-parent gradients."""
+    """One recorded operation: its kind, its value array, its parents, the
+    function that recomputes the value in place from the parents' values,
+    and the function that writes the parents' gradients for a node
+    gradient.  ``needs_grad`` is False for data leaves, value-only nodes
+    and nodes that depend on no leaf taking a gradient."""
 
     op: str
     value: np.ndarray
     parents: tuple[int, ...] = ()
+    run: Callable[[], None] | None = None
     grad_fn: Callable | None = None
     stop_gradient: bool = False
+    needs_grad: bool = True
 
 
 class Tape:
-    """Define-by-run computation graph over (batch, width) float64 arrays.
+    """Computation graph over (batch, width) float64 arrays, recorded once
+    and replayable.
 
-    Methods push a node and return its integer id; :meth:`backward` walks
-    the node list in reverse, accumulating gradients.  Node values are
-    treated as immutable once pushed.
+    Methods push a node and return its integer id.  Each op allocates its
+    value array and computes it by running its in-place forward function
+    once; :meth:`replay` runs every forward function again, in recording
+    order.  Leaves, and the constants of ``cmul`` / ``cadd``, are held by
+    reference, so writing new data into them (or updating a parameter in
+    place) and replaying recomputes the graph.  A replay overwrites every
+    node value: a value read from the tape is valid until the next replay.
+
+    :meth:`backward` walks the node list in reverse and writes each
+    gradient into its own array, new on every call unless
+    :meth:`keep_gradients` fixed them.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self._runs: list[Callable[[], None]] = []
+        self._kept = None  # (output, steps, grads) of keep_gradients
 
     def _push(self, node: TapeNode) -> int:
+        if node.run is not None:
+            node.run()
+            self._runs.append(node.run)
         self.nodes.append(node)
         return len(self.nodes) - 1
+
+    def _op(self, op: str, value: np.ndarray, parents: tuple[int, ...], run, grad_fn) -> int:
+        needs = any(self.nodes[p].needs_grad for p in parents)
+        return self._push(TapeNode(op, value, parents, run, grad_fn, needs_grad=needs))
 
     def value(self, nid: int) -> np.ndarray:
         return self.nodes[nid].value
 
     def leaf(self, value, *, op: str = "leaf") -> int:
-        v = np.asarray(value, dtype=float)
-        return self._push(TapeNode(op, v))
+        """A leaf that takes a gradient, such as a parameter.  A C-ordered
+        float64 array is held by reference, not copied."""
+        return self._push(TapeNode(op, np.asarray(value, dtype=float, order="C")))
+
+    def data(self, value) -> int:
+        """A leaf of input data: held like :meth:`leaf`, but it takes no
+        gradient, so no op computes one for it."""
+        v = np.asarray(value, dtype=float, order="C")
+        return self._push(TapeNode("data", v, needs_grad=False))
 
     def stop_gradient(self, x: int) -> int:
-        return self._push(
-            TapeNode("stop_gradient", self.nodes[x].value, (x,), None, True)
-        )
+        """The value of ``x``, shared; it takes a gradient but passes none on."""
+        node = self.nodes[x]
+        return self._push(TapeNode("stop_gradient", node.value, (x,), stop_gradient=True,
+                                   needs_grad=node.needs_grad))
+
+    def value_only(self, x: int, fn: Callable[[np.ndarray], np.ndarray], shape) -> int:
+        """A node of the given shape whose value is ``fn(value of x)``,
+        recomputed on replay; it takes and passes no gradient."""
+        xv = self.nodes[x].value
+        val = np.empty(shape)
+
+        def run():
+            np.copyto(val, fn(xv))
+
+        return self._push(TapeNode("value_only", val, (x,), run, needs_grad=False))
 
     def affine(self, x: int, w: int, b: int) -> int:
         xv, wv, bv = self.nodes[x].value, self.nodes[w].value, self.nodes[b].value
-        val = xv @ wv.T + bv
+        wt = wv.T
+        val = np.empty((xv.shape[0], wv.shape[0]))
 
-        def grad(g, xv=xv, wv=wv):
-            return (g @ wv, g.T @ xv, g.sum(axis=0))
+        def run():
+            np.matmul(xv, wt, out=val)
+            np.add(val, bv, out=val)
 
-        return self._push(TapeNode("affine", val, (x, w, b), grad))
+        def grad(g, gx, gw, gb):
+            if gx is not None:
+                np.matmul(g, wv, out=gx)
+            if gw is not None:
+                np.matmul(g.T, xv, out=gw)
+            if gb is not None:
+                g.sum(axis=0, out=gb)
+
+        return self._op("affine", val, (x, w, b), run, grad)
 
     def relu(self, x: int) -> int:
         xv = self.nodes[x].value
-        val = np.maximum(xv, 0.0)
+        val = np.empty(xv.shape)
 
-        def grad(g, xv=xv):
-            return (g * (xv > 0.0),)
+        def run():
+            np.maximum(xv, 0.0, out=val)
 
-        return self._push(TapeNode("relu", val, (x,), grad))
+        def grad(g, gx):
+            np.multiply(g, xv > 0.0, out=gx)
+
+        return self._op("relu", val, (x,), run, grad)
 
     def concat(self, xs: list[int]) -> int:
         vals = [self.nodes[i].value for i in xs]
-        widths = [v.shape[1] for v in vals]
-        val = np.concatenate(vals, axis=1)
+        bounds = [0, *itertools.accumulate(v.shape[1] for v in vals)]
+        val = np.empty((vals[0].shape[0], bounds[-1]))
 
-        def grad(g, widths=tuple(widths)):
-            out, pos = [], 0
-            for w in widths:
-                out.append(g[:, pos:pos + w])
-                pos += w
-            return tuple(out)
+        def run():
+            np.concatenate(vals, axis=1, out=val)
 
-        return self._push(TapeNode("concat", val, tuple(xs), grad))
+        def grad(g, *gxs):
+            for gx, lo, hi in zip(gxs, bounds, bounds[1:]):
+                if gx is not None:
+                    np.copyto(gx, g[:, lo:hi])
+
+        return self._op("concat", val, tuple(xs), run, grad)
 
     def add(self, a: int, b: int) -> int:
-        val = self.nodes[a].value + self.nodes[b].value
-        return self._push(TapeNode("add", val, (a, b), lambda g: (g, g)))
+        av, bv = self.nodes[a].value, self.nodes[b].value
+        val = np.empty(np.broadcast_shapes(av.shape, bv.shape))
+
+        def run():
+            np.add(av, bv, out=val)
+
+        def grad(g, ga, gb):
+            for gx in (ga, gb):
+                if gx is not None:
+                    np.copyto(gx, g)
+
+        return self._op("add", val, (a, b), run, grad)
 
     def sub(self, a: int, b: int) -> int:
-        val = self.nodes[a].value - self.nodes[b].value
-        return self._push(TapeNode("sub", val, (a, b), lambda g: (g, -g)))
+        av, bv = self.nodes[a].value, self.nodes[b].value
+        val = np.empty(np.broadcast_shapes(av.shape, bv.shape))
+
+        def run():
+            np.subtract(av, bv, out=val)
+
+        def grad(g, ga, gb):
+            if ga is not None:
+                np.copyto(ga, g)
+            if gb is not None:
+                np.negative(g, out=gb)
+
+        return self._op("sub", val, (a, b), run, grad)
 
     def mul(self, a: int, b: int) -> int:
         av, bv = self.nodes[a].value, self.nodes[b].value
-        val = av * bv
+        val = np.empty(np.broadcast_shapes(av.shape, bv.shape))
 
-        def grad(g, av=av, bv=bv):
-            return (g * bv, g * av)
+        def run():
+            np.multiply(av, bv, out=val)
 
-        return self._push(TapeNode("mul", val, (a, b), grad))
+        def grad(g, ga, gb):
+            if ga is not None:
+                np.multiply(g, bv, out=ga)
+            if gb is not None:
+                np.multiply(g, av, out=gb)
+
+        return self._op("mul", val, (a, b), run, grad)
 
     def cmul(self, x: int, const) -> int:
+        xv = self.nodes[x].value
         c = np.asarray(const, dtype=float)
-        val = self.nodes[x].value * c
+        val = np.empty(np.broadcast_shapes(xv.shape, c.shape))
 
-        def grad(g, c=c):
-            return (g * c,)
+        def run():
+            np.multiply(xv, c, out=val)
 
-        return self._push(TapeNode("cmul", val, (x,), grad))
+        def grad(g, gx):
+            np.multiply(g, c, out=gx)
+
+        return self._op("cmul", val, (x,), run, grad)
 
     def cadd(self, x: int, const) -> int:
+        xv = self.nodes[x].value
         c = np.asarray(const, dtype=float)
-        val = self.nodes[x].value + c
-        return self._push(TapeNode("cadd", val, (x,), lambda g: (g,)))
+        val = np.empty(np.broadcast_shapes(xv.shape, c.shape))
+
+        def run():
+            np.add(xv, c, out=val)
+
+        def grad(g, gx):
+            np.copyto(gx, g)
+
+        return self._op("cadd", val, (x,), run, grad)
 
     def absval(self, x: int) -> int:
         xv = self.nodes[x].value
-        val = np.abs(xv)
+        val = np.empty(xv.shape)
 
-        def grad(g, xv=xv):
-            return (g * np.sign(xv),)
+        def run():
+            np.abs(xv, out=val)
 
-        return self._push(TapeNode("absval", val, (x,), grad))
+        def grad(g, gx):
+            np.multiply(g, np.sign(xv), out=gx)
+
+        return self._op("absval", val, (x,), run, grad)
 
     def rownorm(self, x: int, eps: float = 1e-12, group: int | None = None) -> int:
         """Normalize each row to unit L2 length, with a floor: y = x / max(|x|, eps).
@@ -213,62 +315,134 @@ class Tape:
         consecutive columns is normalized on its own instead of the row.
         """
         xv = _grouped(self.nodes[x].value, group)
-        n = np.sqrt((xv * xv).sum(axis=2, keepdims=True))
-        d = np.maximum(n, eps)
-        val = (xv / d).reshape(xv.shape[0], -1)
+        squares = np.empty(xv.shape)
+        n = np.empty((*xv.shape[:2], 1))
+        d = np.empty(n.shape)
+        val = np.empty(self.nodes[x].value.shape)
+        grouped_val = val.reshape(xv.shape)
 
-        def grad(g, xv=xv, n=n, d=d):
+        def run():
+            np.multiply(xv, xv, out=squares)
+            squares.sum(axis=2, keepdims=True, out=n)
+            np.sqrt(n, out=n)
+            np.maximum(n, eps, out=d)
+            np.divide(xv, d, out=grouped_val)
+
+        def grad(g, gx):
             g = g.reshape(xv.shape)
             dot = (xv * g).sum(axis=2, keepdims=True)
-            return ((g / d - (n > eps) * xv * dot / d**3).reshape(xv.shape[0], -1),)
+            np.subtract(g / d, (n > eps) * xv * dot / d**3, out=gx.reshape(xv.shape))
 
-        return self._push(TapeNode("rownorm", val, (x,), grad))
+        return self._op("rownorm", val, (x,), run, grad)
 
     def rowsum(self, x: int, group: int | None = None) -> int:
         """Sum each row to width 1, or with ``group`` set, each run of
         ``group`` consecutive columns to one column."""
         xv = _grouped(self.nodes[x].value, group)
-        val = xv.sum(axis=2)
+        val = np.empty(xv.shape[:2])
 
-        def grad(g, width=xv.shape[2]):
-            return (np.repeat(g, width, axis=1),)
+        def run():
+            xv.sum(axis=2, out=val)
 
-        return self._push(TapeNode("rowsum", val, (x,), grad))
+        def grad(g, gx):
+            np.copyto(gx.reshape(xv.shape), g[:, :, None])
+
+        return self._op("rowsum", val, (x,), run, grad)
 
     def mean(self, x: int) -> int:
         xv = self.nodes[x].value
-        val = np.array([[xv.mean()]])
+        val = np.empty((1, 1))
 
-        def grad(g, shape=xv.shape, size=xv.size):
-            return (np.full(shape, g[0, 0] / size),)
+        def run():
+            val[0, 0] = xv.mean()
 
-        return self._push(TapeNode("mean", val, (x,), grad))
+        def grad(g, gx):
+            gx.fill(g[0, 0] / xv.size)
+
+        return self._op("mean", val, (x,), run, grad)
+
+    def replay(self) -> None:
+        """Recompute every node value in place, in recording order, from the
+        current contents of the leaves and constants."""
+        for run in self._runs:
+            run()
+
+    def keep_gradients(self, output: int, arrays: dict[int, np.ndarray]) -> None:
+        """Make every later ``backward(output)`` write into one fixed set of
+        gradient arrays: ``arrays`` for the node ids it names (each shaped
+        like the node's value, for example views of one flat buffer), new
+        ones for the other nodes.  Each call overwrites them and returns the
+        same dict, valid until the next call.  A node named here that
+        receives no gradient is left untouched."""
+        self._check_output(output)
+        self._kept = (output, *self._bind(output, arrays))
 
     def backward(self, output: int, upstream: float = 1.0) -> dict[int, np.ndarray]:
-        """Reverse-mode gradients of node ``output`` w.r.t. every reachable node.
+        """Reverse-mode gradients of node ``output`` w.r.t. every node that
+        depends on a leaf taking a gradient and reaches the output.
 
         Nodes flagged ``stop_gradient`` receive a gradient but pass nothing
-        upstream.  Returns {node_id: gradient array}; nodes with no path to
-        the output are absent.  Treat the gradient arrays as read-only, like
-        node values: several entries may share one array.
+        upstream; data leaves receive none.  Returns {node_id: gradient
+        array}; other nodes are absent.  A node with several consumers
+        accumulates their contributions in decreasing order of consumer
+        id, parents in argument order, by plain addition.  Treat the
+        gradient arrays as read-only.
         """
+        self._check_output(output)
+        if self._kept is not None and self._kept[0] == output:
+            _, steps, grads = self._kept
+        else:
+            steps, grads = self._bind(output, {})
+        grads[output].fill(float(upstream))
+        for grad_fn, g, outs, adds in steps:
+            grad_fn(g, *outs)
+            for total, part in adds:
+                np.add(total, part, out=total)
+        return grads
+
+    def _check_output(self, output: int) -> None:
         if not self.nodes:
             raise ValueError("backward called on an empty tape")
         if not (0 <= output < len(self.nodes)):
             raise ValueError(f"no node {output} on this tape")
-        grads: dict[int, np.ndarray] = {
-            output: np.full_like(self.nodes[output].value, float(upstream))
-        }
+
+    def _bind(self, output: int, arrays: dict[int, np.ndarray]):
+        """Lay out one backward walk from ``output``.
+
+        Returns (steps, grads): ``grads`` maps each node that receives a
+        gradient to its array, from ``arrays`` or new; each step is
+        (grad_fn, the node's gradient, one destination per parent or None
+        where the parent takes no gradient, (total, part) pairs to add
+        afterwards).  A parent's first contribution is written into its
+        gradient array, each later one into a spare array added on.
+        """
+        nodes = self.nodes
+
+        def array(nid):
+            a = arrays.get(nid)
+            return np.empty(nodes[nid].value.shape) if a is None else a
+
+        grads = {output: array(output)}
+        steps = []
         for nid in range(output, -1, -1):
+            node = nodes[nid]
             g = grads.get(nid)
-            node = self.nodes[nid]
             if g is None or node.stop_gradient or node.grad_fn is None:
                 continue
-            for pid, pg in zip(node.parents, node.grad_fn(g)):
-                if pg is None:
-                    continue
-                grads[pid] = grads[pid] + pg if pid in grads else pg
-        return grads
+            outs, adds = [], []
+            for pid in node.parents:
+                if not nodes[pid].needs_grad:
+                    outs.append(None)
+                elif pid in grads:
+                    part = np.empty(nodes[pid].value.shape)
+                    outs.append(part)
+                    adds.append((grads[pid], part))
+                else:
+                    grads[pid] = array(pid)
+                    outs.append(grads[pid])
+            if any(o is not None for o in outs):
+                steps.append((node.grad_fn, g, tuple(outs), tuple(adds)))
+        return steps, grads
 
 
 def sgd_step(params, grads, velocities, lr: float, momentum: float = 0.0) -> None:

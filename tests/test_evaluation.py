@@ -64,6 +64,13 @@ class TestRecordValidation:
                 with pytest.raises(ValueError, match="box"):
                     box_iou(box, (0, 0, 10, 10))
 
+    def test_box_stored_as_checked_floats(self):
+        for record in (Detection([0, 1, np.int64(10), np.float32(12)], 1.0, 0.0),
+                       GroundTruth(np.array([0, 1, 10, 12]), 0.0)):
+            assert record.box2d == (0.0, 1.0, 10.0, 12.0)
+            assert type(record.box2d) is tuple
+            assert all(type(v) is float for v in record.box2d)
+
     def test_theta_wrapped(self):
         assert Detection((0, 0, 1, 1), 1.0, 4.0).theta == pytest.approx(
             4.0 - 2 * math.pi
@@ -127,6 +134,12 @@ class TestMatching:
             ignore_boxes=[(150.0, -50.0, 400.0, 200.0)],
         )
         assert m.ignored_dets == [0]
+
+    def test_bad_ignore_box_rejected(self):
+        # Checked once per call, whether or not a detection reaches it.
+        for box in ((0, 0, 0, 10), (0, 0, 10, math.nan), (0, 0, 10)):
+            with pytest.raises(ValueError):
+                match_detections([det(0.0)], [gt(0.0)], ignore_boxes=[box])
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Tests for the orientation network: config, forward, loss, training."""
 
+import itertools
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+
+import pedorient.model as model_module
 
 from pedorient.binning import (
     DegenerateAggregateError,
@@ -16,6 +19,7 @@ from pedorient.binning import (
 )
 from pedorient.geometry import Dims2D, Dims3D, circ_abs_diff, width_span_abs
 from pedorient.kitti_io import TrainingSample
+from pedorient.nn_core import Tape
 from pedorient.model import (
     DEFAULT_SWEEP_FACTORS,
     Batch,
@@ -67,6 +71,17 @@ def scalar_decode(pairs, cfg):
 
 def max_circ_gap(a, b):
     return max(circ_abs_diff(x, y) for x, y in zip(a, b))
+
+
+def set_bin0_apart(model, turn):
+    """Point every bin near one global angle except bin 0, turned by
+    ``turn``, with small head weights so the rows still differ."""
+    last = model.head[-1]
+    last.weights *= 0.05
+    local = 0.3 - np.array(model.cfg.bin_config().offsets)
+    local[0] += turn
+    last.bias[:] = np.stack([np.sin(local), np.cos(local)], axis=1).ravel()
+    return model
 
 
 class TestModelConfig:
@@ -256,15 +271,9 @@ class TestLossGraph:
                     for b in range(1, 7) for ff in (True, False)]
         for kw in configs:
             cfg = tiny_cfg(**kw)
-            model = build_model(cfg)
-            # Every bin near one global angle except bin 0, turned half a
-            # turn, with small weights so the rows still differ: the vote
-            # drops bin 0 where the others stay within tau of each other.
-            last = model.head[-1]
-            last.weights *= 0.05
-            local = 0.3 - np.array(cfg.bin_config().offsets)
-            local[0] += math.pi
-            last.bias[:] = np.stack([np.sin(local), np.cos(local)], axis=1).ravel()
+            # Bin 0 half a turn from the others: the vote drops it where the
+            # others stay within tau of each other.
+            model = set_bin0_apart(build_model(cfg), math.pi)
 
             lg = build_loss_graph(model, make_batch(samples))
             if cfg.num_bins >= 3:
@@ -335,6 +344,35 @@ class TestLossGraph:
                                    proc3d_feed=lg.proc3d_feed + 0.5)
         assert shifted.loss_value() != pytest.approx(lg.loss_value(), rel=1e-12)
 
+    def test_data_leaves_take_no_gradient(self, monkeypatch):
+        # The default wiring reads the batch through data leaves (context,
+        # scaled 2D dims, true 3D dims): backward computes no gradient for
+        # them, and the parameter gradients are those of the same graph
+        # with ordinary leaves in their place.
+        model = build_model(tiny_cfg())
+        batch = make_batch(tiny_samples(6))
+        lg = build_loss_graph(model, batch)
+        grads = lg.tape.backward(lg.loss)
+        data = {i for i, node in enumerate(lg.tape.nodes) if node.op == "data"}
+        assert len(data) == 3 and not data & grads.keys()
+
+        monkeypatch.setattr(Tape, "data", Tape.leaf)
+        ref = build_loss_graph(model, batch)
+        ref_grads = ref.tape.backward(ref.loss)
+        assert data <= ref_grads.keys()
+        assert [(name, nid) for name, nid, _ in ref.param_nodes] == \
+            [(name, nid) for name, nid, _ in lg.param_nodes]
+        for name, nid, _ in lg.param_nodes:
+            assert np.array_equal(grads[nid], ref_grads[nid]), name
+
+    def test_each_call_returns_a_new_graph(self):
+        model = build_model(tiny_cfg())
+        first = build_loss_graph(model, make_batch(tiny_samples(4, seed=1)))
+        loss, mask = first.loss_value(), first.include_mask.copy()
+        second = build_loss_graph(model, make_batch(tiny_samples(4, seed=2)))
+        assert second.tape is not first.tape
+        assert first.loss_value() == loss and np.array_equal(first.include_mask, mask)
+
     def test_teacher_forced_graph_has_no_feed(self):
         cfg = tiny_cfg(teacher_force_dims3d=True)
         model = build_model(cfg)
@@ -370,26 +408,49 @@ class TestTraining:
         res = train(samples, cfg)
         assert res.log[-1].total < 1e-6
 
-    def test_matches_per_array_update_loop(self):
-        # train() updates every parameter through one flat buffer; the
-        # result must equal one SGD update per array, bit for bit.
+    def test_matches_per_array_update_loop(self, monkeypatch):
+        # train() records the loss graph once, replays it on every later step
+        # and updates every parameter through one flat buffer; the result must
+        # equal a new graph, a new backward pass and one SGD update per array
+        # at every step, bit for bit.  Bin 0 starts just over tau from the
+        # other bins, so the vote drops it on some rows and keeps it on others.
+        monkeypatch.setattr(model_module, "build_model",
+                            lambda c: set_bin0_apart(build_model(c), 1.05 * c.exclusion_tau))
         samples = tiny_samples(40)
-        for kw in (dict(), dict(use_feedforward=False, use_consistency_loss=True)):
+        wirings = (dict(teacher_force_dims3d=True), dict(teacher_force_dims3d=False),
+                   dict(use_feedforward=False))
+        for kw, cons, bins in itertools.product(wirings, (False, True), (1, 4, 6)):
+            kw = dict(kw, use_consistency_loss=cons, num_bins=bins)
             cfg = tiny_cfg(seed=2, momentum=0.9, lr_schedule=((25, 1e-3), (5, 1e-4)), **kw)
             got = train(samples, cfg)
-            ref = build_model(cfg)
+            ref = model_module.build_model(cfg)
             arrays = [arr for _, arr in named_parameters(ref)]
             velocities = [np.zeros_like(arr) for arr in arrays]
             data = make_batch(samples)
             rng = np.random.default_rng([cfg.seed, 1])
+            dropped = 0
             for step in range(cfg.total_steps()):
                 lg = build_loss_graph(ref, data.take(rng.integers(0, len(data), size=cfg.batch_size)))
+                dropped += int((lg.include_mask == 0).any(axis=1).sum())
                 grads = lg.tape.backward(lg.loss)
                 sgd_step(arrays, [grads.get(nid, np.zeros_like(arr)) for _, nid, arr in lg.param_nodes],
                          velocities, cfg.lr_at(step), cfg.momentum)
-                assert got.log[step].total == sum(lg.term_values().values())
+                assert got.log[step].total == sum(lg.term_values().values()), kw
+            if bins > 1:
+                assert 0 < dropped < cfg.total_steps() * cfg.batch_size, kw
             for (name, a), (_, b) in zip(named_parameters(got.model), named_parameters(ref)):
                 assert np.array_equal(a, b), (kw, name)
+
+    def test_run_leaves_no_plan_on_the_model(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(model_module, "build_model",
+                            lambda c: built.append(build_model(c)) or built[-1])
+        samples = tiny_samples(20)
+        train(samples, tiny_cfg(lr_schedule=((3, 1e-3),)))
+        with pytest.raises(TrainingDivergedError), np.errstate(all="ignore"):
+            train(samples, tiny_cfg(lr_schedule=((200, 1e12),)))
+        assert len(built) == 2
+        assert all(m._loss_plan is None and "_loss_plan" not in vars(m) for m in built)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):

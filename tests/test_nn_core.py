@@ -180,6 +180,11 @@ class TestTapeGradients:
         np.testing.assert_allclose(grads[0], fd_grad(loss, x), atol=1e-8)
         np.testing.assert_allclose(grads[1], fd_grad(loss, w), atol=1e-8)
         np.testing.assert_allclose(grads[2], fd_grad(loss, b), atol=1e-8)
+        # Bit for bit the plain products, so replaying a graph cannot drift.
+        g = np.full((5, 2), 1.0 / 10)
+        assert np.array_equal(grads[0], g @ w)
+        assert np.array_equal(grads[1], g.T @ x)
+        assert np.array_equal(grads[2], g.sum(axis=0))
 
     def test_binary_and_concat_gradients(self):
         rng = np.random.default_rng(42)
