@@ -97,7 +97,6 @@ from .nn_core import (
     LayerSpec,
     NonFiniteGradientError,
     Tape,
-    dense_forward,
     finite_diff_check,
     init_params,
     sgd_step,

@@ -13,6 +13,7 @@ that the batched path, ``model.decode_bins``, is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,27 +178,40 @@ def exclusion_vote(angles, tau: float) -> set[int]:
     return excluded
 
 
+@functools.cache
+def _vote_weights(b: int) -> np.ndarray:
+    """(b * b, b) weights scoring each bin from the flattened (b, b) signs of
+    distance - tau: +1 on bin j's b - 1 distances to the others, -1 on the
+    (b - 1)(b - 2) / 2 pairs k < m that avoid j, 0 elsewhere."""
+    k, m, j = np.indices((b, b, b))
+    w = ((k == j) & (m != j)).astype(float) - ((k < m) & (k != j) & (m != j))
+    w = w.reshape(b * b, b)
+    w.setflags(write=False)
+    return w
+
+
 def exclusion_mask_batch(angles: np.ndarray, tau: float) -> np.ndarray:
     """Vectorized vote over a batch: rows of angles -> boolean include mask.
 
     Equivalent to running :func:`exclusion_vote` per row (True = kept).
-    Both conditions become counts over the (n, b, b) distance matrix: bin j
-    is far from all b - 1 others, and the close pairs k < m that avoid j
-    number (b - 1)(b - 2) / 2.
+    With fewer than three bins, or no distance above tau, no bin can be
+    voted out.  Otherwise each distance of the (n, b, b) matrix counts +1
+    when above tau, -1 when below and 0 when equal or NaN; bin j is
+    excluded iff its score reaches the maximum b (b - 1) / 2: far from all
+    b - 1 others, with every pair k < m that avoids j close.  At most one
+    bin per row can score that.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
     a = np.asarray(angles, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected (n, num_bins) array, got shape {a.shape}")
-    b = a.shape[1]
+    n, b = a.shape
     diff = np.abs(wrap_angle(a[:, :, None] - a[:, None, :]))  # (n, b, b)
-    isolated = (diff > tau).sum(axis=2) == b - 1
-    close = (diff < tau) & (np.arange(b)[:, None] < np.arange(b))  # pairs k < m
-    close_avoiding = close.sum(axis=(1, 2))[:, None] - close.sum(axis=2) - close.sum(axis=1)
-    excluded = isolated & (close_avoiding == (b - 1) * (b - 2) // 2)
-    excluded[excluded.all(axis=1)] = False
-    return ~excluded
+    if b < 3 or not (diff > tau).any():
+        return np.ones((n, b), dtype=bool)
+    score = np.sign(diff - tau).reshape(n, b * b) @ _vote_weights(b)
+    return score != b * (b - 1) // 2
 
 
 def aggregate_orientation(angles, excluded=frozenset()) -> float:

@@ -5,6 +5,7 @@ its field's annotation, so they accept and reject the same values.
 """
 
 import dataclasses
+import math
 import typing
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -17,6 +18,7 @@ def coerce(value, tp):
     Strings are INI text: booleans as 1/0, true/false, yes/no or on/off,
     tuples as comma or space separated items, and tuples of pairs as
     ``a:b,c:d``.  Other values must already have the JSON form of ``tp``.
+    A float must be finite.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -31,6 +33,8 @@ def coerce(value, tp):
     if tp in (bool, int, float):
         if type(value) is not tp and (tp, type(value)) != (float, int):
             raise ValueError(f"expected {tp.__name__}, got {value!r}")
+        if tp is float and not math.isfinite(value):
+            raise ValueError(f"expected a finite float, got {value!r}")
         return tp(value)
     args = typing.get_args(tp)
     if not isinstance(value, (list, tuple)) or not value:

@@ -45,10 +45,10 @@ def wrap_angle(theta):
         return float(math.pi - (math.pi - theta) % TWO_PI)
     th = np.asarray(theta, dtype=float)
     out = (th <= -math.pi) | (th > math.pi)
-    if np.any(out):
+    if out.any():
         wrapped = math.pi - np.remainder(math.pi - th, TWO_PI)
         th = np.where(out, wrapped, th)
-    if np.ndim(theta) == 0:
+    if th.ndim == 0:
         return float(th)
     return th
 

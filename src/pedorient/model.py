@@ -15,10 +15,14 @@ The training loss is the sum of a squared-error dimension term, the
 per-bin cosine-gap orientation term (with cross-bin exclusion voting
 applied each forward pass), and optional squared consistency residuals
 tying predictions to the projective box relation, weighted at 0.01 each.
+Each residual is in meters: the width span minus the span the 2D box
+implies, ``span - (w / h) * h1``.  (``geometry.consistency_residual``
+keeps the pixel-meter form ``h * span - w * h1``.)
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,7 +39,6 @@ from .nn_core import (
     LayerSpec,
     NonFiniteGradientError,
     Tape,
-    dense_forward,
     finite_diff_check,
     init_params,
     sgd_step,
@@ -92,8 +95,9 @@ class ModelConfig:
                   self.batch_size)
         if any(v < 1 for v in widths):
             raise ValueError("widths and batch_size must be >= 1")
-        if self.consistency_weight < 0:
-            raise ValueError("consistency_weight must be >= 0")
+        if not (math.isfinite(self.consistency_weight) and self.consistency_weight >= 0):
+            raise ValueError(f"consistency_weight must be finite and >= 0, "
+                             f"got {self.consistency_weight!r}")
         if not (math.isfinite(self.exclusion_tau) and self.exclusion_tau > 0):
             raise ValueError("exclusion_tau must be finite and > 0")
         if not self.lr_schedule:
@@ -103,8 +107,8 @@ class ModelConfig:
                 raise ValueError(f"bad schedule segment ({steps}, {lr})")
         if not (0 <= self.momentum < 1):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.dims2d_scale <= 0:
-            raise ValueError("dims2d_scale must be > 0")
+        if not (math.isfinite(self.dims2d_scale) and self.dims2d_scale > 0):
+            raise ValueError(f"dims2d_scale must be finite and > 0, got {self.dims2d_scale!r}")
 
     def bin_config(self) -> BinConfig:
         return BinConfig.default(self.num_bins)
@@ -215,7 +219,7 @@ def make_batch(samples) -> Batch:
     if not samples:
         raise ValueError("cannot batch an empty sample list")
     return Batch(
-        context=np.stack([s.context for s in samples]),
+        context=np.array([s.context for s in samples]),
         dims2d=np.array([[s.dims2d.h, s.dims2d.w] for s in samples]),
         dims3d=np.array([[s.dims3d.h1, s.dims3d.w1, s.dims3d.l1] for s in samples]),
         theta=np.array([s.theta for s in samples]),
@@ -223,8 +227,12 @@ def make_batch(samples) -> Batch:
 
 
 def _apply_stack(stack, x: np.ndarray) -> np.ndarray:
+    """Value-only dense layers: ``x @ W.T + b``, then ReLU where set."""
     for layer in stack:
-        x = dense_forward(layer, x)
+        x = x @ layer.weights.T
+        x += layer.bias
+        if layer.activation == "relu":
+            np.maximum(x, 0.0, out=x)
     return x
 
 
@@ -265,9 +273,17 @@ class DecodedBins:
     degenerate: np.ndarray  # (n, num_bins) bool, pair exactly (0, 0) or not finite
 
 
-def _bin_angles(pairs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+@functools.cache
+def _bin_offsets(num_bins: int) -> np.ndarray:
+    """The default bin offsets as a read-only array, built once per count."""
+    offsets = np.array(BinConfig.default(num_bins).offsets)
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _bin_angles(pairs: np.ndarray, num_bins: int) -> np.ndarray:
     """(n, num_bins, 2) (sin, cos) pairs -> (n, num_bins) global angles."""
-    return wrap_angle(np.arctan2(pairs[..., 0], pairs[..., 1]) + offsets)
+    return wrap_angle(np.arctan2(pairs[..., 0], pairs[..., 1]) + _bin_offsets(num_bins))
 
 
 def decode_bins(bin_outputs: np.ndarray, cfg: ModelConfig) -> DecodedBins:
@@ -278,15 +294,18 @@ def decode_bins(bin_outputs: np.ndarray, cfg: ModelConfig) -> DecodedBins:
     of the kept angles: undefined when a pair is degenerate or they cancel.
     """
     pairs = np.asarray(bin_outputs, dtype=float).reshape(-1, cfg.num_bins, 2)
-    s, c = pairs[..., 0], pairs[..., 1]
-    degenerate = ((s == 0.0) & (c == 0.0)) | ~np.isfinite(s) | ~np.isfinite(c)
-    angles = _bin_angles(pairs, np.array(cfg.bin_config().offsets))
+    valid = np.isfinite(pairs).all(axis=2) & pairs.any(axis=2)
+    angles = _bin_angles(pairs, cfg.num_bins)
     include = exclusion_mask_batch(angles, cfg.exclusion_tau)
-    sin_sum = (np.sin(angles) * include).sum(axis=1)
-    cos_sum = (np.cos(angles) * include).sum(axis=1)
-    defined = ~degenerate.any(axis=1) & (np.hypot(sin_sum, cos_sum) >= 1e-9)
-    theta = np.where(defined, wrap_angle(np.arctan2(sin_sum, cos_sum)), np.nan)
-    return DecodedBins(angles, include, theta, defined, degenerate)
+    trig = np.empty((2, *angles.shape))
+    np.sin(angles, out=trig[0])
+    np.cos(angles, out=trig[1])
+    trig *= include
+    sin_sum, cos_sum = trig.sum(axis=2)
+    defined = valid.all(axis=1) & (np.hypot(sin_sum, cos_sum) >= 1e-9)
+    theta = wrap_angle(np.arctan2(sin_sum, cos_sum))
+    theta[~defined] = np.nan
+    return DecodedBins(angles, include, theta, defined, ~valid)
 
 
 @dataclass
@@ -309,15 +328,15 @@ class ForwardResult:
 def _forward_rows(model: OrientationNet, batch: Batch, h1_feed_scale=1.0) -> list[ForwardResult]:
     dims_pred, bin_out = forward_batch(model, batch, h1_feed_scale)
     dec = decode_bins(bin_out, model.cfg)
-    pairs = bin_out.reshape(len(batch), model.cfg.num_bins, 2)
-    rows = zip(dec.angles.tolist(), dec.include.tolist(), dec.theta.tolist(),
+    rows = zip(dims_pred, bin_out.reshape(len(batch), model.cfg.num_bins, 2),
+               dec.angles.tolist(), dec.include.tolist(), dec.theta.tolist(),
                dec.defined.tolist(), dec.degenerate.tolist())
-    return [ForwardResult(dims_pred[i], pairs[i],
+    return [ForwardResult(dims, pairs,
                           None if any(bad) else angles,
                           set() if any(bad) else {k for k, kept in enumerate(include) if not kept},
                           theta if defined else None,
                           tuple(k for k, b in enumerate(bad) if b))
-            for i, (angles, include, theta, defined, bad) in enumerate(rows)]
+            for dims, pairs, angles, include, theta, defined, bad in rows]
 
 
 def forward(model: OrientationNet, sample: TrainingSample) -> ForwardResult:
@@ -352,6 +371,10 @@ def total_loss(result: ForwardResult, sample: TrainingSample,
           + consistency_weight * (squared residual of predicted dims at the
             true yaw + squared residual of true dims at the predicted yaw),
             when consistency is enabled.
+
+    Each residual is ``span - (w / h) * h1`` in meters: the width span at
+    the yaw minus the span implied by the 2D box's aspect ratio and the
+    3D height.
     """
     truth = np.array([sample.dims3d.h1, sample.dims3d.w1, sample.dims3d.l1])
     dims_term = float(((result.dims3d_pred - truth) ** 2).sum())
@@ -359,15 +382,15 @@ def total_loss(result: ForwardResult, sample: TrainingSample,
                                    cfg.bin_config(), result.excluded)
     terms = {"dims": dims_term, "orientation": orient_term, "consistency": 0.0}
     if cfg.use_consistency_loss:
-        h, w = sample.dims2d.h, sample.dims2d.w
+        aspect = sample.dims2d.w / sample.dims2d.h
         h1p, w1p, l1p = result.dims3d_pred
         span_pred = w1p * abs(math.sin(sample.theta)) + l1p * abs(math.cos(sample.theta))
-        resid_dims = h * span_pred - w * h1p
+        resid_dims = span_pred - aspect * h1p
         if result.theta_pred is None:
             raise ValueError("consistency term undefined without a decoded yaw")
         span_true = (sample.dims3d.w1 * abs(math.sin(result.theta_pred))
                      + sample.dims3d.l1 * abs(math.cos(result.theta_pred)))
-        resid_orient = h * span_true - w * sample.dims3d.h1
+        resid_orient = span_true - aspect * sample.dims3d.h1
         terms["consistency"] = cfg.consistency_weight * (resid_dims ** 2 + resid_orient ** 2)
     total = terms["dims"] + terms["orientation"] + terms["consistency"]
     return total, terms
@@ -427,12 +450,11 @@ class _LossPlan:
         return self.graph
 
 
-def _graph_inputs(batch: Batch, cfg: ModelConfig, offsets: np.ndarray,
-                  consistency: bool) -> dict[str, np.ndarray]:
+def _graph_inputs(batch: Batch, cfg: ModelConfig, consistency: bool) -> dict[str, np.ndarray]:
     """Everything the loss graph takes from a batch: its data leaves and
     the batch-derived constants of its ``cmul`` / ``cadd`` nodes."""
     n = len(batch)
-    res = batch.theta[:, None] - offsets  # (n, B) residual targets
+    res = batch.theta[:, None] - _bin_offsets(cfg.num_bins)  # (n, B) residual targets
     inputs = {
         "context": batch.context,
         "dims3d": batch.dims3d,
@@ -441,14 +463,13 @@ def _graph_inputs(batch: Batch, cfg: ModelConfig, offsets: np.ndarray,
     if cfg.use_feedforward:
         inputs["dims2d"] = batch.dims2d * cfg.dims2d_scale
     if consistency:
-        w = batch.dims2d[:, 1:2]
+        aspect = batch.dims2d[:, 1:2] / batch.dims2d[:, 0:1]  # w / h
         th = batch.theta
         inputs.update(
-            h=batch.dims2d[:, 0:1],
             abs_trig=np.abs(np.stack([np.zeros_like(th), np.sin(th), np.cos(th)], axis=1)),
-            w_h1=w * [1.0, 0.0, 0.0],
+            aspect_h1=aspect * [1.0, 0.0, 0.0],
             w1_l1=batch.dims3d[:, 1:3],
-            neg_w_h1=-(w * batch.dims3d[:, 0:1]),
+            neg_aspect_h1=-(aspect * batch.dims3d[:, 0:1]),
         )
     return inputs
 
@@ -482,10 +503,9 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         return plan.replay(batch)
     cfg = model.cfg
     bcfg = cfg.bin_config()
-    offsets = np.array(bcfg.offsets)
     consistency = "consistency" in terms and cfg.use_consistency_loss
     inputs = {key: np.array(value, dtype=float, order="C") for key, value
-              in _graph_inputs(batch, cfg, offsets, consistency).items()}
+              in _graph_inputs(batch, cfg, consistency).items()}
     t = Tape()
     param_nodes: list[tuple[str, int, np.ndarray]] = []
     stack_ids: dict[str, list[tuple[int, int, str]]] = {}
@@ -532,7 +552,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     if include_mask is None:
         def vote(out: np.ndarray) -> np.ndarray:
             pairs = out.reshape(n, bcfg.num_bins, 2)
-            return exclusion_mask_batch(_bin_angles(pairs, offsets), cfg.exclusion_tau)
+            return exclusion_mask_batch(_bin_angles(pairs, bcfg.num_bins), cfg.exclusion_tau)
 
         include_mask = t.value(t.value_only(head_out, vote, (n, bcfg.num_bins)))
     else:
@@ -560,8 +580,8 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         # left to right over fewer than eight bins, so the arithmetic is that
         # of one scalar chain per bin.
         span_pred = t.rowsum(t.cmul(dims_pred, inputs["abs_trig"]))  # w1 |sin| + l1 |cos|
-        h1_w = t.rowsum(t.cmul(dims_pred, inputs["w_h1"]))
-        resid_d = t.sub(t.cmul(span_pred, inputs["h"]), h1_w)
+        implied = t.rowsum(t.cmul(dims_pred, inputs["aspect_h1"]))  # (w / h) h1
+        resid_d = t.sub(span_pred, implied)
         cons = t.mean(t.mul(resid_d, resid_d))
 
         # Rotate each unit pair by its bin offset to the global (sin, cos),
@@ -574,7 +594,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         c_sum = t.rowsum(t.cmul(global_cos, include_mask))
         direction = t.absval(t.rownorm(t.concat([s_sum, c_sum])))
         span_true = t.rowsum(t.cmul(direction, inputs["w1_l1"]))
-        resid_o = t.cadd(t.cmul(span_true, inputs["h"]), inputs["neg_w_h1"])
+        resid_o = t.cadd(span_true, inputs["neg_aspect_h1"])
         cons = t.add(cons, t.mean(t.mul(resid_o, resid_o)))
         term_ids["consistency"] = t.cmul(cons, cfg.consistency_weight)
 
@@ -586,7 +606,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
             loss = term_ids[key] if loss is None else t.add(loss, term_ids[key])
     lg = LossGraph(t, loss, term_ids, param_nodes, include_mask, feed_values)
     if plan is not None:
-        plan.keep(lg, inputs, lambda b: _graph_inputs(b, cfg, offsets, consistency))
+        plan.keep(lg, inputs, lambda b: _graph_inputs(b, cfg, consistency))
     return lg
 
 
@@ -691,7 +711,7 @@ def evaluate_model(model: OrientationNet, samples) -> dict:
     ok = ~dec.degenerate.any(axis=1)
     pairs = bin_out.reshape(n, cfg.num_bins, 2)[ok]
     unit = pairs / np.hypot(pairs[..., 0], pairs[..., 1])[..., None]
-    res = batch.theta[ok, None] - np.array(cfg.bin_config().offsets)
+    res = batch.theta[ok, None] - _bin_offsets(cfg.num_bins)
     per_bin = np.maximum(1.0 - np.sin(res) * unit[..., 0] - np.cos(res) * unit[..., 1], 0.0)
     orient_ps = (per_bin * dec.include[ok]).sum(axis=1)
     dims_ps = ((dims_pred - batch.dims3d) ** 2).sum(axis=1)

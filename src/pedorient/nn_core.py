@@ -4,10 +4,10 @@ Everything is float64 numpy.  Values flowing through a :class:`Tape` are
 2-D arrays shaped (batch, width); parameters are 2-D weight matrices
 (out, in) and 1-D biases.  Backpropagation is reverse-mode over an
 explicit node list, so gradients are exact and reproducible, and a
-``stop_gradient`` node cuts every path through it.  A tape is recorded
-once and can be replayed: new leaf data in, every node value and (with
-kept gradient arrays) every gradient overwritten in place, the arithmetic
-of each op written once for both.
+``stop_gradient`` node takes no gradient, which cuts every path through
+it.  A tape is recorded once and can be replayed: new leaf data in, every
+node value and (with kept gradient arrays) every gradient overwritten in
+place, the arithmetic of each op written once for both.
 """
 
 from __future__ import annotations
@@ -78,18 +78,6 @@ def init_params(spec: LayerSpec, seed) -> DenseLayer:
     return DenseLayer(w, b, spec.activation)
 
 
-def dense_forward(layer: DenseLayer, x, activation: str | None = None) -> np.ndarray:
-    """Apply one dense layer to a vector or a (batch, in) matrix."""
-    act = layer.activation if activation is None else activation
-    if act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {act!r}")
-    x = np.asarray(x, dtype=float)
-    y = x @ layer.weights.T + layer.bias
-    if act == "relu":
-        y = np.maximum(y, 0.0)
-    return y
-
-
 def _grouped(xv: np.ndarray, group: int | None) -> np.ndarray:
     """View (n, k * group) as (n, k, group); ``group=None`` is the whole row."""
     width = xv.shape[1] if group is None else group
@@ -103,15 +91,14 @@ class TapeNode:
     """One recorded operation: its kind, its value array, its parents, the
     function that recomputes the value in place from the parents' values,
     and the function that writes the parents' gradients for a node
-    gradient.  ``needs_grad`` is False for data leaves, value-only nodes
-    and nodes that depend on no leaf taking a gradient."""
+    gradient.  ``needs_grad`` is False for data leaves, stop-gradient and
+    value-only nodes, and nodes that depend on no leaf taking a gradient."""
 
     op: str
     value: np.ndarray
     parents: tuple[int, ...] = ()
     run: Callable[[], None] | None = None
     grad_fn: Callable | None = None
-    stop_gradient: bool = False
     needs_grad: bool = True
 
 
@@ -163,10 +150,10 @@ class Tape:
         return self._push(TapeNode("data", v, needs_grad=False))
 
     def stop_gradient(self, x: int) -> int:
-        """The value of ``x``, shared; it takes a gradient but passes none on."""
-        node = self.nodes[x]
-        return self._push(TapeNode("stop_gradient", node.value, (x,), stop_gradient=True,
-                                   needs_grad=node.needs_grad))
+        """The value of ``x``, shared; it takes no gradient, so none
+        reaches ``x`` through it."""
+        return self._push(TapeNode("stop_gradient", self.nodes[x].value, (x,),
+                                   needs_grad=False))
 
     def value_only(self, x: int, fn: Callable[[np.ndarray], np.ndarray], shape) -> int:
         """A node of the given shape whose value is ``fn(value of x)``,
@@ -381,8 +368,8 @@ class Tape:
         """Reverse-mode gradients of node ``output`` w.r.t. every node that
         depends on a leaf taking a gradient and reaches the output.
 
-        Nodes flagged ``stop_gradient`` receive a gradient but pass nothing
-        upstream; data leaves receive none.  Returns {node_id: gradient
+        Data leaves, stop-gradient and value-only nodes receive none, so
+        nothing flows upstream through them.  Returns {node_id: gradient
         array}; other nodes are absent.  A node with several consumers
         accumulates their contributions in decreasing order of consumer
         id, parents in argument order, by plain addition.  Treat the
@@ -427,7 +414,7 @@ class Tape:
         for nid in range(output, -1, -1):
             node = nodes[nid]
             g = grads.get(nid)
-            if g is None or node.stop_gradient or node.grad_fn is None:
+            if g is None or node.grad_fn is None:
                 continue
             outs, adds = [], []
             for pid in node.parents:

@@ -208,10 +208,23 @@ class TestExclusionVote:
 
 
 class TestExclusionMaskBatch:
+    @staticmethod
+    def assert_matches_scalar_vote(angles, tau):
+        mask = exclusion_mask_batch(angles, tau)
+        assert mask.shape == angles.shape and mask.dtype == bool
+        for i, row in enumerate(angles):
+            expect = exclusion_vote(row, tau)
+            got = {j for j in range(angles.shape[1]) if not mask[i, j]}
+            assert got == expect, f"row {i} {row}: {got} != {expect}"
+        return mask
+
     def test_matches_scalar_vote(self):
         rng = np.random.default_rng(42)
+        more = np.random.default_rng(7)
         tau = math.radians(15)
-        for b in range(1, 7):
+        # Differences among these are exactly 0, tau, 2 tau or 3 tau, or far.
+        lattice = (-tau, 0.0, tau, 2 * tau, 2.5)
+        for b in range(1, 8):
             angles = rng.uniform(-math.pi, math.pi, size=(50, b))
             # Salt in clustered rows, some with one outlier, and rows spread
             # around tau, so both vote conditions are exercised.
@@ -224,13 +237,33 @@ class TestExclusionMaskBatch:
                 if b >= 2 and i % 2 == 0:
                     angles[i, rng.integers(b)] = wrap_angle(base + 2.0)
             angles[49, 0] = np.nan
-            mask = exclusion_mask_batch(angles, tau)
-            assert mask.shape == (50, b)
+            mask = self.assert_matches_scalar_vote(angles, tau)
             assert b < 3 or not mask.all()
-            for i in range(50):
-                expect = exclusion_vote(angles[i], tau)
-                got = {j for j in range(b) if not mask[i, j]}
-                assert got == expect, f"row {i}: {got} != {expect}"
+
+            # No pair farther apart than tau, so no bin can be voted out:
+            # NaN rows, a row across the seam and one exactly tau apart.
+            calm = wrap_angle(more.uniform(-math.pi, math.pi, size=(40, 1))
+                              + more.uniform(-0.49 * tau, 0.49 * tau, size=(40, b)))
+            calm[::7, more.integers(b)] = np.nan
+            calm[5] = wrap_angle(math.pi + np.linspace(-0.4 * tau, 0.4 * tau, b))
+            calm[6] = [(0.0, tau)[j % 2] for j in range(b)]
+            diff = np.abs(wrap_angle(calm[:, :, None] - calm[:, None, :]))
+            assert not (diff > tau).any() and (b < 2 or (diff == tau).any())
+            assert self.assert_matches_scalar_vote(calm, tau).all()
+
+            # Pairs exactly tau apart are neither far nor close: rows of one
+            # lattice value with two bins redrawn.
+            ties = np.repeat(more.choice(lattice, size=(300, 1)), b, axis=1)
+            for _ in range(2):
+                ties[np.arange(300), more.integers(b, size=300)] = more.choice(lattice, size=300)
+            mask = self.assert_matches_scalar_vote(ties, tau)
+            assert b < 3 or not mask.all()
+        # Bin 2 exactly tau from the others is not far, so it stays; at
+        # 2 tau it is far and goes.  A far bin 2 stays when the others are
+        # exactly tau apart, which is not close.
+        rows = np.array([[0.0, 0.0, tau], [0.0, 0.0, 2 * tau], [0.0, tau, 2.5], [0.0, 0.0, 2.5]])
+        mask = self.assert_matches_scalar_vote(rows, tau)
+        assert mask.tolist() == [[True] * 3, [True, True, False], [True] * 3, [True, True, False]]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

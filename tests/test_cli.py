@@ -163,6 +163,11 @@ class TestConfig:
             ({"gradcheck": {"eps": "small"}}, "gradcheck", "eps"),
             ({"gradcheck": {"batch_size": 0}}, "gradcheck", "batch_size"),
             ({"gradcheck": {"threshold": "nan"}}, "gradcheck", "threshold"),
+            ({"model": {"use_consistency_loss": True, "consistency_weight": "nan"}},
+             "model", "consistency_weight"),
+            ({"model": {"consistency_weight": "inf"}}, "model", "consistency_weight"),
+            ({"model": {"dims2d_scale": "nan"}}, "model", "dims2d_scale"),
+            ({"model": {"dims2d_scale": "inf"}}, "model", "dims2d_scale"),
         ]
         for sections, section, key in cases:
             path = self.write(tmp_path, sections)

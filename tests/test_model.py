@@ -1,9 +1,11 @@
 """Tests for the orientation network: config, forward, loss, training."""
 
+import dataclasses
 import itertools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from pedorient.binning import (
     exclusion_vote,
     per_bin_global_angles,
 )
+from pedorient.cli import (
+    _getfloat, _load_ini, _model_config, _sec, _split_holdout, _synth_config,
+)
 from pedorient.geometry import Dims2D, Dims3D, circ_abs_diff, width_span_abs
 from pedorient.kitti_io import TrainingSample
-from pedorient.nn_core import Tape
+from pedorient.nn_core import DenseLayer, Tape
 from pedorient.model import (
     DEFAULT_SWEEP_FACTORS,
     Batch,
@@ -98,6 +103,10 @@ class TestModelConfig:
             tiny_cfg(lr_schedule=((100, -1e-3),))
         with pytest.raises(ValueError):
             tiny_cfg(exclusion_tau=0.0)
+        for key in ("consistency_weight", "dims2d_scale"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=key):
+                    tiny_cfg(**{key: bad})
 
     def test_schedule_helpers(self):
         cfg = tiny_cfg(lr_schedule=((10, 1e-2), (5, 1e-3)))
@@ -228,6 +237,21 @@ class TestForward:
             assert evaluate_model(model, samples)["n_undefined"] == 2
 
 
+    def test_apply_stack_matches_manual(self):
+        # The value-only forward is x @ W.T + b, then max(., 0) on ReLU
+        # layers, bit for bit, and leaves its input alone.
+        rng = np.random.default_rng(42)
+        relu = DenseLayer(rng.normal(size=(3, 5)), rng.normal(size=3), "relu")
+        linear = DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2), "linear")
+        x = rng.normal(size=(7, 5))
+        x_before = x.copy()
+        hidden = np.maximum(x @ relu.weights.T + relu.bias, 0.0)
+        assert np.array_equal(model_module._apply_stack([relu], x), hidden)
+        assert np.array_equal(model_module._apply_stack([relu, linear], x),
+                              hidden @ linear.weights.T + linear.bias)
+        assert np.array_equal(x, x_before)
+
+
 class TestDecodeBins:
     def test_rows_match_scalar_chain(self):
         rng = np.random.default_rng(3)
@@ -241,10 +265,12 @@ class TestDecodeBins:
                 if rng.random() < 0.5:
                     row[rng.integers(b)] = rng.normal(size=2)
                 rows.append(row * rng.uniform(0.1, 10.0))
-            for bad in ((0.0, 0.0), (np.nan, 1.0), (0.5, np.inf)):
+            for bad in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (np.nan, 1.0), (0.5, np.inf)):
                 row = rng.normal(size=(b, 2))
                 row[rng.integers(b)] = bad
                 rows.append(row)
+            for signed_zero in ((-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0), (1.0, -0.0)):
+                rows.append(np.tile(signed_zero, (b, 1)))  # valid, on the axes
             if b == 2:  # global angles 0 and pi cancel
                 rows.append(np.array([[1.0, 0.0], [1.0, 0.0]]))
             dec = decode_bins(np.stack(rows).reshape(len(rows), 2 * b), cfg)
@@ -452,6 +478,23 @@ class TestTraining:
         assert len(built) == 2
         assert all(m._loss_plan is None and "_loss_plan" not in vars(m) for m in built)
 
+    @pytest.mark.parametrize("data_seed, model_seed", [(24, 10), (2, 19)])
+    def test_consistency_trains_at_desk_widths(self, data_seed, model_seed):
+        # The benchmark's plain + consistency runs: desk.ini's model and
+        # generator, 5000 samples, its hold-out split, 1000 steps at 1e-3
+        # and 500 at 1e-4.  With residuals in pixel-meters these two pairs
+        # went non-finite at step 443 and peaked at a loss of 2.4e25.
+        cp = _load_ini(Path(__file__).resolve().parents[1] / "configs" / "desk.ini")
+        samples, _ = gen_dataset(dataclasses.replace(_synth_config(cp), n=5000, seed=data_seed))
+        cfg = dataclasses.replace(_model_config(cp), use_feedforward=False,
+                                  use_consistency_loss=True, seed=model_seed,
+                                  lr_schedule=((1000, 1e-3), (500, 1e-4)))
+        holdout = _getfloat(_sec(cp, "train"), "holdout_fraction", 0.1)
+        train_s, val_s = _split_holdout(samples, holdout, _model_config(cp).seed)
+        res = train(train_s, cfg)
+        assert max(r.total for r in res.log) < 1e3
+        assert evaluate_model(res.model, val_s)["mae_deg"] < 20.0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
         samples = tiny_samples(20)
@@ -608,6 +651,8 @@ class TestCheckpoint:
             (with_config(drop="momentum"), "momentum"),
             (with_config(num_bins=4.0), "num_bins"),
             (with_config(encoder_hidden=[8]), "encoder_hidden"),
+            (with_config(consistency_weight=math.nan), "consistency_weight"),
+            (with_config(dims2d_scale=math.inf), "dims2d_scale"),
             ({**good, "head__1__bias": np.zeros(1)}, "head.1.bias"),
             ({**good, "head__1__bias": np.full(8, np.nan)}, "head.1.bias"),
             ({k: v for k, v in good.items() if k != "encoder__0__weights"},
