@@ -250,7 +250,8 @@ class TrainingSample:
         self.context = np.asarray(self.context, dtype=float)
         if self.context.ndim != 1:
             raise ValueError(f"context must be 1-D, got shape {self.context.shape}")
-        if not np.all(np.isfinite(self.context)):
+        # One Python pass over a short context costs less than two ufunc calls.
+        if not all(map(math.isfinite, self.context.tolist())):
             raise ValueError("context must be finite")
 
 

@@ -63,11 +63,21 @@ class SynthConfig:
             raise ValueError(f"context_noise must be in [0, 1], got {self.context_noise}")
         if self.context_width < 3:
             raise ValueError(f"context_width must be >= 3, got {self.context_width}")
-        if self.box_noise_sd < 0:
-            raise ValueError(f"box_noise_sd must be >= 0, got {self.box_noise_sd}")
-        for lo, hi in (self.h1_range, self.w1_range, self.l1_range, self.scale_range):
-            if not lo < hi:
-                raise ValueError(f"empty range ({lo}, {hi})")
+        for name in ("h1_mean", "w1_mean", "l1_mean"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+        for name in ("h1_sd", "w1_sd", "l1_sd", "box_noise_sd"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        # gen_dataset draws within a range without Generator.uniform's own
+        # checks, so a range is checked here, where it enters.
+        for name in ("h1_range", "w1_range", "l1_range", "scale_range"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo < hi < math.inf:
+                raise ValueError(f"{name} must have finite ends with 0 < lo < hi,"
+                                 f" got ({lo!r}, {hi!r})")
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ def _context_vector(rng, theta: float, cfg: SynthConfig) -> np.ndarray:
     cells = cfg.context_width - 2
     frac = (theta + math.pi) / TWO_PI  # in (0, 1]
     cell = min(int(frac * cells), cells - 1)
-    if cells > 1 and rng.uniform() < cfg.context_noise:
+    if cells > 1 and rng.random() < cfg.context_noise:
         cell = (cell + 1 + rng.integers(0, cells - 1)) % cells
     ctx = np.zeros(cfg.context_width)
     ctx[cell] = 1.0
@@ -94,33 +104,57 @@ def _context_vector(rng, theta: float, cfg: SynthConfig) -> np.ndarray:
     # drowning entirely, which keeps bin-level orientation recoverable
     # from context alone while leaving room for geometric refinement.
     noise_sd = 0.25 * cfg.context_noise
-    ctx[cells] = gain * math.sin(theta)
-    ctx[cells + 1] = gain * math.cos(theta)
+    sin_t = gain * math.sin(theta)
+    cos_t = gain * math.cos(theta)
     if noise_sd > 0:
-        ctx[cells:] += rng.normal(0.0, noise_sd, size=2)
+        # Generator.normal(0.0, sd) returns 0.0 + sd * z; the 0.0 turns a
+        # z of -0.0 into +0.0, which matters when gain is 0.
+        z_sin, z_cos = rng.standard_normal(2).tolist()
+        sin_t += 0.0 + noise_sd * z_sin
+        cos_t += 0.0 + noise_sd * z_cos
+    ctx[cells] = sin_t
+    ctx[cells + 1] = cos_t
     return ctx
 
 
 def gen_dataset(cfg: SynthConfig) -> tuple[list[TrainingSample], list[GenRecord]]:
-    """Generate ``cfg.n`` samples and their generation records."""
+    """Generate ``cfg.n`` samples and their generation records.
+
+    Every draw is written as the arithmetic that ``Generator.normal`` and
+    ``Generator.uniform`` do after checking their arguments, which
+    :class:`SynthConfig` has checked once: ``normal(loc, sd)`` is
+    ``loc + sd * standard_normal()`` and ``uniform(lo, hi)`` is
+    ``lo + (hi - lo) * random()``.  The draws and their order are those
+    of the method calls, so the samples are the same bit for bit.
+    """
+    # The doubles those methods would convert their arguments to.
+    h1_mean, h1_sd, h1_lo, h1_hi = map(float, (cfg.h1_mean, cfg.h1_sd, *cfg.h1_range))
+    w1_mean, w1_sd, w1_lo, w1_hi = map(float, (cfg.w1_mean, cfg.w1_sd, *cfg.w1_range))
+    l1_mean, l1_sd, l1_lo, l1_hi = map(float, (cfg.l1_mean, cfg.l1_sd, *cfg.l1_range))
+    s_lo, s_hi = map(float, cfg.scale_range)
+    s_width = s_hi - s_lo
+    box_sd = float(cfg.box_noise_sd)
     samples: list[TrainingSample] = []
     records: list[GenRecord] = []
     for i in range(cfg.n):
         rng = np.random.default_rng([cfg.seed, i])
+        z_h1, z_w1, z_l1 = rng.standard_normal(3).tolist()
         # min(max(...)) is np.clip without its 0-d array round trip.
-        h1 = min(max(rng.normal(cfg.h1_mean, cfg.h1_sd), cfg.h1_range[0]), cfg.h1_range[1])
-        w1 = min(max(rng.normal(cfg.w1_mean, cfg.w1_sd), cfg.w1_range[0]), cfg.w1_range[1])
-        l1 = min(max(rng.normal(cfg.l1_mean, cfg.l1_sd), cfg.l1_range[0]), cfg.l1_range[1])
+        h1 = min(max(h1_mean + h1_sd * z_h1, h1_lo), h1_hi)
+        w1 = min(max(w1_mean + w1_sd * z_w1, w1_lo), w1_hi)
+        l1 = min(max(l1_mean + l1_sd * z_l1, l1_lo), l1_hi)
         dims3d = Dims3D(h1, w1, l1)
-        theta = wrap_angle(rng.uniform(-math.pi, math.pi))
-        scale = rng.uniform(*cfg.scale_range)
+        theta = wrap_angle(-math.pi + TWO_PI * rng.random())
+        scale = s_lo + s_width * rng.random()
         span = width_span(dims3d, theta)
         h_clean = scale * h1
         w_clean = scale * span
         h, w = h_clean, w_clean
-        if cfg.box_noise_sd > 0:
-            h = max(h + rng.normal(0.0, cfg.box_noise_sd), _MIN_PIXELS)
-            w = max(w + rng.normal(0.0, cfg.box_noise_sd), _MIN_PIXELS)
+        if box_sd > 0:
+            # h and w are > 0, so the 0.0 of normal's 0.0 + box_sd * z changes nothing.
+            z_h, z_w = rng.standard_normal(2).tolist()
+            h = max(h + box_sd * z_h, _MIN_PIXELS)
+            w = max(w + box_sd * z_w, _MIN_PIXELS)
         ctx = _context_vector(rng, theta, cfg)
         samples.append(TrainingSample(Dims2D(h, w), dims3d, theta, ctx))
         records.append(GenRecord(scale, span, h_clean, w_clean))
@@ -223,37 +257,41 @@ def write_dataset(path, samples) -> None:
     """
     with open(path, "w") as fh:
         fh.write(_HEADER + "\n")
+        width, fmt = -1, ""
         for s in samples:
-            vals = [s.dims2d.h, s.dims2d.w, s.dims3d.h1, s.dims3d.w1,
-                    s.dims3d.l1, s.theta]
-            vals.extend(s.context.tolist())
-            fh.write(" ".join("%.17g" % v for v in vals) + "\n")
+            ctx = s.context.tolist()
+            if len(ctx) != width:
+                width = len(ctx)
+                fmt = " ".join(["%.17g"] * (6 + width)) + "\n"
+            d2, d3 = s.dims2d, s.dims3d
+            fh.write(fmt % (d2.h, d2.w, d3.h1, d3.w1, d3.l1, s.theta, *ctx))
 
 
 def read_dataset(path) -> list[TrainingSample]:
     """Read a dataset file written by :func:`write_dataset`."""
     samples: list[TrainingSample] = []
+    width = -1
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             if len(parts) < 7:
                 raise ValueError(
                     f"{path}: line {line_no}: expected at least 7 columns, got {len(parts)}"
                 )
             try:
-                vals = [float(p) for p in parts]
+                h, w, h1, w1, l1, theta, *ctx = map(float, parts)
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: non-numeric column") from None
-            h, w, h1, w1, l1, theta = vals[:6]
-            if samples and len(vals) - 6 != samples[0].context.size:
-                raise ValueError(f"{path}: line {line_no}: context has {len(vals) - 6}"
-                                 f" values, the first row's has {samples[0].context.size}")
+            if width < 0:
+                width = len(ctx)
+            elif len(ctx) != width:
+                raise ValueError(f"{path}: line {line_no}: context has {len(ctx)}"
+                                 f" values, the first row's has {width}")
             try:
                 samples.append(TrainingSample(
-                    Dims2D(h, w), Dims3D(h1, w1, l1), theta, np.array(vals[6:]),
+                    Dims2D(h, w), Dims3D(h1, w1, l1), theta, np.array(ctx),
                 ))
             except ValueError as e:
                 raise ValueError(f"{path}: line {line_no}: {e}") from None

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ class TestConfig:
             assert main(["gen", "--config", path, "--out", str(tmp_path / "g")]) == 1
             err = capsys.readouterr().err
             assert path in err and f"[{section}]" in err and key in err, err
+
+    def test_bad_synth_values_exit_1_naming_file_and_field(self, tmp_path, capsys):
+        # Values that parse as finite floats but that SynthConfig rejects.
+        quick = (Path(__file__).resolve().parents[1] / "configs" / "quick.ini").read_text()
+        for extra, field in (("h1_sd = -0.1", "h1_sd"),
+                             ("scale_min = -1e308\nscale_max = 1e308", "scale_range"),
+                             ("w1_min = 0.9\nw1_max = 0.3", "w1_range"),
+                             ("box_noise_sd = -1", "box_noise_sd")):
+            path = tmp_path / "bad.ini"
+            path.write_text(quick.replace("box_noise_sd = 1.0\n", "")
+                            .replace("[synth]\n", f"[synth]\n{extra}\n"))
+            assert main(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {field} must"), err
+        assert not (tmp_path / "g").exists()
 
 
 class TestGen:

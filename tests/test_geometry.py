@@ -1,5 +1,6 @@
 """Tests for the 2D/3D box geometry: spans, residuals, yaw inversion."""
 
+import dataclasses
 import math
 import struct
 
@@ -153,11 +154,20 @@ class TestDimsValidation:
         d3 = Dims3D(np.float64(1.7), np.float32(0.5), 1)
         assert (d2, d3) == (Dims2D(1.5, 40.0), Dims3D(1.7, 0.5, 1.0))
         assert all(type(v) is float for v in (d2.h, d2.w, d3.h1, d3.w1, d3.l1))
-        for bad in (True, np.bool_(True), "1.5", None):
-            with pytest.raises(ValueError, match="Dims2D.w"):
-                Dims2D(10.0, bad)
-            with pytest.raises(ValueError, match="Dims3D.h1"):
-                Dims3D(bad, 0.5, 0.5)
+        assert Dims3D(np.float64(1.7), 2, 0.5).w1 == 2.0
+
+    @pytest.mark.parametrize("bad", [
+        True, np.bool_(True), "1.5", None, math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5,
+        np.float64(math.nan), np.float64(math.inf), np.float64(-0.0), np.float32(-1.5), 0,
+        -2])
+    def test_every_field_rejects(self, bad):
+        # Exact floats take a shorter path than other reals; both must reject.
+        for cls, good in ((Dims2D, (10.0, 40.0)), (Dims3D, (1.7, 0.5, 0.4))):
+            for k, name in enumerate(f.name for f in dataclasses.fields(cls)):
+                args = list(good)
+                args[k] = bad
+                with pytest.raises(ValueError, match=f"{cls.__name__}.{name} must be"):
+                    cls(*args)
 
 
 class TestWidthSpan:

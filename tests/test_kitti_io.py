@@ -215,6 +215,6 @@ class TestTrainingSample:
         with pytest.raises(ValueError):
             TrainingSample(Dims2D(100.0, 40.0), Dims3D(1.7, 0.6, 0.5),
                            0.5, np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            TrainingSample(Dims2D(100.0, 40.0), Dims3D(1.7, 0.6, 0.5),
-                           0.5, np.array([np.nan]))
+        for bad in ([np.nan], [0.0, 1.0, np.inf], [-np.inf, 2.0], np.array([1.0, np.nan], "f4")):
+            with pytest.raises(ValueError, match="context must be finite"):
+                TrainingSample(Dims2D(100.0, 40.0), Dims3D(1.7, 0.6, 0.5), 0.5, np.array(bad))

@@ -32,10 +32,20 @@ class TestSynthConfig:
             SynthConfig(n=1, context_noise=1.5)
         with pytest.raises(ValueError):
             SynthConfig(n=1, context_width=2)
-        with pytest.raises(ValueError):
-            SynthConfig(n=1, box_noise_sd=-0.1)
-        with pytest.raises(ValueError):
-            SynthConfig(n=1, h1_range=(2.0, 1.0))
+        for field, value in (
+                ("box_noise_sd", -0.1), ("box_noise_sd", math.nan), ("box_noise_sd", math.inf),
+                ("h1_sd", math.inf), ("h1_sd", math.nan), ("h1_sd", -0.1), ("w1_sd", -1e-9),
+                ("l1_sd", math.inf), ("h1_mean", math.nan), ("w1_mean", -math.inf),
+                ("l1_mean", math.inf), ("h1_range", (2.0, 1.0)), ("h1_range", (1.3, math.inf)),
+                ("w1_range", (math.nan, 0.9)), ("w1_range", (0.5, 0.5)),
+                ("l1_range", (0.0, 0.9)), ("l1_range", (-0.2, 0.9)),
+                ("scale_range", (-1e308, 1e308)), ("scale_range", (-math.inf, 120.0)),
+                ("scale_range", (30.0, math.nan))):
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                SynthConfig(n=1, **{field: value})
+        # Zero spreads and negative means are allowed: the clip keeps the
+        # dimensions inside their ranges.
+        SynthConfig(n=1, h1_sd=0.0, w1_sd=0.0, l1_sd=0.0, box_noise_sd=0.0, h1_mean=-1.0)
 
 
 class TestGenDataset:
@@ -72,6 +82,46 @@ class TestGenDataset:
         lo, hi = np.min(dims, axis=0), np.max(dims, axis=0)
         assert lo.tolist() == [cfg.h1_range[0], cfg.w1_range[0], cfg.l1_range[0]]
         assert hi.tolist() == [cfg.h1_range[1], cfg.w1_range[1], cfg.l1_range[1]]
+
+    @pytest.mark.parametrize("context_noise", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("box_noise_sd", [0.0, 1.0])
+    @pytest.mark.parametrize("context_width", [3, 16])
+    def test_matches_call_reference(self, context_noise, box_noise_sd, context_width):
+        # The whole draw sequence of sample i, redrawn from its own stream
+        # with the Generator calls spelled out (uniform, normal, a size-2
+        # normal added into a zero context), gives the same bits.
+        cfg = SynthConfig(n=150, seed=9, h1_sd=0.3, w1_sd=0.3, l1_sd=0.3,
+                          box_noise_sd=box_noise_sd, context_noise=context_noise,
+                          context_width=context_width)
+        samples, records = gen_dataset(cfg)
+        cells = context_width - 2
+        for i, (s, r) in enumerate(zip(samples, records)):
+            rng = np.random.default_rng([cfg.seed, i])
+            h1, w1, l1 = (float(np.clip(rng.normal(m, sd), *rg)) for m, sd, rg in (
+                (cfg.h1_mean, cfg.h1_sd, cfg.h1_range), (cfg.w1_mean, cfg.w1_sd, cfg.w1_range),
+                (cfg.l1_mean, cfg.l1_sd, cfg.l1_range)))
+            theta = wrap_angle(rng.uniform(-math.pi, math.pi))
+            scale = rng.uniform(*cfg.scale_range)
+            span = width_span(Dims3D(h1, w1, l1), theta)
+            h, w = scale * h1, scale * span
+            if box_noise_sd > 0:
+                h = max(h + rng.normal(0.0, box_noise_sd), 0.5)
+                w = max(w + rng.normal(0.0, box_noise_sd), 0.5)
+            cell = min(int((theta + math.pi) / (2 * math.pi) * cells), cells - 1)
+            if cells > 1 and rng.uniform() < context_noise:
+                cell = (cell + 1 + rng.integers(0, cells - 1)) % cells
+            ctx = np.zeros(context_width)
+            ctx[cell] = 1.0
+            gain = 1.0 - context_noise
+            ctx[cells] = gain * math.sin(theta)
+            ctx[cells + 1] = gain * math.cos(theta)
+            if context_noise > 0:
+                ctx[cells:] += rng.normal(0.0, 0.25 * context_noise, size=2)
+            got = (s.dims3d.h1, s.dims3d.w1, s.dims3d.l1, s.theta, r.scale, r.span,
+                   r.h_clean, r.w_clean, s.dims2d.h, s.dims2d.w)
+            want = (h1, w1, l1, theta, scale, span, scale * h1, scale * span, h, w)
+            assert got == want
+            assert s.context.tobytes() == ctx.tobytes()
 
     def test_prefix_stability(self):
         # Sample i depends only on (seed, i), so growing n keeps a prefix.
@@ -182,6 +232,28 @@ class TestDatasetFiles:
             assert b.dims3d == s.dims3d
             assert b.theta == s.theta
             assert np.array_equal(b.context, s.context)
+
+    def test_file_bytes(self, tmp_path):
+        # One %.17g per field, in column order, after the header; a change
+        # of context width between samples changes the line's length.
+        samples = (gen_dataset(SynthConfig(n=30, seed=2))[0]
+                   + gen_dataset(SynthConfig(n=5, seed=3, context_width=3))[0])
+        path = tmp_path / "data.txt"
+        write_dataset(path, samples)
+        want = "# h w h1 w1 l1 theta context...\n" + "".join(
+            " ".join("%.17g" % v for v in [s.dims2d.h, s.dims2d.w, s.dims3d.h1, s.dims3d.w1,
+                                            s.dims3d.l1, s.theta, *s.context]) + "\n"
+            for s in samples)
+        assert path.read_text() == want
+
+    def test_read_gives_python_floats(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("# header\n  # indented comment\n  90 40 1.7 0.6 0.5 4.0 0 1 -2.5\t\n")
+        (s,) = read_dataset(path)
+        fields = (s.dims2d.h, s.dims2d.w, s.dims3d.h1, s.dims3d.w1, s.dims3d.l1, s.theta)
+        assert all(type(v) is float for v in fields)
+        assert fields == (90.0, 40.0, 1.7, 0.6, 0.5, 4.0 - 2 * math.pi)
+        assert s.context.dtype == np.float64 and s.context.tolist() == [0.0, 1.0, -2.5]
 
     def test_header_and_blank_lines_skipped(self, tmp_path):
         samples, _ = gen_dataset(SynthConfig(n=2, seed=0))
