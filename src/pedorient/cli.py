@@ -107,6 +107,13 @@ def _load_ini(path) -> configparser.ConfigParser:
             _model_config(cp)
             _settings(CompareSettings, cp, "compare")
             _settings(GradcheckSettings, cp, "gradcheck")
+            holdout = _sec(cp, "train").get("holdout_fraction")
+            if holdout is not None:
+                try:
+                    if not 0.0 <= config.coerce(holdout, float) <= 0.9:
+                        raise ValueError("outside [0, 0.9]")
+                except ValueError as e:
+                    raise ValueError(f"[train] holdout_fraction = {holdout!r}: {e}") from None
         except ValueError as e:
             raise ValueError(f"{p}: {e}") from None
     return cp

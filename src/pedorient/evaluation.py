@@ -198,20 +198,13 @@ def aos(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()):
     Raises:
         ValueError: when there are no ground truths to recall.
     """
-    if not gts:
-        raise ValueError("aos undefined without ground truths")
-    match = match_detections(dets, gts, iou_threshold, ignore_boxes)
-    points = _score_walk(dets, gts, match)
-    curve = [(r, o) for r, _, o in points]
-    return _eleven_point(points, 2), curve
+    report = evaluate_detections(dets, gts, iou_threshold, ignore_boxes)
+    return report.aos, report.os_recall_curve
 
 
 def average_precision(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> float:
     """11-point interpolated average precision over the same matching."""
-    if not gts:
-        raise ValueError("average precision undefined without ground truths")
-    match = match_detections(dets, gts, iou_threshold, ignore_boxes)
-    return _eleven_point(_score_walk(dets, gts, match), 1)
+    return evaluate_detections(dets, gts, iou_threshold, ignore_boxes).ap
 
 
 def error_histogram(angle_pairs, bin_width_deg: float = 10.0) -> np.ndarray:

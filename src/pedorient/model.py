@@ -153,8 +153,6 @@ class OrientationNet:
     head: list[DenseLayer]
     proc2d: list[DenseLayer] | None = None
     proc3d: list[DenseLayer] | None = None
-    # Not a field: set by train() for the length of one run.
-    _loss_plan = None
 
     def stacks(self) -> list[tuple[str, list[DenseLayer]]]:
         out = [("encoder", self.encoder), ("dims3d_regressor", self.dims3d_regressor)]
@@ -236,6 +234,39 @@ def _apply_stack(stack, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _net_inputs(batch: Batch, cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """The network's inputs from a batch: the context, the true 3D
+    dimensions and, with feedforward, the 2D box dimensions times
+    ``dims2d_scale``."""
+    inputs = {"context": batch.context, "dims3d": batch.dims3d}
+    if cfg.use_feedforward:
+        inputs["dims2d"] = batch.dims2d * cfg.dims2d_scale
+    return inputs
+
+
+def _wiring(cfg: ModelConfig, inputs: dict, apply: Callable, concat: Callable,
+            proc3d_input: Callable):
+    """The network's wiring, the one copy that both the value-only forward
+    and the loss graph run; returns (the regressor output, the head output).
+
+    ``inputs`` maps the keys of :func:`_net_inputs` to the path's values
+    (arrays, or tape nodes); ``apply(name, x)`` runs the stack ``name`` on
+    ``x``; ``concat(xs)`` joins along columns; ``proc3d_input(x, fed)``
+    gives the dimension processor's input from ``x``, the regressor output
+    when ``fed`` and the true 3D dimensions when teacher forced.
+    """
+    enc = apply("encoder", inputs["context"])
+    dims_pred = apply("dims3d_regressor", enc)
+    if not cfg.use_feedforward:
+        return dims_pred, apply("head", enc)
+    p2 = apply("proc2d", inputs["dims2d"])
+    if cfg.teacher_force_dims3d:
+        p3 = apply("proc3d", proc3d_input(inputs["dims3d"], fed=False))
+    else:
+        p3 = apply("proc3d", proc3d_input(dims_pred, fed=True))
+    return dims_pred, apply("head", concat([enc, p2, p3]))
+
+
 def forward_batch(model: OrientationNet, batch: Batch,
                   h1_feed_scale=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Value-only forward over a batch.  ``h1_feed_scale`` (a scalar, or
@@ -249,17 +280,15 @@ def forward_batch(model: OrientationNet, batch: Batch,
         raise ValueError(
             f"context width {batch.context.shape[1]} != config {cfg.context_width}"
         )
-    enc = _apply_stack(model.encoder, batch.context)
-    dims_pred = _apply_stack(model.dims3d_regressor, enc)
-    if cfg.use_feedforward:
-        p2 = _apply_stack(model.proc2d, batch.dims2d * cfg.dims2d_scale)
-        feed = (batch.dims3d if cfg.teacher_force_dims3d else dims_pred).copy()
+
+    def proc3d_input(x: np.ndarray, fed: bool) -> np.ndarray:
+        feed = x.copy()
         feed[:, 0] *= h1_feed_scale
-        p3 = _apply_stack(model.proc3d, feed)
-        head_in = np.concatenate([enc, p2, p3], axis=1)
-    else:
-        head_in = enc
-    return dims_pred, _apply_stack(model.head, head_in)
+        return feed
+
+    return _wiring(cfg, _net_inputs(batch, cfg),
+                   lambda name, x: _apply_stack(getattr(model, name), x),
+                   lambda xs: np.concatenate(xs, axis=1), proc3d_input)
 
 
 @dataclass
@@ -400,17 +429,21 @@ def total_loss(result: ForwardResult, sample: TrainingSample,
 class LossGraph:
     """A built tape with handles into it.
 
-    ``proc3d_feed`` holds the values that entered the dimension processor
-    behind the stop-gradient (None when the path does not exist or was
-    teacher forced); freezing it makes the loss differentiable-equivalent
-    to what training backpropagates.  ``include_mask`` and ``proc3d_feed``
-    are arrays of the tape, so they change when it is replayed.
+    ``inputs`` holds the arrays the tape reads from its batch: its data
+    leaves and the batch-derived constants of its ``cmul`` / ``cadd``
+    nodes.  ``proc3d_feed`` holds the values that entered the dimension
+    processor behind the stop-gradient (None when the path does not exist
+    or was teacher forced); freezing it makes the loss
+    differentiable-equivalent to what training backpropagates.
+    ``include_mask`` and ``proc3d_feed`` are arrays of the tape, so they
+    change when it is replayed.
     """
 
     tape: Tape
     loss: int
     terms: dict[str, int]
     param_nodes: list[tuple[str, int, np.ndarray]]
+    inputs: dict[str, np.ndarray]
     include_mask: np.ndarray
     proc3d_feed: np.ndarray | None = None
 
@@ -421,47 +454,13 @@ class LossGraph:
         return {k: float(self.tape.value(v)[0, 0]) for k, v in self.terms.items()}
 
 
-@dataclass(eq=False)
-class _LossPlan:
-    """:func:`train`'s loss graph: recorded by the first
-    :func:`build_loss_graph` call of the run and replayed by the others,
-    with each parameter gradient kept in a view of ``grad``."""
-
-    grad: np.ndarray  # flat, in named_parameters order
-    graph: LossGraph | None = None
-    inputs: dict[str, np.ndarray] | None = None
-    compute: Callable[[Batch], dict[str, np.ndarray]] | None = None
-
-    def keep(self, lg: LossGraph, inputs: dict[str, np.ndarray],
-             compute: Callable[[Batch], dict[str, np.ndarray]]) -> None:
-        """Hold ``lg``, the arrays it reads from its batch and the function
-        computing them from a batch."""
-        views, pos = {}, 0
-        for _, nid, arr in lg.param_nodes:
-            views[nid] = self.grad[pos:pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-        lg.tape.keep_gradients(lg.loss, views)
-        self.graph, self.inputs, self.compute = lg, inputs, compute
-
-    def replay(self, batch: Batch) -> LossGraph:
-        for key, value in self.compute(batch).items():
-            np.copyto(self.inputs[key], value)
-        self.graph.tape.replay()
-        return self.graph
-
-
 def _graph_inputs(batch: Batch, cfg: ModelConfig, consistency: bool) -> dict[str, np.ndarray]:
-    """Everything the loss graph takes from a batch: its data leaves and
-    the batch-derived constants of its ``cmul`` / ``cadd`` nodes."""
+    """Everything the loss graph takes from a batch: the network's inputs
+    and the batch-derived constants of its ``cmul`` / ``cadd`` nodes."""
     n = len(batch)
     res = batch.theta[:, None] - _bin_offsets(cfg.num_bins)  # (n, B) residual targets
-    inputs = {
-        "context": batch.context,
-        "dims3d": batch.dims3d,
-        "target": np.stack([np.sin(res), np.cos(res)], axis=2).reshape(n, -1),
-    }
-    if cfg.use_feedforward:
-        inputs["dims2d"] = batch.dims2d * cfg.dims2d_scale
+    inputs = _net_inputs(batch, cfg)
+    inputs["target"] = np.stack([np.sin(res), np.cos(res)], axis=2).reshape(n, -1)
     if consistency:
         aspect = batch.dims2d[:, 1:2] / batch.dims2d[:, 0:1]  # w / h
         th = batch.theta
@@ -478,6 +477,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
                      include_mask: np.ndarray | None = None,
                      terms: tuple[str, ...] = ("dims", "orientation", "consistency"),
                      proc3d_feed: np.ndarray | None = None,
+                     replay: LossGraph | None = None,
                      ) -> LossGraph:
     """Build the batched training graph and its scalar loss node.
 
@@ -492,16 +492,22 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     move under perturbation.  The batch's arrays are data leaves and take
     no gradient.
 
-    Every call returns a new graph, except inside :func:`train`, which
-    passes only the model and the batch: its first call records the graph,
-    and each later call writes the new batch into that graph's data leaves
-    and constants, replays it and returns it again, so a graph from one
-    step is valid until the next.
+    Every call returns a new graph, unless ``replay`` names one that an
+    earlier call built for this model on a batch of as many rows: then the
+    new batch is written into that graph's inputs, its tape is replayed
+    with the model's current parameters, and the same graph is returned,
+    keeping the terms, ``include_mask`` and ``proc3d_feed`` it was built
+    with.  The result is that of a new graph, bit for bit.
     """
-    plan = model._loss_plan
-    if plan is not None and plan.graph is not None:
-        return plan.replay(batch)
     cfg = model.cfg
+    if replay is not None:
+        if len(batch) != replay.include_mask.shape[0]:
+            raise ValueError(f"cannot replay a graph of {replay.include_mask.shape[0]}"
+                             f" rows on a batch of {len(batch)}")
+        for key, value in _graph_inputs(batch, cfg, "consistency" in replay.terms).items():
+            np.copyto(replay.inputs[key], value)
+        replay.tape.replay()
+        return replay
     bcfg = cfg.bin_config()
     consistency = "consistency" in terms and cfg.use_consistency_loss
     inputs = {key: np.array(value, dtype=float, order="C") for key, value
@@ -526,25 +532,19 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
                 x = t.relu(x)
         return x
 
-    ctx = t.data(inputs["context"])
-    enc = apply("encoder", ctx)
-    dims_pred = apply("dims3d_regressor", enc)
     feed_values = None
-    if cfg.use_feedforward:
-        p2 = apply("proc2d", t.data(inputs["dims2d"]))
-        if cfg.teacher_force_dims3d:
-            feed = t.data(inputs["dims3d"])
-        elif proc3d_feed is not None:
-            feed = t.data(proc3d_feed)
-            feed_values = t.value(feed)
-        else:
-            feed = t.stop_gradient(dims_pred)
-            feed_values = t.value(dims_pred)
-        p3 = apply("proc3d", feed)
-        head_in = t.concat([enc, p2, p3])
-    else:
-        head_in = enc
-    head_out = apply("head", head_in)
+
+    def proc3d_input(x: int, fed: bool) -> int:
+        nonlocal feed_values
+        if not fed:
+            return x
+        feed = t.stop_gradient(x) if proc3d_feed is None else t.data(proc3d_feed)
+        feed_values = t.value(feed)
+        return feed
+
+    data = {key: t.data(inputs[key]) for key in ("context", "dims2d", "dims3d")
+            if key in inputs}
+    dims_pred, head_out = _wiring(cfg, data, apply, t.concat, proc3d_input)
 
     # Exclusion vote on the current outputs: a value-only node, held
     # constant by backward and recomputed by a replay.
@@ -563,7 +563,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     term_ids: dict[str, int] = {}
 
     if "dims" in terms:
-        diff = t.sub(dims_pred, t.data(inputs["dims3d"]))
+        diff = t.sub(dims_pred, data["dims3d"])
         term_ids["dims"] = t.mean(t.rowsum(t.mul(diff, diff)))
 
     # Every (sin, cos) pair at unit length: (n, 2 * num_bins).
@@ -604,10 +604,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     for key in ("dims", "orientation", "consistency"):
         if key in term_ids:
             loss = term_ids[key] if loss is None else t.add(loss, term_ids[key])
-    lg = LossGraph(t, loss, term_ids, param_nodes, include_mask, feed_values)
-    if plan is not None:
-        plan.keep(lg, inputs, lambda b: _graph_inputs(b, cfg, consistency))
-    return lg
+    return LossGraph(t, loss, term_ids, param_nodes, inputs, include_mask, feed_values)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +651,7 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     ``cfg.seed``.  The loss graph is recorded on the first step and
     replayed on every later one, each parameter gradient landing in one
     flat buffer that the SGD step reads; the results are those of a new
-    graph and a new backward pass per step, bit for bit.  The returned
-    model keeps none of it.
+    graph and a new backward pass per step, bit for bit.
 
     Raises:
         TrainingDivergedError: as soon as any loss term goes non-finite.
@@ -667,31 +663,33 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     velocity = np.zeros_like(params)
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[TrainLogRow] = []
-    model._loss_plan = _LossPlan(grad)
-    try:
-        for step in range(cfg.total_steps()):
-            idx = rng.integers(0, len(data), size=cfg.batch_size)
-            lg = build_loss_graph(model, data.take(idx))
-            vals = lg.term_values()
-            row = TrainLogRow(
-                step=step,
-                lr=cfg.lr_at(step),
-                total=sum(vals.values()),
-                dims=vals.get("dims", 0.0),
-                orientation=vals.get("orientation", 0.0),
-                consistency=vals.get("consistency", 0.0),
-            )
-            if not math.isfinite(row.total):
-                raise TrainingDivergedError(step, vals)
-            lg.tape.backward(lg.loss)
-            try:
-                sgd_step([params], [grad], [velocity], row.lr, cfg.momentum)
-            except NonFiniteGradientError as e:
-                # Gradients can overflow a step before the logged loss does.
-                raise TrainingDivergedError(step, vals) from e
-            log.append(row)
-    finally:
-        del model._loss_plan
+    lg = None
+    for step in range(cfg.total_steps()):
+        idx = rng.integers(0, len(data), size=cfg.batch_size)
+        lg = build_loss_graph(model, data.take(idx), replay=lg)
+        if step == 0:
+            bounds = np.cumsum([arr.size for _, _, arr in lg.param_nodes])[:-1]
+            lg.tape.keep_gradients(lg.loss, {
+                nid: view.reshape(arr.shape)
+                for (_, nid, arr), view in zip(lg.param_nodes, np.split(grad, bounds))})
+        vals = lg.term_values()
+        row = TrainLogRow(
+            step=step,
+            lr=cfg.lr_at(step),
+            total=sum(vals.values()),
+            dims=vals.get("dims", 0.0),
+            orientation=vals.get("orientation", 0.0),
+            consistency=vals.get("consistency", 0.0),
+        )
+        if not math.isfinite(row.total):
+            raise TrainingDivergedError(step, vals)
+        lg.tape.backward(lg.loss)
+        try:
+            sgd_step([params], [grad], [velocity], row.lr, cfg.momentum)
+        except NonFiniteGradientError as e:
+            # Gradients can overflow a step before the logged loss does.
+            raise TrainingDivergedError(step, vals) from e
+        log.append(row)
     return TrainResult(model, log)
 
 

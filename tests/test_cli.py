@@ -191,6 +191,19 @@ class TestConfig:
             assert err.startswith(f"error: {path}: {field} must"), err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("value, why", [("abc", "could not convert"),
+                                            ("nan", "finite"),
+                                            ("0.95", "outside")])
+    def test_bad_holdout_fraction_exits_1_at_load(self, tmp_path, capsys, value, why):
+        quick = (Path(__file__).resolve().parents[1] / "configs" / "quick.ini").read_text()
+        path = tmp_path / "bad.ini"
+        path.write_text(quick.replace("holdout_fraction = 0.1", f"holdout_fraction = {value}"))
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: [train] holdout_fraction = '{value}': "), err
+        assert why in err
+        assert not (tmp_path / "g").exists()
+
 
 class TestGen:
     def test_outputs(self, workspace):

@@ -78,6 +78,11 @@ def max_circ_gap(a, b):
     return max(circ_abs_diff(x, y) for x, y in zip(a, b))
 
 
+WIRINGS = {"teacher_forced": dict(teacher_force_dims3d=True),
+           "fed": dict(teacher_force_dims3d=False),
+           "plain": dict(use_feedforward=False)}
+
+
 def set_bin0_apart(model, turn):
     """Point every bin near one global angle except bin 0, turned by
     ``turn``, with small head weights so the rows still differ."""
@@ -405,6 +410,52 @@ class TestLossGraph:
         lg = build_loss_graph(model, make_batch(tiny_samples(3)))
         assert lg.proc3d_feed is None
 
+    @pytest.mark.parametrize("bins", [1, 4])
+    @pytest.mark.parametrize("wiring", WIRINGS)
+    def test_graph_runs_the_forward_wiring(self, wiring, bins):
+        # forward_batch and the loss graph run one wiring: the graph's
+        # regressor and head values are forward_batch's outputs, bit for bit.
+        model = build_model(tiny_cfg(num_bins=bins, use_consistency_loss=True, **WIRINGS[wiring]))
+        batch = make_batch(tiny_samples(6))
+        dims_pred, head_out = forward_batch(model, batch)
+        lg = build_loss_graph(model, batch)
+        nodes = lg.tape.nodes
+        reg_w = {name: nid for name, nid, _ in lg.param_nodes}["dims3d_regressor.0.weights"]
+        [reg] = [node for node in nodes if node.op == "affine" and node.parents[1] == reg_w]
+        [vote] = [node for node in nodes if node.op == "value_only"]
+        assert np.array_equal(reg.value, dims_pred)
+        assert np.array_equal(nodes[vote.parents[0]].value, head_out)
+
+    @pytest.mark.parametrize("bins", [1, 4])
+    @pytest.mark.parametrize("wiring", WIRINGS)
+    def test_replay_equals_a_fresh_build(self, wiring, bins):
+        cfg = tiny_cfg(num_bins=bins, use_consistency_loss=True, **WIRINGS[wiring])
+        # Bin 0 just over tau from the others: the vote differs between
+        # rows and between the two batches.
+        turn = (1.15 if cfg.use_feedforward else 1.05) * cfg.exclusion_tau
+        model = set_bin0_apart(build_model(cfg), turn)
+        lg = build_loss_graph(model, make_batch(tiny_samples(8, seed=1)))
+        lg.tape.backward(lg.loss)
+        first_mask = lg.include_mask.copy()
+        batch = make_batch(tiny_samples(8, seed=2))
+        replayed = build_loss_graph(model, batch, replay=lg)
+        fresh = build_loss_graph(model, batch)
+        assert replayed is lg
+        assert replayed.loss_value() == fresh.loss_value()
+        assert replayed.term_values() == fresh.term_values()
+        assert np.array_equal(replayed.include_mask, fresh.include_mask)
+        if bins > 1:
+            assert not np.array_equal(fresh.include_mask, first_mask)
+        assert (replayed.proc3d_feed is None) == (fresh.proc3d_feed is None)
+        if fresh.proc3d_feed is not None:
+            assert np.array_equal(replayed.proc3d_feed, fresh.proc3d_feed)
+        got = replayed.tape.backward(replayed.loss)
+        want = fresh.tape.backward(fresh.loss)
+        for (name, nid, _), (_, fid, _) in zip(replayed.param_nodes, fresh.param_nodes):
+            assert np.array_equal(got[nid], want[fid]), name
+        with pytest.raises(ValueError, match="rows"):
+            build_loss_graph(model, make_batch(tiny_samples(3)), replay=lg)
+
 
 class TestTraining:
     def test_log_and_determinism(self):
@@ -443,9 +494,7 @@ class TestTraining:
         monkeypatch.setattr(model_module, "build_model",
                             lambda c: set_bin0_apart(build_model(c), 1.05 * c.exclusion_tau))
         samples = tiny_samples(40)
-        wirings = (dict(teacher_force_dims3d=True), dict(teacher_force_dims3d=False),
-                   dict(use_feedforward=False))
-        for kw, cons, bins in itertools.product(wirings, (False, True), (1, 4, 6)):
+        for kw, cons, bins in itertools.product(WIRINGS.values(), (False, True), (1, 4, 6)):
             kw = dict(kw, use_consistency_loss=cons, num_bins=bins)
             cfg = tiny_cfg(seed=2, momentum=0.9, lr_schedule=((25, 1e-3), (5, 1e-4)), **kw)
             got = train(samples, cfg)
@@ -466,17 +515,6 @@ class TestTraining:
                 assert 0 < dropped < cfg.total_steps() * cfg.batch_size, kw
             for (name, a), (_, b) in zip(named_parameters(got.model), named_parameters(ref)):
                 assert np.array_equal(a, b), (kw, name)
-
-    def test_run_leaves_no_plan_on_the_model(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(model_module, "build_model",
-                            lambda c: built.append(build_model(c)) or built[-1])
-        samples = tiny_samples(20)
-        train(samples, tiny_cfg(lr_schedule=((3, 1e-3),)))
-        with pytest.raises(TrainingDivergedError), np.errstate(all="ignore"):
-            train(samples, tiny_cfg(lr_schedule=((200, 1e12),)))
-        assert len(built) == 2
-        assert all(m._loss_plan is None and "_loss_plan" not in vars(m) for m in built)
 
     @pytest.mark.parametrize("data_seed, model_seed", [(24, 10), (2, 19)])
     def test_consistency_trains_at_desk_widths(self, data_seed, model_seed):
