@@ -225,6 +225,16 @@ def _split_holdout(samples, fraction: float, seed: int):
     return train_s, val_s
 
 
+def _training_split(data_path, samples, fraction: float, seed: int):
+    """:func:`_split_holdout`, rejecting a split that leaves no sample to
+    train on (an empty dataset, or every sample held out)."""
+    train_s, val_s = _split_holdout(samples, fraction, seed)
+    if not train_s:
+        raise ValueError(f"{data_path}: no samples left to train on: read {len(samples)},"
+                         f" held out {len(val_s)} (holdout_fraction {fraction})")
+    return train_s, val_s
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -251,7 +261,7 @@ def cmd_train(args) -> int:
     cfg = _model_config(cp, seed=args.seed)
     samples = read_dataset(args.data)
     holdout = _getfloat(_sec(cp, "train"), "holdout_fraction", 0.1)
-    train_s, val_s = _split_holdout(samples, holdout, cfg.seed)
+    train_s, val_s = _training_split(args.data, samples, holdout, cfg.seed)
 
     result = train(train_s, cfg)
     out = _out_dir(args)
@@ -308,7 +318,7 @@ def cmd_compare(args) -> int:
         for seed in seeds:
             cfg = dataclasses.replace(base, use_feedforward=use_ff,
                                       use_consistency_loss=use_cons, seed=seed)
-            train_s, val_s = _split_holdout(samples, holdout, seed)
+            train_s, val_s = _training_split(args.data, samples, holdout, seed)
             result = train(train_s, cfg)
             metrics = evaluate_model(result.model, val_s if val_s else train_s)
             runs.append({

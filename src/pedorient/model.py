@@ -105,6 +105,8 @@ class ModelConfig:
         for steps, lr in self.lr_schedule:
             if steps < 0 or not (math.isfinite(lr) and lr > 0):
                 raise ValueError(f"bad schedule segment ({steps}, {lr})")
+        if self.total_steps() < 1:
+            raise ValueError(f"lr_schedule must total at least one step, got {self.lr_schedule}")
         if not (0 <= self.momentum < 1):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not (math.isfinite(self.dims2d_scale) and self.dims2d_scale > 0):
@@ -145,46 +147,37 @@ def _stack_specs(cfg: ModelConfig) -> dict[str, list[LayerSpec]]:
 
 @dataclass(eq=False)
 class OrientationNet:
-    """Initialized stacks of dense layers plus the config that shaped them."""
+    """The config, the stacks of dense layers by name in forward order
+    (encoder, dims3d_regressor, then proc2d and proc3d with feedforward,
+    head), and ``params``: one flat float64 array holding every parameter
+    in :func:`named_parameters` order, of which each layer's weights and
+    bias are views."""
 
     cfg: ModelConfig
-    encoder: list[DenseLayer]
-    dims3d_regressor: list[DenseLayer]
-    head: list[DenseLayer]
-    proc2d: list[DenseLayer] | None = None
-    proc3d: list[DenseLayer] | None = None
-
-    def stacks(self) -> list[tuple[str, list[DenseLayer]]]:
-        out = [("encoder", self.encoder), ("dims3d_regressor", self.dims3d_regressor)]
-        if self.proc2d is not None:
-            out.append(("proc2d", self.proc2d))
-        if self.proc3d is not None:
-            out.append(("proc3d", self.proc3d))
-        out.append(("head", self.head))
-        return out
+    stacks: dict[str, list[DenseLayer]]
+    params: np.ndarray
 
 
 def build_model(cfg: ModelConfig) -> OrientationNet:
     """Seeded construction; identical configs yield identical parameters."""
-    specs = _stack_specs(cfg)
-    stacks: dict[str, list[DenseLayer]] = {}
-    for si, (name, layer_specs) in enumerate(specs.items()):
-        stacks[name] = [init_params(spec, [cfg.seed, si, li])
-                        for li, spec in enumerate(layer_specs)]
-    return OrientationNet(
-        cfg=cfg,
-        encoder=stacks["encoder"],
-        dims3d_regressor=stacks["dims3d_regressor"],
-        head=stacks["head"],
-        proc2d=stacks.get("proc2d"),
-        proc3d=stacks.get("proc3d"),
-    )
+    stacks = {name: [init_params(spec, [cfg.seed, si, li])
+                     for li, spec in enumerate(layer_specs)]
+              for si, (name, layer_specs) in enumerate(_stack_specs(cfg).items())}
+    layers = [layer for stack in stacks.values() for layer in stack]
+    params = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
+    pos = 0
+    for layer in layers:
+        for attr in ("weights", "bias"):
+            arr = getattr(layer, attr)
+            setattr(layer, attr, params[pos:pos + arr.size].reshape(arr.shape))
+            pos += arr.size
+    return OrientationNet(cfg, stacks, params)
 
 
 def named_parameters(model: OrientationNet) -> list[tuple[str, np.ndarray]]:
     """Flat (name, array) view of every parameter, in a stable order."""
     out = []
-    for name, stack in model.stacks():
+    for name, stack in model.stacks.items():
         for i, layer in enumerate(stack):
             out.append((f"{name}.{i}.weights", layer.weights))
             out.append((f"{name}.{i}.bias", layer.bias))
@@ -287,7 +280,7 @@ def forward_batch(model: OrientationNet, batch: Batch,
         return feed
 
     return _wiring(cfg, _net_inputs(batch, cfg),
-                   lambda name, x: _apply_stack(getattr(model, name), x),
+                   lambda name, x: _apply_stack(model.stacks[name], x),
                    lambda xs: np.concatenate(xs, axis=1), proc3d_input)
 
 
@@ -515,7 +508,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     t = Tape()
     param_nodes: list[tuple[str, int, np.ndarray]] = []
     stack_ids: dict[str, list[tuple[int, int, str]]] = {}
-    for name, stack in model.stacks():
+    for name, stack in model.stacks.items():
         ids = []
         for i, layer in enumerate(stack):
             wid = t.leaf(layer.weights, op="param")
@@ -628,21 +621,6 @@ class TrainResult:
     log: list[TrainLogRow]
 
 
-def _share_one_buffer(model: OrientationNet) -> np.ndarray:
-    """Move every parameter into one flat array, in :func:`named_parameters`
-    order, and rebind each layer's weights and bias as views into it, so
-    one SGD update covers them all.  Returns the flat array."""
-    layers = [layer for _, stack in model.stacks() for layer in stack]
-    flat = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
-    pos = 0
-    for layer in layers:
-        for attr in ("weights", "bias"):
-            arr = getattr(layer, attr)
-            setattr(layer, attr, flat[pos:pos + arr.size].reshape(arr.shape))
-            pos += arr.size
-    return flat
-
-
 def train(samples, cfg: ModelConfig) -> TrainResult:
     """Train a freshly initialized model on the given samples.
 
@@ -650,17 +628,17 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     initialization, batch sampling, and every update derive from
     ``cfg.seed``.  The loss graph is recorded on the first step and
     replayed on every later one, each parameter gradient landing in one
-    flat buffer that the SGD step reads; the results are those of a new
-    graph and a new backward pass per step, bit for bit.
+    flat array laid out like ``model.params``, so one SGD step updates
+    them all; the results are those of a new graph and a new backward
+    pass per step, bit for bit.
 
     Raises:
         TrainingDivergedError: as soon as any loss term goes non-finite.
     """
     data = make_batch(samples)
     model = build_model(cfg)
-    params = _share_one_buffer(model)
-    grad = np.zeros_like(params)
-    velocity = np.zeros_like(params)
+    grad = np.zeros_like(model.params)
+    velocity = np.zeros_like(model.params)
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[TrainLogRow] = []
     lg = None
@@ -685,7 +663,7 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
             raise TrainingDivergedError(step, vals)
         lg.tape.backward(lg.loss)
         try:
-            sgd_step([params], [grad], [velocity], row.lr, cfg.momentum)
+            sgd_step(model.params, grad, velocity, row.lr, cfg.momentum)
         except NonFiniteGradientError as e:
             # Gradients can overflow a step before the logged loss does.
             raise TrainingDivergedError(step, vals) from e

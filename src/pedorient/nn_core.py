@@ -364,9 +364,10 @@ class Tape:
         self._check_output(output)
         self._kept = (output, *self._bind(output, arrays))
 
-    def backward(self, output: int, upstream: float = 1.0) -> dict[int, np.ndarray]:
+    def backward(self, output: int) -> dict[int, np.ndarray]:
         """Reverse-mode gradients of node ``output`` w.r.t. every node that
-        depends on a leaf taking a gradient and reaches the output.
+        depends on a leaf taking a gradient and reaches the output; the
+        output's own gradient is 1.
 
         Data leaves, stop-gradient and value-only nodes receive none, so
         nothing flows upstream through them.  Returns {node_id: gradient
@@ -380,7 +381,7 @@ class Tape:
             _, steps, grads = self._kept
         else:
             steps, grads = self._bind(output, {})
-        grads[output].fill(float(upstream))
+        grads[output].fill(1.0)
         for grad_fn, g, outs, adds in steps:
             grad_fn(g, *outs)
             for total, part in adds:
@@ -432,25 +433,21 @@ class Tape:
         return steps, grads
 
 
-def sgd_step(params, grads, velocities, lr: float, momentum: float = 0.0) -> None:
-    """Classical momentum SGD, updating params and velocities in place.
+def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+             lr: float, momentum: float = 0.0) -> None:
+    """Classical momentum SGD, updating ``param`` and ``velocity`` in place.
 
-    v <- momentum * v + g;  p <- p - lr * v.  All three sequences are
-    index-aligned.  Zero gradients with zero velocity leave parameters
-    bit-identical.
+    v <- momentum * v + g;  p <- p - lr * v.  A zero gradient with zero
+    velocity leaves the parameters bit-identical.
 
     Raises:
         NonFiniteGradientError: if any gradient entry is NaN or infinite.
     """
-    if len(params) != len(grads) or len(params) != len(velocities):
-        raise ValueError("params, grads, velocities must be the same length")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError("non-finite gradient in sgd_step")
-    for p, g, v in zip(params, grads, velocities):
-        v *= momentum
-        v += g
-        p -= lr * v
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteGradientError("non-finite gradient in sgd_step")
+    velocity *= momentum
+    velocity += grad
+    param -= lr * velocity
 
 
 @dataclass

@@ -256,6 +256,37 @@ class TestTrain:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
 
+    def test_zero_step_schedule_exits_1_at_load(self, tmp_path, workspace, capsys):
+        path = tmp_path / "zero.ini"
+        path.write_text(TINY_INI.replace("lr_schedule = 60:1e-3", "lr_schedule = 0:1e-3"))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--config", str(path), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: lr_schedule must total at least one step"), err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("n, holdout, held_out", [(0, 0.2, 0), (1, 0.9, 1)])
+    def test_empty_training_set_exits_1_naming_the_file(self, tmp_path, capsys, command,
+                                                        n, holdout, held_out):
+        path = tmp_path / "cfg.ini"
+        path.write_text(TINY_INI.replace("holdout_fraction = 0.2",
+                                         f"holdout_fraction = {holdout}"))
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "gen"),
+                     "--n", str(n)]) == 0
+        data = tmp_path / "gen" / "dataset.txt"
+        assert len(read_dataset(data)) == n
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--data", str(data),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: no samples left to train on:"
+                              f" read {n}, held out {held_out}"), err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_four_variant_table(self, tmp_path, workspace, capsys):

@@ -86,7 +86,7 @@ WIRINGS = {"teacher_forced": dict(teacher_force_dims3d=True),
 def set_bin0_apart(model, turn):
     """Point every bin near one global angle except bin 0, turned by
     ``turn``, with small head weights so the rows still differ."""
-    last = model.head[-1]
+    last = model.stacks["head"][-1]
     last.weights *= 0.05
     local = 0.3 - np.array(model.cfg.bin_config().offsets)
     local[0] += turn
@@ -106,6 +106,10 @@ class TestModelConfig:
             tiny_cfg(lr_schedule=())
         with pytest.raises(ValueError):
             tiny_cfg(lr_schedule=((100, -1e-3),))
+        for steps in (((0, 1e-3),), ((0, 1e-3), (0, 1e-4))):
+            with pytest.raises(ValueError, match="lr_schedule must total at least one step"):
+                tiny_cfg(lr_schedule=steps)
+        assert tiny_cfg(lr_schedule=((0, 1e-3), (1, 1e-4))).total_steps() == 1
         with pytest.raises(ValueError):
             tiny_cfg(exclusion_tau=0.0)
         for key in ("consistency_weight", "dims2d_scale"):
@@ -137,13 +141,35 @@ class TestBuildModel:
 
     def test_stack_layout(self):
         full = build_model(tiny_cfg())
-        assert [name for name, _ in full.stacks()] == [
+        assert list(full.stacks) == [
             "encoder", "dims3d_regressor", "proc2d", "proc3d", "head",
         ]
         plain = build_model(tiny_cfg(use_feedforward=False))
-        assert [name for name, _ in plain.stacks()] == [
-            "encoder", "dims3d_regressor", "head",
-        ]
+        assert list(plain.stacks) == ["encoder", "dims3d_regressor", "head"]
+
+    @pytest.mark.parametrize("source", ["build_model", "train", "load_model"])
+    @pytest.mark.parametrize("feedforward", [False, True])
+    def test_parameters_are_views_of_one_array(self, tmp_path, source, feedforward):
+        cfg = tiny_cfg(use_feedforward=feedforward, lr_schedule=((5, 1e-3),))
+        model = build_model(cfg)
+        if source == "train":
+            model = train(tiny_samples(10), cfg).model
+        elif source == "load_model":
+            save_model(train(tiny_samples(10), cfg).model, tmp_path / "model.npz")
+            model = load_model(tmp_path / "model.npz")
+        order = ["encoder", "dims3d_regressor", *(["proc2d", "proc3d"] if feedforward else []),
+                 "head"]
+        assert list(model.stacks) == order
+        assert model.params.dtype == np.float64 and model.params.ndim == 1
+        for stack in model.stacks.values():
+            for layer in stack:
+                for arr in (layer.weights, layer.bias):
+                    assert np.shares_memory(arr, model.params)
+        flat = np.concatenate([a.ravel() for _, a in named_parameters(model)])
+        assert np.array_equal(flat, model.params)
+        # Writing through the flat array reaches every layer.
+        model.params[...] = 0.0
+        assert all(not a.any() for _, a in named_parameters(model))
 
     def test_named_parameters(self):
         model = build_model(tiny_cfg())
@@ -225,7 +251,7 @@ class TestForward:
 
     def test_degenerate_head_reported(self):
         model = build_model(tiny_cfg())
-        for layer in model.head:
+        for layer in model.stacks["head"]:
             layer.weights[...] = 0.0
         samples = tiny_samples(2)
         # The head outputs its last bias: all zero, then bin 1 not finite.
@@ -233,7 +259,7 @@ class TestForward:
         for bias, want in (([0.0] * 8, (0, 1, 2, 3)),
                            (good[:2] + [np.nan, 1.0] + good[4:], (1,)),
                            (good[:2] + [0.3, np.inf] + good[4:], (1,))):
-            model.head[-1].bias[...] = bias
+            model.stacks["head"][-1].bias[...] = bias
             r = forward(model, samples[0])
             assert r.degenerate_bins == want
             assert r.theta_pred is None and r.per_bin_angles is None
@@ -499,8 +525,7 @@ class TestTraining:
             cfg = tiny_cfg(seed=2, momentum=0.9, lr_schedule=((25, 1e-3), (5, 1e-4)), **kw)
             got = train(samples, cfg)
             ref = model_module.build_model(cfg)
-            arrays = [arr for _, arr in named_parameters(ref)]
-            velocities = [np.zeros_like(arr) for arr in arrays]
+            velocities = [np.zeros_like(arr) for _, arr in named_parameters(ref)]
             data = make_batch(samples)
             rng = np.random.default_rng([cfg.seed, 1])
             dropped = 0
@@ -508,8 +533,9 @@ class TestTraining:
                 lg = build_loss_graph(ref, data.take(rng.integers(0, len(data), size=cfg.batch_size)))
                 dropped += int((lg.include_mask == 0).any(axis=1).sum())
                 grads = lg.tape.backward(lg.loss)
-                sgd_step(arrays, [grads.get(nid, np.zeros_like(arr)) for _, nid, arr in lg.param_nodes],
-                         velocities, cfg.lr_at(step), cfg.momentum)
+                for (_, nid, arr), v in zip(lg.param_nodes, velocities):
+                    sgd_step(arr, grads.get(nid, np.zeros_like(arr)), v,
+                             cfg.lr_at(step), cfg.momentum)
                 assert got.log[step].total == sum(lg.term_values().values()), kw
             if bins > 1:
                 assert 0 < dropped < cfg.total_steps() * cfg.batch_size, kw
