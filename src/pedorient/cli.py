@@ -95,14 +95,14 @@ class GradcheckSettings:
 
 
 def _load_ini(path) -> configparser.ConfigParser:
-    """Read an INI file; a bad entry in any known section fails here."""
+    """Read an INI file; bad INI text or a bad entry in a known section fails here."""
     cp = configparser.ConfigParser()
     if path is not None:
         p = Path(path)
         if not p.is_file():
             raise ValueError(f"config file not found: {p}")
-        cp.read(p)
         try:
+            cp.read(p)
             _synth_config(cp)
             _model_config(cp)
             _settings(CompareSettings, cp, "compare")
@@ -114,13 +114,13 @@ def _load_ini(path) -> configparser.ConfigParser:
                         raise ValueError("outside [0, 0.9]")
                 except ValueError as e:
                     raise ValueError(f"[train] holdout_fraction = {holdout!r}: {e}") from None
-        except ValueError as e:
+        except (ValueError, configparser.Error) as e:
             raise ValueError(f"{p}: {e}") from None
     return cp
 
 
-def _sec(cp: configparser.ConfigParser, name: str):
-    return cp[name] if cp.has_section(name) else {}
+def _sec(cp, name: str):
+    return cp[name] if name in cp else {}
 
 
 def _getfloat(sec, key: str, default: float) -> float:
@@ -167,13 +167,39 @@ def _ini_values(cls, cp, sections, **given) -> dict:
     return {**values, **{k: v for k, v in given.items() if v is not None}}
 
 
+def _ini_config(cls, cp, sections, **given):
+    """``cls`` from its :func:`_ini_values`.  A value that parses but that
+    ``cls`` rejects is named by the ``[section] key`` that set it, as
+    written: the first key without which the rest is accepted, else the
+    first key rejected on its own."""
+    values = _ini_values(cls, cp, sections, **given)
+    try:
+        return cls(**values)
+    except ValueError as e:
+        error = e
+    written = [(s, key, text) for s in sections for key, text in _sec(cp, s).items()]
+
+    def accepted(entries) -> bool:
+        part = {s: {key: text for es, key, text in entries if es == s} for s in sections}
+        try:
+            cls(**_ini_values(cls, part, sections, **given))
+        except ValueError:
+            return False
+        return True
+
+    if accepted([]):
+        for section, key, text in ([w for w in written if accepted([x for x in written if x != w])]
+                                   + [w for w in written if not accepted([w])]):
+            raise ValueError(f"[{section}] {key} = {text!r}: {error}") from None
+    raise error
+
+
 def _synth_config(cp, seed=None, n=None) -> SynthConfig:
-    # SynthConfig.n has no default; gen writes 1000 samples unless told.
-    return SynthConfig(**{"n": 1000, **_ini_values(SynthConfig, cp, ("synth",), seed=seed, n=n)})
+    return _ini_config(SynthConfig, cp, ("synth",), seed=seed, n=n)
 
 
 def _model_config(cp, seed=None) -> ModelConfig:
-    return ModelConfig(**_ini_values(ModelConfig, cp, ("model", "train"), seed=seed))
+    return _ini_config(ModelConfig, cp, ("model", "train"), seed=seed)
 
 
 def _settings(cls, cp, section: str):
@@ -421,15 +447,19 @@ def cmd_eval(args) -> int:
 
 
 def _parse_factors(text: str | None):
+    """The factors of ``--factors MIN:MAX:COUNT``, each finite and >= 0."""
     if text is None:
         return DEFAULT_SWEEP_FACTORS
-    lo, sep, rest = text.partition(":")
-    hi, sep2, count = rest.partition(":")
-    if not (sep and sep2):
-        raise ValueError(f"bad factor range {text!r}, expected MIN:MAX:COUNT")
-    lo, hi, count = float(lo), float(hi), int(count)
-    if count < 1 or not hi >= lo:
-        raise ValueError(f"bad factor range {text!r}")
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise ValueError(f"--factors {text!r}: expected MIN:MAX:COUNT") from None
+    for f in (lo, hi):
+        if not (math.isfinite(f) and f >= 0):
+            raise ValueError(f"--factors {text!r}: factor {f!r} is not finite and >= 0")
+    if count < 1 or hi < lo:
+        raise ValueError(f"--factors {text!r}: expected MIN <= MAX and COUNT >= 1")
     return tuple(np.linspace(lo, hi, count))
 
 
@@ -616,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--config", help="INI settings file")
-    p.add_argument("--seed", type=int, default=0, help="model and probe seed")
+    p.add_argument("--seed", type=int, help="override the model and probe seed")
     p.add_argument("--out", help="optional output directory for the report")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -207,22 +207,19 @@ def average_precision(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) ->
     return evaluate_detections(dets, gts, iou_threshold, ignore_boxes).ap
 
 
-def error_histogram(angle_pairs, bin_width_deg: float = 10.0) -> np.ndarray:
+def error_histogram(angle_pairs) -> np.ndarray:
     """Histogram of absolute circular errors in degrees.
 
-    Bins cover [0, 180] in ``bin_width_deg`` steps; an error of exactly
+    Eighteen bins cover [0, 180] in 10-degree steps; an error of exactly
     180 degrees lands in the last bin.
 
     Args:
         angle_pairs: iterable of (theta_pred, theta_true) in radians.
     """
-    if not 0 < bin_width_deg <= 180:
-        raise ValueError(f"bin_width_deg must be in (0, 180], got {bin_width_deg}")
-    n_bins = int(math.ceil(180.0 / bin_width_deg))
-    counts = np.zeros(n_bins, dtype=int)
+    counts = np.zeros(18, dtype=int)
     for tp, tt in angle_pairs:
         err = math.degrees(circ_abs_diff(tp, tt))
-        counts[min(int(err / bin_width_deg), n_bins - 1)] += 1
+        counts[min(int(err / 10.0), 17)] += 1
     return counts
 
 

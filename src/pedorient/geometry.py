@@ -238,15 +238,14 @@ _SPAN_CASES = (
 # Tolerance for accepting roots that land a hair outside their quadrant due
 # to rounding; duplicates introduced at shared boundaries are merged below.
 _EDGE_SLACK = 1e-12
+# Relative slack on the amplitude bound before a target counts as unreachable.
+_FEASIBILITY_SLACK = 1e-9
+# Circular tolerance (radians) for merging the duplicate roots that adjacent
+# quadrants find at their shared boundaries.
+_DEDUP_TOL = 1e-9
 
 
-def candidates_for_span(
-    dims: Dims3D,
-    target: float,
-    *,
-    feasibility_slack: float = 1e-9,
-    dedup_tol: float = 1e-9,
-) -> InversionResult:
+def candidates_for_span(dims: Dims3D, target: float) -> InversionResult:
     """Solve span(theta) == target for theta analytically.
 
     Each quadrant case is a pure sinusoid a*w1*sin + b*l1*cos of amplitude
@@ -256,16 +255,12 @@ def candidates_for_span(
     Args:
         dims: 3D box dimensions.
         target: desired span in meters, >= 0.
-        feasibility_slack: relative slack on the R bound before declaring
-            the target unreachable.
-        dedup_tol: circular tolerance (radians) for merging duplicate roots
-            found by adjacent quadrants at shared boundaries.
     """
     if not (math.isfinite(target) and target >= 0.0):
         raise ValueError(f"target span must be finite and >= 0, got {target}")
     w1, l1 = dims.w1, dims.l1
     r = math.hypot(w1, l1)
-    if target > r * (1.0 + feasibility_slack):
+    if target > r * (1.0 + _FEASIBILITY_SLACK):
         return InversionResult((), True)
     x = min(target / r, 1.0)
     base = math.asin(x)
@@ -282,32 +277,20 @@ def candidates_for_span(
     roots.sort()
     kept: list[float] = []
     for th in roots:
-        if any(circ_abs_diff(th, prev) <= dedup_tol for prev in kept):
+        if any(circ_abs_diff(th, prev) <= _DEDUP_TOL for prev in kept):
             continue
         kept.append(th)
     # The first and last survivors can still be circular duplicates across
     # the +/-pi seam.
-    if len(kept) >= 2 and circ_abs_diff(kept[0], kept[-1]) <= dedup_tol:
+    if len(kept) >= 2 and circ_abs_diff(kept[0], kept[-1]) <= _DEDUP_TOL:
         kept.pop()
     return InversionResult(tuple(kept), False)
 
 
-def invert_orientation_candidates(
-    d2,
-    dims: Dims3D,
-    *,
-    feasibility_slack: float = 1e-9,
-    dedup_tol: float = 1e-9,
-) -> InversionResult:
+def invert_orientation_candidates(d2, dims: Dims3D) -> InversionResult:
     """All yaw values consistent with a 2D box and 3D dimensions.
 
     The target span is taken from :func:`implied_width_span`; see
     :func:`candidates_for_span` for the solving strategy.
     """
-    target = implied_width_span(d2, dims.h1)
-    return candidates_for_span(
-        dims,
-        target,
-        feasibility_slack=feasibility_slack,
-        dedup_tol=dedup_tol,
-    )
+    return candidates_for_span(dims, implied_width_span(d2, dims.h1))

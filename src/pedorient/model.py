@@ -424,12 +424,8 @@ class LossGraph:
 
     ``inputs`` holds the arrays the tape reads from its batch: its data
     leaves and the batch-derived constants of its ``cmul`` / ``cadd``
-    nodes.  ``proc3d_feed`` holds the values that entered the dimension
-    processor behind the stop-gradient (None when the path does not exist
-    or was teacher forced); freezing it makes the loss
-    differentiable-equivalent to what training backpropagates.
-    ``include_mask`` and ``proc3d_feed`` are arrays of the tape, so they
-    change when it is replayed.
+    nodes.  ``include_mask`` is the exclusion vote's value, an array of the
+    tape, so it changes when the tape is replayed.
     """
 
     tape: Tape
@@ -438,7 +434,6 @@ class LossGraph:
     param_nodes: list[tuple[str, int, np.ndarray]]
     inputs: dict[str, np.ndarray]
     include_mask: np.ndarray
-    proc3d_feed: np.ndarray | None = None
 
     def loss_value(self) -> float:
         return float(self.tape.value(self.loss)[0, 0])
@@ -447,14 +442,14 @@ class LossGraph:
         return {k: float(self.tape.value(v)[0, 0]) for k, v in self.terms.items()}
 
 
-def _graph_inputs(batch: Batch, cfg: ModelConfig, consistency: bool) -> dict[str, np.ndarray]:
+def _graph_inputs(batch: Batch, cfg: ModelConfig) -> dict[str, np.ndarray]:
     """Everything the loss graph takes from a batch: the network's inputs
     and the batch-derived constants of its ``cmul`` / ``cadd`` nodes."""
     n = len(batch)
     res = batch.theta[:, None] - _bin_offsets(cfg.num_bins)  # (n, B) residual targets
     inputs = _net_inputs(batch, cfg)
     inputs["target"] = np.stack([np.sin(res), np.cos(res)], axis=2).reshape(n, -1)
-    if consistency:
+    if cfg.use_consistency_loss:
         aspect = batch.dims2d[:, 1:2] / batch.dims2d[:, 0:1]  # w / h
         th = batch.theta
         inputs.update(
@@ -467,52 +462,44 @@ def _graph_inputs(batch: Batch, cfg: ModelConfig, consistency: bool) -> dict[str
 
 
 def build_loss_graph(model: OrientationNet, batch: Batch,
-                     include_mask: np.ndarray | None = None,
-                     terms: tuple[str, ...] = ("dims", "orientation", "consistency"),
-                     proc3d_feed: np.ndarray | None = None,
-                     replay: LossGraph | None = None,
-                     ) -> LossGraph:
+                     replay: LossGraph | None = None) -> LossGraph:
     """Build the batched training graph and its scalar loss node.
 
-    The consistency term is built only when requested by ``terms`` AND
-    enabled in the config.  ``include_mask`` (n, num_bins) fixes the
-    exclusion vote externally; by default the vote is a value-only node
-    recomputed from the current head outputs, after the head and before
-    the loss nodes that read it.  Restricting ``terms`` isolates loss
-    components for gradient analysis.  ``proc3d_feed`` replaces the
-    stop-gradient input of the dimension processor with a fixed constant,
-    which finite-difference checking needs: the truncated path must not
-    move under perturbation.  The batch's arrays are data leaves and take
-    no gradient.
+    The loss is the dims term plus the orientation term, plus the
+    consistency term when the config enables it; ``terms`` names the node
+    of each.  The batch's arrays are data leaves and take no gradient.
+    Two kinds of value-only node take none either, and backward holds them
+    constant: the exclusion vote, recomputed from the head outputs after
+    the head and before the loss nodes that read it, and on the fed wiring
+    the stop-gradient copy of the predicted 3D dimensions that the
+    dimension processor reads.
 
     Every call returns a new graph, unless ``replay`` names one that an
     earlier call built for this model on a batch of as many rows: then the
     new batch is written into that graph's inputs, its tape is replayed
-    with the model's current parameters, and the same graph is returned,
-    keeping the terms, ``include_mask`` and ``proc3d_feed`` it was built
-    with.  The result is that of a new graph, bit for bit.
+    with the model's current parameters, and the same graph is returned.
+    The result is that of a new graph, bit for bit.
     """
     cfg = model.cfg
     if replay is not None:
         if len(batch) != replay.include_mask.shape[0]:
             raise ValueError(f"cannot replay a graph of {replay.include_mask.shape[0]}"
                              f" rows on a batch of {len(batch)}")
-        for key, value in _graph_inputs(batch, cfg, "consistency" in replay.terms).items():
+        for key, value in _graph_inputs(batch, cfg).items():
             np.copyto(replay.inputs[key], value)
         replay.tape.replay()
         return replay
     bcfg = cfg.bin_config()
-    consistency = "consistency" in terms and cfg.use_consistency_loss
     inputs = {key: np.array(value, dtype=float, order="C") for key, value
-              in _graph_inputs(batch, cfg, consistency).items()}
+              in _graph_inputs(batch, cfg).items()}
     t = Tape()
     param_nodes: list[tuple[str, int, np.ndarray]] = []
     stack_ids: dict[str, list[tuple[int, int, str]]] = {}
     for name, stack in model.stacks.items():
         ids = []
         for i, layer in enumerate(stack):
-            wid = t.leaf(layer.weights, op="param")
-            bid = t.leaf(layer.bias, op="param")
+            wid = t.leaf(layer.weights)
+            bid = t.leaf(layer.bias)
             param_nodes.append((f"{name}.{i}.weights", wid, layer.weights))
             param_nodes.append((f"{name}.{i}.bias", bid, layer.bias))
             ids.append((wid, bid, layer.activation))
@@ -525,49 +512,32 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
                 x = t.relu(x)
         return x
 
-    feed_values = None
-
     def proc3d_input(x: int, fed: bool) -> int:
-        nonlocal feed_values
-        if not fed:
-            return x
-        feed = t.stop_gradient(x) if proc3d_feed is None else t.data(proc3d_feed)
-        feed_values = t.value(feed)
-        return feed
+        return t.stop_gradient(x) if fed else x
 
     data = {key: t.data(inputs[key]) for key in ("context", "dims2d", "dims3d")
             if key in inputs}
     dims_pred, head_out = _wiring(cfg, data, apply, t.concat, proc3d_input)
 
-    # Exclusion vote on the current outputs: a value-only node, held
-    # constant by backward and recomputed by a replay.
     n = len(batch)
-    if include_mask is None:
-        def vote(out: np.ndarray) -> np.ndarray:
-            pairs = out.reshape(n, bcfg.num_bins, 2)
-            return exclusion_mask_batch(_bin_angles(pairs, bcfg.num_bins), cfg.exclusion_tau)
 
-        include_mask = t.value(t.value_only(head_out, vote, (n, bcfg.num_bins)))
-    else:
-        include_mask = np.asarray(include_mask, dtype=float)
-        if include_mask.shape != (n, bcfg.num_bins):
-            raise ValueError(f"include_mask shape {include_mask.shape} != ({n}, {bcfg.num_bins})")
+    def vote(out: np.ndarray) -> np.ndarray:
+        pairs = out.reshape(n, bcfg.num_bins, 2)
+        return exclusion_mask_batch(_bin_angles(pairs, bcfg.num_bins), cfg.exclusion_tau)
 
-    term_ids: dict[str, int] = {}
+    include_mask = t.value(t.value_only(head_out, vote, (n, bcfg.num_bins)))
 
-    if "dims" in terms:
-        diff = t.sub(dims_pred, data["dims3d"])
-        term_ids["dims"] = t.mean(t.rowsum(t.mul(diff, diff)))
+    diff = t.sub(dims_pred, data["dims3d"])
+    terms = {"dims": t.mean(t.rowsum(t.mul(diff, diff)))}
 
     # Every (sin, cos) pair at unit length: (n, 2 * num_bins).
     unit_pairs = t.rownorm(head_out, group=2)
+    dots = t.rowsum(t.cmul(unit_pairs, inputs["target"]), group=2)  # (n, B)
+    per_bin = t.cmul(t.cadd(t.cmul(dots, -1.0), 1.0), include_mask)
+    terms["orientation"] = t.mean(t.rowsum(per_bin))
+    loss = t.add(terms["dims"], terms["orientation"])
 
-    if "orientation" in terms:
-        dots = t.rowsum(t.cmul(unit_pairs, inputs["target"]), group=2)  # (n, B)
-        per_bin = t.cmul(t.cadd(t.cmul(dots, -1.0), 1.0), include_mask)
-        term_ids["orientation"] = t.mean(t.rowsum(per_bin))
-
-    if consistency:
+    if cfg.use_consistency_loss:
         # Columns are picked by products with constants holding zeros, which
         # add exactly +-0; each row sum has at most two nonzero terms, or runs
         # left to right over fewer than eight bins, so the arithmetic is that
@@ -589,15 +559,9 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         span_true = t.rowsum(t.cmul(direction, inputs["w1_l1"]))
         resid_o = t.cadd(span_true, inputs["neg_aspect_h1"])
         cons = t.add(cons, t.mean(t.mul(resid_o, resid_o)))
-        term_ids["consistency"] = t.cmul(cons, cfg.consistency_weight)
-
-    if not term_ids:
-        raise ValueError(f"no loss terms to build from {terms!r}")
-    loss = None
-    for key in ("dims", "orientation", "consistency"):
-        if key in term_ids:
-            loss = term_ids[key] if loss is None else t.add(loss, term_ids[key])
-    return LossGraph(t, loss, term_ids, param_nodes, inputs, include_mask, feed_values)
+        terms["consistency"] = t.cmul(cons, cfg.consistency_weight)
+        loss = t.add(loss, terms["consistency"])
+    return LossGraph(t, loss, terms, param_nodes, inputs, include_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -830,23 +794,25 @@ def model_gradient_check(model: OrientationNet, batch: Batch,
                          seed: int = 0):
     """Finite-difference check of the complete training graph.
 
-    Two values are frozen from the unperturbed forward pass: the exclusion
-    mask (so the loss stays smooth under perturbation) and the dimension
-    processor's stop-gradient input (so the difference quotient measures
-    the same function training backpropagates; the truncated path is not
-    part of that derivative by construction).
+    The graph is built once and differentiated once.  Each difference
+    quotient reruns every node of its tape but the value-only ones, which
+    keep their unperturbed values: the exclusion vote (so the loss stays
+    smooth under perturbation) and the fed 3D dimensions behind the
+    stop-gradient.  Backward holds exactly these constant, so the quotient
+    measures the derivative that training backpropagates.
     """
     lg = build_loss_graph(model, batch)
-    mask = lg.include_mask
-    feed = lg.proc3d_feed
     grads_by_node = lg.tape.backward(lg.loss)
     grads = {name: grads_by_node.get(nid, np.zeros_like(arr))
              for name, nid, arr in lg.param_nodes}
     params = [(name, arr) for name, _, arr in lg.param_nodes]
+    runs = [node.run for node in lg.tape.nodes
+            if node.run is not None and node.op != "value_only"]
 
     def loss_fn() -> float:
-        return build_loss_graph(model, batch, include_mask=mask,
-                                proc3d_feed=feed).loss_value()
+        for run in runs:
+            run()
+        return lg.loss_value()
 
     return finite_diff_check(params, loss_fn, grads, eps=eps,
                              max_entries_per_param=max_entries_per_param,

@@ -4,10 +4,11 @@ Everything is float64 numpy.  Values flowing through a :class:`Tape` are
 2-D arrays shaped (batch, width); parameters are 2-D weight matrices
 (out, in) and 1-D biases.  Backpropagation is reverse-mode over an
 explicit node list, so gradients are exact and reproducible, and a
-``stop_gradient`` node takes no gradient, which cuts every path through
-it.  A tape is recorded once and can be replayed: new leaf data in, every
-node value and (with kept gradient arrays) every gradient overwritten in
-place, the arithmetic of each op written once for both.
+value-only node, such as a ``stop_gradient`` copy, takes no gradient,
+which cuts every path through it.  A tape is recorded once and can be
+replayed: new leaf data in, every node value and (with kept gradient
+arrays) every gradient overwritten in place, the arithmetic of each op
+written once for both.
 """
 
 from __future__ import annotations
@@ -86,13 +87,32 @@ def _grouped(xv: np.ndarray, group: int | None) -> np.ndarray:
     return xv.reshape(xv.shape[0], -1, width)
 
 
+def _same_shapes(op: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"{op}: operand shapes {a.shape} and {b.shape} differ")
+
+
+def _constant(op: str, xv: np.ndarray, const) -> np.ndarray:
+    """``const`` as a float64 array, which must broadcast onto the shape of
+    ``xv`` without changing it."""
+    c = np.asarray(const, dtype=float)
+    try:
+        keeps = np.broadcast_shapes(xv.shape, c.shape) == xv.shape
+    except ValueError:
+        keeps = False
+    if not keeps:
+        raise ValueError(f"{op}: a constant of shape {c.shape} does not keep"
+                         f" the operand's shape {xv.shape}")
+    return c
+
+
 @dataclass(eq=False, slots=True)
 class TapeNode:
     """One recorded operation: its kind, its value array, its parents, the
     function that recomputes the value in place from the parents' values,
     and the function that writes the parents' gradients for a node
-    gradient.  ``needs_grad`` is False for data leaves, stop-gradient and
-    value-only nodes, and nodes that depend on no leaf taking a gradient."""
+    gradient.  ``needs_grad`` is False for data leaves, value-only nodes
+    and nodes that depend on no leaf taking a gradient."""
 
     op: str
     value: np.ndarray
@@ -138,10 +158,10 @@ class Tape:
     def value(self, nid: int) -> np.ndarray:
         return self.nodes[nid].value
 
-    def leaf(self, value, *, op: str = "leaf") -> int:
+    def leaf(self, value) -> int:
         """A leaf that takes a gradient, such as a parameter.  A C-ordered
         float64 array is held by reference, not copied."""
-        return self._push(TapeNode(op, np.asarray(value, dtype=float, order="C")))
+        return self._push(TapeNode("leaf", np.asarray(value, dtype=float, order="C")))
 
     def data(self, value) -> int:
         """A leaf of input data: held like :meth:`leaf`, but it takes no
@@ -150,10 +170,9 @@ class Tape:
         return self._push(TapeNode("data", v, needs_grad=False))
 
     def stop_gradient(self, x: int) -> int:
-        """The value of ``x``, shared; it takes no gradient, so none
+        """A value-only copy of ``x``: it takes no gradient, so none
         reaches ``x`` through it."""
-        return self._push(TapeNode("stop_gradient", self.nodes[x].value, (x,),
-                                   needs_grad=False))
+        return self.value_only(x, lambda v: v, self.nodes[x].value.shape)
 
     def value_only(self, x: int, fn: Callable[[np.ndarray], np.ndarray], shape) -> int:
         """A node of the given shape whose value is ``fn(value of x)``,
@@ -214,7 +233,8 @@ class Tape:
 
     def add(self, a: int, b: int) -> int:
         av, bv = self.nodes[a].value, self.nodes[b].value
-        val = np.empty(np.broadcast_shapes(av.shape, bv.shape))
+        _same_shapes("add", av, bv)
+        val = np.empty(av.shape)
 
         def run():
             np.add(av, bv, out=val)
@@ -228,7 +248,8 @@ class Tape:
 
     def sub(self, a: int, b: int) -> int:
         av, bv = self.nodes[a].value, self.nodes[b].value
-        val = np.empty(np.broadcast_shapes(av.shape, bv.shape))
+        _same_shapes("sub", av, bv)
+        val = np.empty(av.shape)
 
         def run():
             np.subtract(av, bv, out=val)
@@ -243,7 +264,8 @@ class Tape:
 
     def mul(self, a: int, b: int) -> int:
         av, bv = self.nodes[a].value, self.nodes[b].value
-        val = np.empty(np.broadcast_shapes(av.shape, bv.shape))
+        _same_shapes("mul", av, bv)
+        val = np.empty(av.shape)
 
         def run():
             np.multiply(av, bv, out=val)
@@ -258,8 +280,8 @@ class Tape:
 
     def cmul(self, x: int, const) -> int:
         xv = self.nodes[x].value
-        c = np.asarray(const, dtype=float)
-        val = np.empty(np.broadcast_shapes(xv.shape, c.shape))
+        c = _constant("cmul", xv, const)
+        val = np.empty(xv.shape)
 
         def run():
             np.multiply(xv, c, out=val)
@@ -271,8 +293,8 @@ class Tape:
 
     def cadd(self, x: int, const) -> int:
         xv = self.nodes[x].value
-        c = np.asarray(const, dtype=float)
-        val = np.empty(np.broadcast_shapes(xv.shape, c.shape))
+        c = _constant("cadd", xv, const)
+        val = np.empty(xv.shape)
 
         def run():
             np.add(xv, c, out=val)
@@ -294,10 +316,10 @@ class Tape:
 
         return self._op("absval", val, (x,), run, grad)
 
-    def rownorm(self, x: int, eps: float = 1e-12, group: int | None = None) -> int:
-        """Normalize each row to unit L2 length, with a floor: y = x / max(|x|, eps).
+    def rownorm(self, x: int, group: int | None = None) -> int:
+        """Normalize each row to unit L2 length, with a floor: y = x / max(|x|, 1e-12).
 
-        Below the floor the map is linear (x / eps), so the gradient stays
+        Below the floor the map is linear (x / 1e-12), so the gradient stays
         bounded near the origin.  With ``group`` set, each run of ``group``
         consecutive columns is normalized on its own instead of the row.
         """
@@ -312,13 +334,13 @@ class Tape:
             np.multiply(xv, xv, out=squares)
             squares.sum(axis=2, keepdims=True, out=n)
             np.sqrt(n, out=n)
-            np.maximum(n, eps, out=d)
+            np.maximum(n, 1e-12, out=d)
             np.divide(xv, d, out=grouped_val)
 
         def grad(g, gx):
             g = g.reshape(xv.shape)
             dot = (xv * g).sum(axis=2, keepdims=True)
-            np.subtract(g / d, (n > eps) * xv * dot / d**3, out=gx.reshape(xv.shape))
+            np.subtract(g / d, (n > 1e-12) * xv * dot / d**3, out=gx.reshape(xv.shape))
 
         return self._op("rownorm", val, (x,), run, grad)
 
@@ -369,9 +391,9 @@ class Tape:
         depends on a leaf taking a gradient and reaches the output; the
         output's own gradient is 1.
 
-        Data leaves, stop-gradient and value-only nodes receive none, so
-        nothing flows upstream through them.  Returns {node_id: gradient
-        array}; other nodes are absent.  A node with several consumers
+        Data leaves and value-only nodes receive none, so nothing flows
+        upstream through them.  Returns {node_id: gradient array}; other
+        nodes are absent.  A node with several consumers
         accumulates their contributions in decreasing order of consumer
         id, parents in argument order, by plain addition.  Treat the
         gradient arrays as read-only.

@@ -27,6 +27,7 @@ TWO_PI = 2.0 * math.pi
 
 # Pixel floor applied after box noise so 2D dimensions stay positive.
 _MIN_PIXELS = 0.5
+_CLUSTER_TOL = math.radians(0.01)  # grid hits closer than this are one root
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class SynthConfig:
     (0) to pure noise (1).
     """
 
-    n: int
+    n: int = 1000
     seed: int = 0
     h1_mean: float = 1.7
     h1_sd: float = 0.1
@@ -178,19 +179,15 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cached
 
 
-def oracle_candidates_for_span(
-    dims: Dims3D,
-    target: float,
-    grid_step: float = math.radians(1e-3),
-    cluster_tol: float = math.radians(0.01),
-) -> list[float]:
+def oracle_candidates_for_span(dims: Dims3D, target: float,
+                               grid_step: float = math.radians(1e-3)) -> list[float]:
     """Grid-scan solutions of span(theta) == target over (-pi, pi].
 
     Scans at ``grid_step`` resolution, keeps grid points where the absolute
     span error is a local minimum below amplitude * grid_step (the slope
     bound guarantees every true root produces such a dip), then merges
-    hits closer than ``cluster_tol`` circularly and returns each cluster's
-    best point, sorted ascending.
+    hits closer than 0.01 degrees circularly and returns each cluster's best
+    point, sorted ascending.
     """
     if not grid_step > 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
@@ -209,13 +206,13 @@ def oracle_candidates_for_span(
     # +/-pi seam at the end.
     clusters: list[list[int]] = [[0]]
     for k in range(1, len(hits)):
-        if hits[k] - hits[k - 1] <= cluster_tol:
+        if hits[k] - hits[k - 1] <= _CLUSTER_TOL:
             clusters[-1].append(k)
         else:
             clusters.append([k])
     if len(clusters) > 1:
         seam = (hits[0] + TWO_PI) - hits[-1]
-        if seam <= cluster_tol:
+        if seam <= _CLUSTER_TOL:
             clusters[0] = clusters.pop() + clusters[0]
 
     centers = []
@@ -226,19 +223,15 @@ def oracle_candidates_for_span(
     return centers
 
 
-def brute_force_orientation_oracle(
-    d2,
-    dims: Dims3D,
-    grid_step: float = math.radians(1e-3),
-    cluster_tol: float = math.radians(0.01),
-) -> list[float]:
+def brute_force_orientation_oracle(d2, dims: Dims3D,
+                                   grid_step: float = math.radians(1e-3)) -> list[float]:
     """Grid-scan counterpart of the analytic orientation inversion.
 
     Solves span(theta) == implied span of the 2D box; see
     :func:`oracle_candidates_for_span`.
     """
     target = implied_width_span(d2, dims.h1)
-    return oracle_candidates_for_span(dims, target, grid_step, cluster_tol)
+    return oracle_candidates_for_span(dims, target, grid_step)
 
 
 # ---------------------------------------------------------------------------

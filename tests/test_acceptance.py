@@ -194,8 +194,8 @@ def test_criterion_07_gradients_match_finite_differences(capsys):
     # The orientation loss reaches the dimension regressor only through the
     # gradient-truncated feed, so on its own it must leave those parameters
     # untouched.
-    lg = build_loss_graph(model, batch, terms=("orientation",))
-    grads = lg.tape.backward(lg.loss)
+    lg = build_loss_graph(model, batch)
+    grads = lg.tape.backward(lg.terms["orientation"])
     regressor_silent = []
     encoder_live = []
     for name, nid, _ in lg.param_nodes:

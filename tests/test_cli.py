@@ -177,18 +177,57 @@ class TestConfig:
             assert path in err and f"[{section}]" in err and key in err, err
 
     def test_bad_synth_values_exit_1_naming_file_and_field(self, tmp_path, capsys):
-        # Values that parse as finite floats but that SynthConfig rejects.
+        # Values that parse as finite floats but that SynthConfig rejects:
+        # named by the file, the key as written and the dataclass field.
         quick = (Path(__file__).resolve().parents[1] / "configs" / "quick.ini").read_text()
-        for extra, field in (("h1_sd = -0.1", "h1_sd"),
-                             ("scale_min = -1e308\nscale_max = 1e308", "scale_range"),
-                             ("w1_min = 0.9\nw1_max = 0.3", "w1_range"),
-                             ("box_noise_sd = -1", "box_noise_sd")):
+        for extra, key, field in (("h1_sd = -0.1", "h1_sd", "h1_sd"),
+                                  ("scale_min = -1e308\nscale_max = 1e308", "scale_min",
+                                   "scale_range"),
+                                  ("scale_min = -5\nscale_max = 20", "scale_min", "scale_range"),
+                                  ("w1_min = 0.9\nw1_max = 0.3", "w1_min", "w1_range"),
+                                  ("w1_max = 0.4\nw1_min = 0.5", "w1_max", "w1_range"),
+                                  ("scale_min = 130\nscale_max = 200\nh1_sd = -1", "h1_sd",
+                                   "h1_sd"),
+                                  ("box_noise_sd = -1", "box_noise_sd", "box_noise_sd")):
             path = tmp_path / "bad.ini"
             path.write_text(quick.replace("box_noise_sd = 1.0\n", "")
                             .replace("[synth]\n", f"[synth]\n{extra}\n"))
             assert main(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: {field} must"), err
+            assert err.startswith(f"error: {path}: [synth] {key} = "), err
+            assert f": {field} must" in err, err
+        assert not (tmp_path / "g").exists()
+
+    def test_bad_model_values_exit_1_naming_section_and_key(self, tmp_path, capsys):
+        # Values that parse but that ModelConfig rejects, in [model] and
+        # [train]; a key is named as written, also where it is an alias.
+        quick = (Path(__file__).resolve().parents[1] / "configs" / "quick.ini").read_text()
+        for section, key, old, new in (("model", "head_hidden", "64", "0"),
+                                       ("model", "exclusion_tau_deg", "15", "-1"),
+                                       ("train", "momentum", "0.9", "1.5"),
+                                       ("train", "lr_schedule", "400:1e-3,400:1e-4", "0:1e-3")):
+            path = tmp_path / "bad.ini"
+            path.write_text(quick.replace(f"{key} = {old}\n", f"{key} = {new}\n"))
+            assert main(["train", "--config", str(path), "--data", "unread.txt",
+                         "--out", str(tmp_path / "t")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: [{section}] {key} = '{new}': "), err
+        # A bad value from the command line names no key of the file.
+        path.write_text(quick)
+        assert main(["gen", "--config", str(path), "--n", "-1",
+                     "--out", str(tmp_path / "g")]) == 1
+        assert capsys.readouterr().err == "error: n must be >= 0, got -1\n"
+        assert not (tmp_path / "t").exists() and not (tmp_path / "g").exists()
+
+    def test_unreadable_ini_exits_1_naming_the_file(self, tmp_path, capsys):
+        for text, why in (("[synth]\nn = 5\nn = 6\n", "option 'n' in section 'synth' already exists"),
+                          ("n = 5\n", "no section headers"),
+                          ("[synth]\nseed = 5%\n", "'%' must be followed by")):
+            path = tmp_path / "bad.ini"
+            path.write_text(text)
+            assert main(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and why in err, err
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("value, why", [("abc", "could not convert"),
@@ -264,7 +303,8 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--data", str(workspace["data"]),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: lr_schedule must total at least one step"), err
+        assert err.startswith(f"error: {path}: [train] lr_schedule = '0:1e-3':"
+                              " lr_schedule must total at least one step"), err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "compare"])
@@ -419,6 +459,24 @@ class TestSweep:
                    "--factors", "nonsense"])
         assert rc == 1
 
+    @pytest.mark.parametrize("which", ["2d", "3d"])
+    def test_negative_or_nonfinite_factor_names_the_flag(self, tmp_path, workspace, capsys,
+                                                         which):
+        for text, factor in (("-1:1:3", "-1.0"), ("0.5:-0.5:3", "-0.5"),
+                             ("nan:1:2", "nan"), ("0:inf:3", "inf")):
+            rc = main(["sweep", "--checkpoint", str(workspace["model"]),
+                       "--data", str(workspace["data"]), "--out", str(tmp_path / "s"),
+                       "--which", which, f"--factors={text}"])
+            assert rc == 1
+            assert capsys.readouterr().err == (f"error: --factors '{text}': factor {factor}"
+                                               " is not finite and >= 0\n")
+        assert not (tmp_path / "s").exists()
+        # Zero is a factor the height sweep takes; the width sweep does not.
+        rc = main(["sweep", "--checkpoint", str(workspace["model"]),
+                   "--data", str(workspace["data"]), "--out", str(tmp_path / "s"),
+                   "--which", which, "--factors=0:1:3"])
+        assert rc == (0 if which == "3d" else 1)
+
     def test_bad_checkpoint_exits_1(self, tmp_path, workspace, capsys):
         with np.load(workspace["model"], allow_pickle=False) as data:
             good = {k: data[k] for k in data.files}
@@ -487,6 +545,14 @@ class TestGradcheck:
             assert main(["gradcheck", "--config", str(ini), "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"]["use_consistency_loss"] is value
+
+    def test_seed_comes_from_the_file_unless_given(self, tmp_path):
+        ini, out = tmp_path / "gc.ini", tmp_path / "gc"
+        ini.write_text(TINY_INI.replace("[train]\nseed = 0\n", "[train]\nseed = 3\n"))
+        for extra, seed in (([], 3), (["--seed", "5"], 5)):
+            assert main(["gradcheck", "--config", str(ini), "--out", str(out), *extra]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seed"] == seed and manifest["config"]["seed"] == seed
 
     def test_impossible_threshold_fails(self, tmp_path, workspace, capsys):
         strict = tmp_path / "strict.ini"

@@ -227,11 +227,6 @@ class TestErrorHistogram:
         assert counts[0] == 1 and counts[1] == 1 and counts[17] == 2
         assert counts.sum() == 4
 
-    def test_bin_width_validation(self):
-        with pytest.raises(ValueError):
-            error_histogram([], bin_width_deg=0.0)
-        assert error_histogram([], bin_width_deg=45.0).shape == (4,)
-
 
 class TestEvalReport:
     def test_full_report_consistency(self):

@@ -355,23 +355,12 @@ class TestLossGraph:
                    for s in samples]
         assert whole == pytest.approx(np.mean(singles), rel=1e-12)
 
-    def test_include_mask_override(self):
-        cfg = tiny_cfg()
-        model = build_model(cfg)
-        batch = make_batch(tiny_samples(3))
-        all_on = np.ones((3, 4), dtype=bool)
-        one_off = all_on.copy()
-        one_off[:, 2] = False
-        a = build_loss_graph(model, batch, include_mask=all_on)
-        b = build_loss_graph(model, batch, include_mask=one_off)
-        assert b.term_values()["orientation"] < a.term_values()["orientation"]
-
     def test_orientation_only_stops_dims_gradient(self):
         cfg = tiny_cfg()
         model = build_model(cfg)
         batch = make_batch(tiny_samples(4))
-        lg = build_loss_graph(model, batch, terms=("orientation",))
-        grads = lg.tape.backward(lg.loss)
+        lg = build_loss_graph(model, batch)
+        grads = lg.tape.backward(lg.terms["orientation"])
         by_name = {name: grads.get(nid) for name, nid, _ in lg.param_nodes}
         # The dims regressor feeds the orientation head only through a
         # stop-gradient, so the orientation term alone leaves it untouched.
@@ -382,24 +371,11 @@ class TestLossGraph:
         cfg = tiny_cfg()
         model = build_model(cfg)
         batch = make_batch(tiny_samples(4))
-        lg = build_loss_graph(model, batch, terms=("dims",))
-        grads = lg.tape.backward(lg.loss)
+        lg = build_loss_graph(model, batch)
+        grads = lg.tape.backward(lg.terms["dims"])
         by_name = {name: grads.get(nid) for name, nid, _ in lg.param_nodes}
         assert by_name["dims3d_regressor.0.weights"] is not None
         assert by_name["head.0.weights"] is None
-
-    def test_proc3d_feed_freezing(self):
-        cfg = tiny_cfg()
-        model = build_model(cfg)
-        batch = make_batch(tiny_samples(4))
-        lg = build_loss_graph(model, batch)
-        assert lg.proc3d_feed is not None
-        replay = build_loss_graph(model, batch, include_mask=lg.include_mask,
-                                  proc3d_feed=lg.proc3d_feed)
-        assert replay.loss_value() == pytest.approx(lg.loss_value(), rel=1e-12)
-        shifted = build_loss_graph(model, batch, include_mask=lg.include_mask,
-                                   proc3d_feed=lg.proc3d_feed + 0.5)
-        assert shifted.loss_value() != pytest.approx(lg.loss_value(), rel=1e-12)
 
     def test_data_leaves_take_no_gradient(self, monkeypatch):
         # The default wiring reads the batch through data leaves (context,
@@ -431,26 +407,35 @@ class TestLossGraph:
         assert first.loss_value() == loss and np.array_equal(first.include_mask, mask)
 
     def test_teacher_forced_graph_has_no_feed(self):
+        # The vote is the teacher-forced graph's only value-only node.
         cfg = tiny_cfg(teacher_force_dims3d=True)
         model = build_model(cfg)
         lg = build_loss_graph(model, make_batch(tiny_samples(3)))
-        assert lg.proc3d_feed is None
+        [vote] = [node for node in lg.tape.nodes if node.op == "value_only"]
+        assert vote.value is lg.include_mask
 
     @pytest.mark.parametrize("bins", [1, 4])
     @pytest.mark.parametrize("wiring", WIRINGS)
     def test_graph_runs_the_forward_wiring(self, wiring, bins):
         # forward_batch and the loss graph run one wiring: the graph's
         # regressor and head values are forward_batch's outputs, bit for bit.
+        # Its value-only nodes are the vote on the head output and, on the
+        # fed wiring only, the stop-gradient copy of the regressor output.
         model = build_model(tiny_cfg(num_bins=bins, use_consistency_loss=True, **WIRINGS[wiring]))
         batch = make_batch(tiny_samples(6))
         dims_pred, head_out = forward_batch(model, batch)
         lg = build_loss_graph(model, batch)
         nodes = lg.tape.nodes
         reg_w = {name: nid for name, nid, _ in lg.param_nodes}["dims3d_regressor.0.weights"]
-        [reg] = [node for node in nodes if node.op == "affine" and node.parents[1] == reg_w]
-        [vote] = [node for node in nodes if node.op == "value_only"]
-        assert np.array_equal(reg.value, dims_pred)
+        [reg] = [i for i, node in enumerate(nodes)
+                 if node.op == "affine" and node.parents[1] == reg_w]
+        *feed, vote = [node for node in nodes if node.op == "value_only"]
+        assert np.array_equal(nodes[reg].value, dims_pred)
         assert np.array_equal(nodes[vote.parents[0]].value, head_out)
+        assert vote.value is lg.include_mask
+        assert len(feed) == (wiring == "fed")
+        for node in feed:
+            assert node.parents == (reg,) and np.array_equal(node.value, dims_pred)
 
     @pytest.mark.parametrize("bins", [1, 4])
     @pytest.mark.parametrize("wiring", WIRINGS)
@@ -472,9 +457,9 @@ class TestLossGraph:
         assert np.array_equal(replayed.include_mask, fresh.include_mask)
         if bins > 1:
             assert not np.array_equal(fresh.include_mask, first_mask)
-        assert (replayed.proc3d_feed is None) == (fresh.proc3d_feed is None)
-        if fresh.proc3d_feed is not None:
-            assert np.array_equal(replayed.proc3d_feed, fresh.proc3d_feed)
+        for a, b in zip(replayed.tape.nodes, fresh.tape.nodes, strict=True):
+            if a.op == "value_only":
+                assert np.array_equal(a.value, b.value)
         got = replayed.tape.backward(replayed.loss)
         want = fresh.tape.backward(fresh.loss)
         for (name, nid, _), (_, fid, _) in zip(replayed.param_nodes, fresh.param_nodes):
@@ -741,6 +726,26 @@ class TestGradientCheck:
         assert report.max_rel_error < 1e-4
         assert all(isinstance(name, str) and err >= 0.0
                    for name, err in report.per_param)
+
+    def test_holds_the_vote_and_the_feed(self):
+        # Each quotient reruns every node but the value-only ones, which
+        # backward holds.  On the fed wiring the regressor reaches the
+        # orientation term only through the fed dimensions: rerun, the feed
+        # would add that path to the regressor's quotients.
+        batch = make_batch(tiny_samples(6))
+        model = build_model(tiny_cfg(seed=0, teacher_force_dims3d=False))
+        report = model_gradient_check(model, batch, max_entries_per_param=6)
+        assert dict(report.per_param)["dims3d_regressor.0.weights"] < 1e-4
+        # Every row puts bin 0 just over tau from three coinciding bins, so
+        # a step of eps on the head moves it inside tau on one side: a rerun
+        # vote would make the loss jump.
+        cfg = tiny_cfg(seed=0, use_feedforward=False)
+        model = set_bin0_apart(build_model(cfg), cfg.exclusion_tau + 1e-7)
+        model.stacks["head"][-1].weights[:] = 0.0
+        mask = build_loss_graph(model, batch).include_mask
+        assert not mask[:, 0].any() and mask[:, 1:].all()
+        report = model_gradient_check(model, batch, max_entries_per_param=None)
+        assert report.max_rel_error < 1e-4
 
     def test_plain_variant_passes(self):
         cfg = tiny_cfg(seed=1, use_feedforward=False)

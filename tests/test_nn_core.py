@@ -1,6 +1,7 @@
 """Tests for the dense-network engine: layers, tape autodiff, SGD, checking."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,24 @@ class TestTapeValues:
         np.testing.assert_allclose(out[0], [1e-3, 0.0])
         np.testing.assert_allclose(out[1], [0.6, 0.8])
 
+    def test_binary_ops_require_matching_shapes(self):
+        # add, sub and mul take operands of one shape; a constant of cmul or
+        # cadd must keep its operand's shape.  A mismatch is rejected when
+        # the op is recorded, not later by backward.
+        t = Tape()
+        col, wide = t.leaf(np.ones((4, 1))), t.leaf(np.ones((4, 3)))
+        for op in (t.add, t.sub, t.mul):
+            for a, b in ((col, wide), (wide, col)):
+                with pytest.raises(ValueError, match=rf"^{op.__name__}: .*\(4, [13]\)"):
+                    op(a, b)
+        for op in (t.cmul, t.cadd):
+            for const in (np.ones((4, 3)), np.ones(2), np.ones((2, 4, 1))):
+                with pytest.raises(ValueError, match=rf"^{op.__name__}: .*{re.escape(str(const.shape))}"):
+                    op(col, const)
+            for const in (2.0, np.ones(3), np.ones((4, 1)), np.ones((4, 3))):
+                assert t.value(op(wide, const)).shape == (4, 3)
+        assert len(t.nodes) == 2 + 2 * 4
+
 
 class TestTapeGradients:
     def check_unary(self, build, x):
@@ -208,6 +227,11 @@ class TestTapeGradients:
         # direct multiplicative path, value x*x, not 3x^2.
         assert stopped not in grads
         np.testing.assert_allclose(grads[ix], x * x / x.size)
+        # It is a value-only copy, recomputed by a replay.
+        assert t.nodes[stopped].op == "value_only"
+        x *= 3.0
+        t.replay()
+        np.testing.assert_array_equal(t.value(stopped), x * x)
 
     def test_unreachable_nodes_absent(self):
         t = Tape()
