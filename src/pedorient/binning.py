@@ -196,10 +196,12 @@ def exclusion_mask_batch(angles: np.ndarray, tau: float) -> np.ndarray:
     Equivalent to running :func:`exclusion_vote` per row (True = kept).
     With fewer than three bins, or no distance above tau, no bin can be
     voted out.  Otherwise each distance of the (n, b, b) matrix counts +1
-    when above tau, -1 when below and 0 when equal or NaN; bin j is
-    excluded iff its score reaches the maximum b (b - 1) / 2: far from all
-    b - 1 others, with every pair k < m that avoids j close.  At most one
-    bin per row can score that.
+    when above tau, -1 when below and 0 when equal; bin j is excluded iff
+    its score reaches the maximum b (b - 1) / 2: far from all b - 1
+    others, with every pair k < m that avoids j close.  At most one bin per
+    row can score that.  A NaN angle makes a NaN distance, which makes
+    every score of its row NaN, so that row keeps every bin, as the
+    scalar vote does.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
@@ -207,10 +209,14 @@ def exclusion_mask_batch(angles: np.ndarray, tau: float) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected (n, num_bins) array, got shape {a.shape}")
     n, b = a.shape
-    diff = np.abs(wrap_angle(a[:, :, None] - a[:, None, :]))  # (n, b, b)
-    if b < 3 or not (diff > tau).any():
+    if b < 3:
         return np.ones((n, b), dtype=bool)
-    score = np.sign(diff - tau).reshape(n, b * b) @ _vote_weights(b)
+    diff = wrap_angle(a[:, :, None] - a[:, None, :])  # (n, b, b), a new array
+    np.abs(diff, out=diff)
+    if not (diff > tau).any():
+        return np.ones((n, b), dtype=bool)
+    np.subtract(diff, tau, out=diff)
+    score = np.sign(diff, out=diff).reshape(n, b * b) @ _vote_weights(b)
     return score != b * (b - 1) // 2
 
 

@@ -76,6 +76,10 @@ class CompareSettings:
 
     seeds: tuple[int, ...] = (0, 1, 2)
 
+    def __post_init__(self):
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+
 
 @dataclasses.dataclass(frozen=True)
 class GradcheckSettings:
@@ -169,14 +173,21 @@ def _ini_values(cls, cp, sections, **given) -> dict:
 
 def _ini_config(cls, cp, sections, **given):
     """``cls`` from its :func:`_ini_values`.  A value that parses but that
-    ``cls`` rejects is named by the ``[section] key`` that set it, as
-    written: the first key without which the rest is accepted, else the
-    first key rejected on its own."""
+    ``cls`` rejects is named by where it came from: a command-line
+    override that ``cls`` rejects on its own by its flag ``--key``, else
+    the ``[section] key`` that set it, as written: the first key without
+    which the rest is accepted, else the first key rejected on its own."""
     values = _ini_values(cls, cp, sections, **given)
     try:
         return cls(**values)
     except ValueError as e:
         error = e
+    for key, value in given.items():
+        if value is not None:
+            try:
+                cls(**{key: value})
+            except ValueError as e:
+                raise ValueError(f"--{key} {value}: {e}") from None
     written = [(s, key, text) for s in sections for key, text in _sec(cp, s).items()]
 
     def accepted(entries) -> bool:
@@ -203,7 +214,7 @@ def _model_config(cp, seed=None) -> ModelConfig:
 
 
 def _settings(cls, cp, section: str):
-    return cls(**_ini_values(cls, cp, (section,)))
+    return _ini_config(cls, cp, (section,))
 
 
 def _sha256(path: Path) -> str:
@@ -335,7 +346,10 @@ def cmd_compare(args) -> int:
     base = _model_config(cp)
     seeds = _settings(CompareSettings, cp, "compare").seeds
     if args.seeds:
-        seeds = config.coerce(args.seeds, tuple[int, ...])
+        try:
+            seeds = CompareSettings(config.coerce(args.seeds, tuple[int, ...])).seeds
+        except ValueError as e:
+            raise ValueError(f"--seeds {args.seeds}: {e}") from None
     samples = read_dataset(args.data)
     holdout = _getfloat(_sec(cp, "train"), "holdout_fraction", 0.1)
 

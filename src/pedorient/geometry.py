@@ -46,8 +46,8 @@ def wrap_angle(theta):
     th = np.asarray(theta, dtype=float)
     out = (th <= -math.pi) | (th > math.pi)
     if out.any():
-        wrapped = math.pi - np.remainder(math.pi - th, TWO_PI)
-        th = np.where(out, wrapped, th)
+        th = th.copy()
+        th[out] = math.pi - np.remainder(math.pi - th[out], TWO_PI)
     if th.ndim == 0:
         return float(th)
     return th

@@ -109,6 +109,8 @@ class ModelConfig:
             raise ValueError(f"lr_schedule must total at least one step, got {self.lr_schedule}")
         if not (0 <= self.momentum < 1):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.dims2d_scale) and self.dims2d_scale > 0):
             raise ValueError(f"dims2d_scale must be finite and > 0, got {self.dims2d_scale!r}")
 
@@ -227,13 +229,17 @@ def _apply_stack(stack, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _scaled_dims2d(dims2d: np.ndarray, cfg: ModelConfig, out=None) -> np.ndarray:
+    """The 2D box dimensions as the network reads them: times ``dims2d_scale``."""
+    return np.multiply(dims2d, cfg.dims2d_scale, out=out)
+
+
 def _net_inputs(batch: Batch, cfg: ModelConfig) -> dict[str, np.ndarray]:
     """The network's inputs from a batch: the context, the true 3D
-    dimensions and, with feedforward, the 2D box dimensions times
-    ``dims2d_scale``."""
+    dimensions and, with feedforward, the scaled 2D box dimensions."""
     inputs = {"context": batch.context, "dims3d": batch.dims3d}
     if cfg.use_feedforward:
-        inputs["dims2d"] = batch.dims2d * cfg.dims2d_scale
+        inputs["dims2d"] = _scaled_dims2d(batch.dims2d, cfg)
     return inputs
 
 
@@ -422,17 +428,17 @@ def total_loss(result: ForwardResult, sample: TrainingSample,
 class LossGraph:
     """A built tape with handles into it.
 
-    ``inputs`` holds the arrays the tape reads from its batch: its data
-    leaves and the batch-derived constants of its ``cmul`` / ``cadd``
-    nodes.  ``include_mask`` is the exclusion vote's value, an array of the
-    tape, so it changes when the tape is replayed.
+    ``write_inputs(batch)`` writes a batch into the arrays the tape reads
+    from it: its data leaves and the batch-derived constants of its
+    ``cmul`` / ``cadd`` nodes.  ``include_mask`` is the exclusion vote's
+    value, an array of the tape, so it changes when the tape is replayed.
     """
 
     tape: Tape
     loss: int
     terms: dict[str, int]
     param_nodes: list[tuple[str, int, np.ndarray]]
-    inputs: dict[str, np.ndarray]
+    write_inputs: Callable[[Batch], None]
     include_mask: np.ndarray
 
     def loss_value(self) -> float:
@@ -442,23 +448,57 @@ class LossGraph:
         return {k: float(self.tape.value(v)[0, 0]) for k, v in self.terms.items()}
 
 
-def _graph_inputs(batch: Batch, cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Everything the loss graph takes from a batch: the network's inputs
-    and the batch-derived constants of its ``cmul`` / ``cadd`` nodes."""
-    n = len(batch)
-    res = batch.theta[:, None] - _bin_offsets(cfg.num_bins)  # (n, B) residual targets
-    inputs = _net_inputs(batch, cfg)
-    inputs["target"] = np.stack([np.sin(res), np.cos(res)], axis=2).reshape(n, -1)
+_H1_COLUMN = np.array([1.0, 0.0, 0.0])
+_H1_COLUMN.setflags(write=False)
+
+
+def _graph_inputs(n: int, cfg: ModelConfig
+                  ) -> tuple[dict[str, np.ndarray], Callable[[Batch], None]]:
+    """The arrays the loss graph takes from a batch of ``n`` rows (the
+    network's inputs and the batch-derived constants of its ``cmul`` /
+    ``cadd`` nodes), and ``write(batch)``, which writes a batch into them
+    with ``out=``.  A new graph and every replay write their batch with it.
+    ``w1_l1`` is a view of ``dims3d``, and column 0 of ``abs_trig`` stays 0.
+    """
+    shapes = {"context": (n, cfg.context_width), "dims3d": (n, 3),
+              "target": (n, 2 * cfg.num_bins)}
+    if cfg.use_feedforward:
+        shapes["dims2d"] = (n, 2)
     if cfg.use_consistency_loss:
-        aspect = batch.dims2d[:, 1:2] / batch.dims2d[:, 0:1]  # w / h
-        th = batch.theta
-        inputs.update(
-            abs_trig=np.abs(np.stack([np.zeros_like(th), np.sin(th), np.cos(th)], axis=1)),
-            aspect_h1=aspect * [1.0, 0.0, 0.0],
-            w1_l1=batch.dims3d[:, 1:3],
-            neg_aspect_h1=-(aspect * batch.dims3d[:, 0:1]),
-        )
-    return inputs
+        shapes.update(abs_trig=(n, 3), aspect_h1=(n, 3), neg_aspect_h1=(n, 1))
+    ins = {key: np.zeros(shape) for key, shape in shapes.items()}
+    context, dims3d, dims2d = ins["context"], ins["dims3d"], ins.get("dims2d")
+    offsets = _bin_offsets(cfg.num_bins)
+    # Interleaved (sin, cos) of each bin's residual target theta - offset;
+    # the residual is written into the sin slots, then replaced.
+    target = ins["target"].reshape(n, cfg.num_bins, 2)
+    res, cos_res = target[:, :, 0], target[:, :, 1]
+    if cfg.use_consistency_loss:
+        ins["w1_l1"] = dims3d[:, 1:3]
+        aspect_h1, neg_aspect_h1 = ins["aspect_h1"], ins["neg_aspect_h1"]
+        abs_trig = ins["abs_trig"]
+        abs_sin, abs_cos, abs_sin_cos = abs_trig[:, 1], abs_trig[:, 2], abs_trig[:, 1:]
+
+    def write(batch: Batch) -> None:
+        np.copyto(context, batch.context)
+        np.copyto(dims3d, batch.dims3d)
+        if dims2d is not None:
+            _scaled_dims2d(batch.dims2d, cfg, out=dims2d)
+        theta = batch.theta
+        np.subtract(theta[:, None], offsets, out=res)
+        np.cos(res, out=cos_res)
+        np.sin(res, out=res)
+        if cfg.use_consistency_loss:
+            np.sin(theta, out=abs_sin)
+            np.cos(theta, out=abs_cos)
+            np.abs(abs_sin_cos, out=abs_sin_cos)
+            # neg_aspect_h1 holds the aspect w / h until its last two steps.
+            np.divide(batch.dims2d[:, 1:2], batch.dims2d[:, 0:1], out=neg_aspect_h1)
+            np.multiply(neg_aspect_h1, _H1_COLUMN, out=aspect_h1)
+            np.multiply(neg_aspect_h1, batch.dims3d[:, 0:1], out=neg_aspect_h1)
+            np.negative(neg_aspect_h1, out=neg_aspect_h1)
+
+    return ins, write
 
 
 def build_loss_graph(model: OrientationNet, batch: Batch,
@@ -485,13 +525,12 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         if len(batch) != replay.include_mask.shape[0]:
             raise ValueError(f"cannot replay a graph of {replay.include_mask.shape[0]}"
                              f" rows on a batch of {len(batch)}")
-        for key, value in _graph_inputs(batch, cfg).items():
-            np.copyto(replay.inputs[key], value)
+        replay.write_inputs(batch)
         replay.tape.replay()
         return replay
     bcfg = cfg.bin_config()
-    inputs = {key: np.array(value, dtype=float, order="C") for key, value
-              in _graph_inputs(batch, cfg).items()}
+    inputs, write_inputs = _graph_inputs(len(batch), cfg)
+    write_inputs(batch)
     t = Tape()
     param_nodes: list[tuple[str, int, np.ndarray]] = []
     stack_ids: dict[str, list[tuple[int, int, str]]] = {}
@@ -561,12 +600,16 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         cons = t.add(cons, t.mean(t.mul(resid_o, resid_o)))
         terms["consistency"] = t.cmul(cons, cfg.consistency_weight)
         loss = t.add(loss, terms["consistency"])
-    return LossGraph(t, loss, terms, param_nodes, inputs, include_mask)
+    return LossGraph(t, loss, terms, param_nodes, write_inputs, include_mask)
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+# Steps of batch indices that train draws in one call.  A block of them is
+# the per-step draws, bit for bit: the generator hands out the same stream.
+_INDEX_BLOCK = 1024
 
 
 @dataclass
@@ -590,11 +633,13 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
 
     Fully deterministic for a fixed config and sample order: parameter
     initialization, batch sampling, and every update derive from
-    ``cfg.seed``.  The loss graph is recorded on the first step and
-    replayed on every later one, each parameter gradient landing in one
-    flat array laid out like ``model.params``, so one SGD step updates
-    them all; the results are those of a new graph and a new backward
-    pass per step, bit for bit.
+    ``cfg.seed``.  Batch indices are drawn ``_INDEX_BLOCK`` steps at a
+    time, which gives the indices of one draw per step.  The loss graph is
+    recorded on the first step and replayed on every later one, each
+    batch written into its inputs in place and each parameter gradient
+    landing in one flat array laid out like ``model.params``, so one SGD
+    step updates them all; the results are those of a new graph and a new
+    backward pass per step, bit for bit.
 
     Raises:
         TrainingDivergedError: as soon as any loss term goes non-finite.
@@ -606,9 +651,12 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[TrainLogRow] = []
     lg = None
-    for step in range(cfg.total_steps()):
-        idx = rng.integers(0, len(data), size=cfg.batch_size)
-        lg = build_loss_graph(model, data.take(idx), replay=lg)
+    total_steps = cfg.total_steps()
+    for step in range(total_steps):
+        if step % _INDEX_BLOCK == 0:
+            block = rng.integers(0, len(data), size=(min(_INDEX_BLOCK, total_steps - step),
+                                                    cfg.batch_size))
+        lg = build_loss_graph(model, data.take(block[step % _INDEX_BLOCK]), replay=lg)
         if step == 0:
             bounds = np.cumsum([arr.size for _, _, arr in lg.param_nodes])[:-1]
             lg.tape.keep_gradients(lg.loss, {

@@ -200,7 +200,7 @@ class Tape:
             if gw is not None:
                 np.matmul(g.T, xv, out=gw)
             if gb is not None:
-                g.sum(axis=0, out=gb)
+                np.add.reduce(g, axis=0, out=gb)
 
         return self._op("affine", val, (x, w, b), run, grad)
 
@@ -332,14 +332,14 @@ class Tape:
 
         def run():
             np.multiply(xv, xv, out=squares)
-            squares.sum(axis=2, keepdims=True, out=n)
+            np.add.reduce(squares, axis=2, keepdims=True, out=n)
             np.sqrt(n, out=n)
             np.maximum(n, 1e-12, out=d)
             np.divide(xv, d, out=grouped_val)
 
         def grad(g, gx):
             g = g.reshape(xv.shape)
-            dot = (xv * g).sum(axis=2, keepdims=True)
+            dot = np.add.reduce(xv * g, axis=2, keepdims=True)
             np.subtract(g / d, (n > 1e-12) * xv * dot / d**3, out=gx.reshape(xv.shape))
 
         return self._op("rownorm", val, (x,), run, grad)
@@ -351,7 +351,7 @@ class Tape:
         val = np.empty(xv.shape[:2])
 
         def run():
-            xv.sum(axis=2, out=val)
+            np.add.reduce(xv, axis=2, out=val)
 
         def grad(g, gx):
             np.copyto(gx.reshape(xv.shape), g[:, :, None])
@@ -363,7 +363,7 @@ class Tape:
         val = np.empty((1, 1))
 
         def run():
-            val[0, 0] = xv.mean()
+            val[0, 0] = np.add.reduce(xv, axis=None) / xv.size
 
         def grad(g, gx):
             gx.fill(g[0, 0] / xv.size)

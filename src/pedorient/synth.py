@@ -60,6 +60,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.context_noise <= 1.0:
             raise ValueError(f"context_noise must be in [0, 1], got {self.context_noise}")
         if self.context_width < 3:

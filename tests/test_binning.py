@@ -265,6 +265,19 @@ class TestExclusionMaskBatch:
         mask = self.assert_matches_scalar_vote(rows, tau)
         assert mask.tolist() == [[True] * 3, [True, True, False], [True] * 3, [True, True, False]]
 
+    def test_nan_row_keeps_every_bin(self):
+        # A NaN angle is neither far from nor close to any other, so its row
+        # keeps every bin, even where the other bins would vote one out; the
+        # first row, with no NaN, still loses its outlier.
+        tau = math.radians(15)
+        nan = math.nan
+        rows = np.array([[0.0, 0.0, 0.0, 2.5], [nan, 0.0, 0.0, 2.5],
+                         [0.0, 0.0, 0.0, nan], [0.0, nan, 2.5, 2.5], [nan] * 4])
+        mask = self.assert_matches_scalar_vote(rows, tau)
+        assert mask.tolist() == [[True, True, True, False]] + [[True] * 4] * 4
+        for row in rows[1:]:
+            assert exclusion_vote(row, tau) == set()
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             exclusion_mask_batch(np.zeros(4), math.radians(5))

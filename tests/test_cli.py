@@ -212,12 +212,32 @@ class TestConfig:
                          "--out", str(tmp_path / "t")]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: [{section}] {key} = '{new}': "), err
-        # A bad value from the command line names no key of the file.
+        # A bad value from the command line names its flag, not the file.
         path.write_text(quick)
         assert main(["gen", "--config", str(path), "--n", "-1",
                      "--out", str(tmp_path / "g")]) == 1
-        assert capsys.readouterr().err == "error: n must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: --n -1: n must be >= 0, got -1\n"
         assert not (tmp_path / "t").exists() and not (tmp_path / "g").exists()
+
+    def test_rejected_seed_flag_is_named(self, tmp_path, capsys):
+        # A negative seed cannot seed an RNG; each command's --seed override
+        # is rejected by its config, by name, before any output is written.
+        quick = str(Path(__file__).resolve().parents[1] / "configs" / "quick.ini")
+        for argv in (["gen", "--out", str(tmp_path / "g")],
+                     ["train", "--data", "unread.txt", "--out", str(tmp_path / "t")],
+                     ["gradcheck", "--out", str(tmp_path / "c")]):
+            assert main([*argv, "--config", quick, "--seed", "-1"]) == 1
+            assert capsys.readouterr().err == "error: --seed -1: seed must be >= 0, got -1\n"
+        assert main(["compare", "--config", quick, "--data", "unread.txt",
+                     "--out", str(tmp_path / "m"), "--seeds=0,-1"]) == 1
+        assert capsys.readouterr().err == "error: --seeds 0,-1: seeds must be >= 0, got (0, -1)\n"
+        path = tmp_path / "bad.ini"
+        path.write_text("[compare]\nseeds = 1, -1\n")
+        assert main(["compare", "--config", str(path), "--data", "unread.txt",
+                     "--out", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: [compare] seeds = '1, -1':"
+                                           " seeds must be >= 0, got (1, -1)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
 
     def test_unreadable_ini_exits_1_naming_the_file(self, tmp_path, capsys):
         for text, why in (("[synth]\nn = 5\nn = 6\n", "option 'n' in section 'synth' already exists"),

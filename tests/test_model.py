@@ -78,6 +78,26 @@ def max_circ_gap(a, b):
     return max(circ_abs_diff(x, y) for x, y in zip(a, b))
 
 
+def reference_train(samples, cfg):
+    """Training with a new graph, a new backward pass and one SGD update
+    per parameter array at every step, on batch indices drawn one step at
+    a time.  Returns (the model, the logged totals, the number of batch
+    rows where the vote dropped a bin)."""
+    ref = model_module.build_model(cfg)
+    velocities = [np.zeros_like(arr) for _, arr in named_parameters(ref)]
+    data = make_batch(samples)
+    rng = np.random.default_rng([cfg.seed, 1])
+    totals, dropped = [], 0
+    for step in range(cfg.total_steps()):
+        lg = build_loss_graph(ref, data.take(rng.integers(0, len(data), size=cfg.batch_size)))
+        dropped += int((lg.include_mask == 0).any(axis=1).sum())
+        totals.append(sum(lg.term_values().values()))
+        grads = lg.tape.backward(lg.loss)
+        for (_, nid, arr), v in zip(lg.param_nodes, velocities):
+            sgd_step(arr, grads.get(nid, np.zeros_like(arr)), v, cfg.lr_at(step), cfg.momentum)
+    return ref, totals, dropped
+
+
 WIRINGS = {"teacher_forced": dict(teacher_force_dims3d=True),
            "fed": dict(teacher_force_dims3d=False),
            "plain": dict(use_feedforward=False)}
@@ -509,23 +529,25 @@ class TestTraining:
             kw = dict(kw, use_consistency_loss=cons, num_bins=bins)
             cfg = tiny_cfg(seed=2, momentum=0.9, lr_schedule=((25, 1e-3), (5, 1e-4)), **kw)
             got = train(samples, cfg)
-            ref = model_module.build_model(cfg)
-            velocities = [np.zeros_like(arr) for _, arr in named_parameters(ref)]
-            data = make_batch(samples)
-            rng = np.random.default_rng([cfg.seed, 1])
-            dropped = 0
-            for step in range(cfg.total_steps()):
-                lg = build_loss_graph(ref, data.take(rng.integers(0, len(data), size=cfg.batch_size)))
-                dropped += int((lg.include_mask == 0).any(axis=1).sum())
-                grads = lg.tape.backward(lg.loss)
-                for (_, nid, arr), v in zip(lg.param_nodes, velocities):
-                    sgd_step(arr, grads.get(nid, np.zeros_like(arr)), v,
-                             cfg.lr_at(step), cfg.momentum)
-                assert got.log[step].total == sum(lg.term_values().values()), kw
+            ref, totals, dropped = reference_train(samples, cfg)
+            assert [row.total for row in got.log] == totals, kw
             if bins > 1:
                 assert 0 < dropped < cfg.total_steps() * cfg.batch_size, kw
             for (name, a), (_, b) in zip(named_parameters(got.model), named_parameters(ref)):
                 assert np.array_equal(a, b), (kw, name)
+
+    def test_index_blocks_match_per_step_draws(self):
+        # train draws its batch indices a block of steps at a time; a
+        # schedule that crosses a block boundary, at an odd batch size,
+        # trains on the indices of one draw per step, bit for bit.
+        assert model_module._INDEX_BLOCK < 1030
+        cfg = tiny_cfg(use_consistency_loss=True, batch_size=7, seed=3,
+                       lr_schedule=((1030, 1e-3),))
+        samples = tiny_samples(40)
+        got = train(samples, cfg)
+        ref, totals, _ = reference_train(samples, cfg)
+        assert [row.total for row in got.log] == totals
+        assert np.array_equal(got.model.params, ref.params)
 
     @pytest.mark.parametrize("data_seed, model_seed", [(24, 10), (2, 19)])
     def test_consistency_trains_at_desk_widths(self, data_seed, model_seed):

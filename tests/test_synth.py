@@ -203,6 +203,22 @@ class TestGridOracle:
             for g, w in zip(got, want):
                 assert circ_abs_diff(g, w) < math.radians(0.01)
 
+    def test_close_roots_merge_into_one_candidate(self):
+        # The span is l1 + w1 |t| near t = 0 and near t = pi, so the span at
+        # t = eps is reached at -eps, eps, pi - eps and -pi + eps.  With eps
+        # three grid steps, each pair of roots lies 0.006 degrees apart and
+        # gives two grid hits closer than 0.01 degrees: consecutive hits
+        # about 0, and the last and first hit across the +/-pi seam.  Each
+        # pair is one candidate.
+        dims = Dims3D(1.7, 0.6, 0.5)
+        eps = 3 * math.radians(1e-3)
+        got = oracle_candidates_for_span(dims, width_span_abs(dims, eps))
+        near_zero = [g for g in got if abs(g) < math.radians(0.01)]
+        near_seam = [g for g in got if circ_abs_diff(g, math.pi) < math.radians(0.01)]
+        assert len(near_zero) == 1 and len(near_seam) == 1 and len(got) == 2, got
+        assert abs(abs(near_zero[0]) - eps) < math.radians(1e-3)
+        assert abs(circ_abs_diff(near_seam[0], math.pi) - eps) < math.radians(1e-3)
+
     def test_unreachable_target_empty(self):
         dims = Dims3D(1.7, 0.6, 0.5)
         assert oracle_candidates_for_span(dims, 2.0) == []
