@@ -11,6 +11,8 @@ plain average precision of the same detections.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +21,8 @@ import numpy as np
 from .geometry import circ_abs_diff, wrap_angle
 
 RECALL_ANCHORS = tuple(np.linspace(0.0, 1.0, 11))
+# A point reaches an anchor at a recall of at least the anchor less 1e-12.
+_ANCHOR_FLOORS = tuple(float(a) - 1e-12 for a in RECALL_ANCHORS)
 
 
 def _check_box(box) -> tuple[float, float, float, float]:
@@ -51,8 +55,11 @@ class Detection:
 
     def __post_init__(self):
         _checked_box(self)
-        if not math.isfinite(self.score):
+        score = float(self.score)
+        if not math.isfinite(score):
             raise ValueError(f"score must be finite, got {self.score}")
+        # Stored as a float, like the box and the yaw, so scores sort as floats.
+        object.__setattr__(self, "score", score)
         _finite_theta(self)
 
 
@@ -119,6 +126,12 @@ class MatchResult:
     ignored_dets: list[int] = field(default_factory=list)
 
 
+def _score_order(dets) -> list[int]:
+    """Detection indices by descending score, ties in input order."""
+    neg = [-d.score for d in dets]
+    return sorted(range(len(dets)), key=neg.__getitem__)
+
+
 def match_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> MatchResult:
     """Greedily match detections to ground truths by descending score.
 
@@ -128,11 +141,15 @@ def match_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> 
     detection's own area) are set aside as ignored.  Each ignore box is
     checked once per call, like the records' boxes at construction.
     """
+    return _match_in_order(dets, gts, iou_threshold, ignore_boxes, _score_order(dets))
+
+
+def _match_in_order(dets, gts, iou_threshold, ignore_boxes, order) -> MatchResult:
+    """:func:`match_detections`, walking the detections in ``order``."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     result = MatchResult()
     ignore_boxes = [_check_box(b) for b in ignore_boxes]
-    order = np.argsort([-d.score for d in dets], kind="stable")
     taken = set()
     for di in order:
         det = dets[di]
@@ -145,26 +162,26 @@ def match_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> 
                 best_gi, best_iou = gi, iou
         if best_gi >= 0 and best_iou >= iou_threshold:
             taken.add(best_gi)
-            result.matches.append((int(di), best_gi, best_iou))
+            result.matches.append((di, best_gi, best_iou))
         elif any(_ignore_overlap(det.box2d, ib) >= iou_threshold for ib in ignore_boxes):
-            result.ignored_dets.append(int(di))
+            result.ignored_dets.append(di)
         else:
-            result.unmatched_dets.append(int(di))
+            result.unmatched_dets.append(di)
     result.unmatched_gts = [gi for gi in range(len(gts)) if gi not in taken]
     return result
 
 
-def _score_walk(dets, gts, match: MatchResult):
-    """Walk detections in descending score; yield (recall, precision,
-    orientation-similarity precision) after each counted detection."""
+def _score_walk(dets, gts, match: MatchResult, order):
+    """Walk the detections in ``order`` (descending score); return the
+    recall, precision and orientation-similarity precision after each
+    counted detection, as three lists."""
     matched_gt = {di: gi for di, gi, _ in match.matches}
     ignored = set(match.ignored_dets)
-    order = np.argsort([-d.score for d in dets], kind="stable")
+    n_gt = len(gts)
     tp = fp = 0
     sim_sum = 0.0
-    points = []
+    recalls, precisions, os_precisions = [], [], []
     for di in order:
-        di = int(di)
         if di in ignored:
             continue
         if di in matched_gt:
@@ -172,20 +189,25 @@ def _score_walk(dets, gts, match: MatchResult):
             sim_sum += orientation_similarity(dets[di].theta, gts[matched_gt[di]].theta)
         else:
             fp += 1
-        points.append((tp / len(gts), tp / (tp + fp), sim_sum / (tp + fp)))
-    return points
+        recalls.append(tp / n_gt)
+        precisions.append(tp / (tp + fp))
+        os_precisions.append(sim_sum / (tp + fp))
+    return recalls, precisions, os_precisions
 
 
-def _eleven_point(points, col: int) -> float:
-    if not points:
-        return 0.0
-    recalls = np.array([p[0] for p in points])
-    vals = np.array([p[col] for p in points])
+def _eleven_point(recalls: list[float], values: list[float]) -> float:
+    """Mean over the 11 recall anchors of the best value at a recall of at
+    least the anchor (less 1e-12), 0.0 where no point reaches it.
+
+    Recall never falls along the score walk, so the points that reach an
+    anchor are a suffix of the walk, found by bisection; ``best[i]`` is the
+    largest of ``values[i:]``.
+    """
+    best = [*itertools.accumulate(reversed(values), max)][::-1] + [0.0]
     total = 0.0
-    for anchor in RECALL_ANCHORS:
-        mask = recalls >= anchor - 1e-12
-        total += float(vals[mask].max()) if mask.any() else 0.0
-    return total / len(RECALL_ANCHORS)
+    for floor in _ANCHOR_FLOORS:
+        total += best[bisect.bisect_left(recalls, floor)]
+    return total / len(_ANCHOR_FLOORS)
 
 
 def aos(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()):
@@ -256,8 +278,9 @@ def evaluate_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) 
     """Full evaluation: AOS, AP, error histogram, and mean angular error."""
     if not gts:
         raise ValueError("evaluation undefined without ground truths")
-    match = match_detections(dets, gts, iou_threshold, ignore_boxes)
-    points = _score_walk(dets, gts, match)
+    order = _score_order(dets)
+    match = _match_in_order(dets, gts, iou_threshold, ignore_boxes, order)
+    recalls, precisions, os_precisions = _score_walk(dets, gts, match, order)
     pairs = [(dets[di].theta, gts[gi].theta) for di, gi, _ in match.matches]
     hist = error_histogram(pairs)
     if pairs:
@@ -265,9 +288,9 @@ def evaluate_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) 
     else:
         mae = float("nan")
     return EvalReport(
-        aos=_eleven_point(points, 2),
-        ap=_eleven_point(points, 1),
-        os_recall_curve=[(r, o) for r, _, o in points],
+        aos=_eleven_point(recalls, os_precisions),
+        ap=_eleven_point(recalls, precisions),
+        os_recall_curve=list(zip(recalls, os_precisions)),
         histogram=hist,
         mean_abs_angular_error_deg=mae,
         n_gt=len(gts),

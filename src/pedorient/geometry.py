@@ -274,17 +274,27 @@ def candidates_for_span(dims: Dims3D, target: float) -> InversionResult:
                 if lo - _EDGE_SLACK <= th < hi + _EDGE_SLACK:
                     roots.append(wrap_angle(th))
 
-    roots.sort()
-    kept: list[float] = []
-    for th in roots:
-        if any(circ_abs_diff(th, prev) <= _DEDUP_TOL for prev in kept):
-            continue
-        kept.append(th)
+    return InversionResult(tuple(_merge_roots(roots)), False)
+
+
+def _merge_roots(roots: list[float]) -> list[float]:
+    """Sort roots in (-pi, pi] and drop each one within ``_DEDUP_TOL``
+    (circularly) of an earlier survivor."""
+    roots = sorted(roots)
+    kept = roots[:1]
+    for th in roots[1:]:
+        # The survivors ascend and none exceeds th, so th is circularly
+        # closest to the last one, or to the first across the +/-pi seam:
+        # the rounded difference and its wrap are monotone, so these two
+        # decide as every survivor would.
+        if (circ_abs_diff(th, kept[-1]) > _DEDUP_TOL
+                and circ_abs_diff(th, kept[0]) > _DEDUP_TOL):
+            kept.append(th)
     # The first and last survivors can still be circular duplicates across
-    # the +/-pi seam.
+    # the +/-pi seam if the rounded distance depends on argument order.
     if len(kept) >= 2 and circ_abs_diff(kept[0], kept[-1]) <= _DEDUP_TOL:
         kept.pop()
-    return InversionResult(tuple(kept), False)
+    return kept
 
 
 def invert_orientation_candidates(d2, dims: Dims3D) -> InversionResult:

@@ -58,8 +58,9 @@ class ObjectLabel:
 
     ``box2d`` is (left, top, right, bottom) pixels, ``dims3d`` is
     (height, width, length) meters, ``location`` is (x, y, z) meters and
-    ``score`` is present only for detection rows.  Validation is skipped
-    entirely for DontCare rows, which carry sentinel values.
+    ``score`` is present only for detection rows.  ``occlusion`` must be
+    an ``int`` (not a ``bool``) on every row; the other checks are skipped
+    for DontCare rows, which carry sentinel values.
     """
 
     class_name: str
@@ -73,6 +74,10 @@ class ObjectLabel:
     score: float | None = None
 
     def __post_init__(self):
+        # Checked on every row, DontCare too, so that every label writes an
+        # integer that parses back.
+        if not isinstance(self.occlusion, int) or isinstance(self.occlusion, bool):
+            raise ValueError(f"occlusion must be an int, got {self.occlusion!r}")
         if self.class_name == DONT_CARE:
             return
         if not 0.0 <= self.truncation <= 1.0:
@@ -183,6 +188,12 @@ def parse_label_file(text) -> ParseResult:
     return ParseResult(labels, warnings)
 
 
+# One label row: the class, truncation, occlusion, then alpha, the box, the
+# 3D dimensions, the location and rotation_y; a detection row adds its score.
+_ROW_FORMAT = "%s %.17g %d" + " %.17g" * 12
+_SCORED_ROW_FORMAT = _ROW_FORMAT + " %.17g"
+
+
 def serialize_labels(labels) -> str:
     """Render labels back to file text.
 
@@ -191,15 +202,12 @@ def serialize_labels(labels) -> str:
     """
     out = []
     for lab in labels:
-        fields = [lab.class_name, "%.17g" % lab.truncation, str(lab.occlusion),
-                  "%.17g" % lab.alpha]
-        fields += ["%.17g" % v for v in lab.box2d]
-        fields += ["%.17g" % v for v in lab.dims3d]
-        fields += ["%.17g" % v for v in lab.location]
-        fields.append("%.17g" % lab.rotation_y)
-        if lab.score is not None:
-            fields.append("%.17g" % lab.score)
-        out.append(" ".join(fields))
+        fields = (lab.class_name, lab.truncation, lab.occlusion, lab.alpha, *lab.box2d,
+                  *lab.dims3d, *lab.location, lab.rotation_y)
+        if lab.score is None:
+            out.append(_ROW_FORMAT % fields)
+        else:
+            out.append(_SCORED_ROW_FORMAT % (*fields, lab.score))
     return "\n".join(out) + ("\n" if out else "")
 
 

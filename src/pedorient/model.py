@@ -353,18 +353,26 @@ class ForwardResult:
     degenerate_bins: tuple[int, ...] = ()
 
 
+def _decoded_rows(dec: DecodedBins):
+    """Yield each row of ``dec`` as Python values: (per-bin angles, the
+    excluded bins, theta, the degenerate bins).  A row with a degenerate
+    pair has neither angles nor a vote; theta is None where undefined."""
+    for angles, include, theta, defined, bad in zip(
+            dec.angles.tolist(), dec.include.tolist(), dec.theta.tolist(),
+            dec.defined.tolist(), dec.degenerate.tolist()):
+        if any(bad):
+            yield None, set(), None, tuple(k for k, b in enumerate(bad) if b)
+        else:
+            yield (angles, {k for k, kept in enumerate(include) if not kept},
+                   theta if defined else None, ())
+
+
 def _forward_rows(model: OrientationNet, batch: Batch, h1_feed_scale=1.0) -> list[ForwardResult]:
     dims_pred, bin_out = forward_batch(model, batch, h1_feed_scale)
-    dec = decode_bins(bin_out, model.cfg)
-    rows = zip(dims_pred, bin_out.reshape(len(batch), model.cfg.num_bins, 2),
-               dec.angles.tolist(), dec.include.tolist(), dec.theta.tolist(),
-               dec.defined.tolist(), dec.degenerate.tolist())
-    return [ForwardResult(dims, pairs,
-                          None if any(bad) else angles,
-                          set() if any(bad) else {k for k, kept in enumerate(include) if not kept},
-                          theta if defined else None,
-                          tuple(k for k, b in enumerate(bad) if b))
-            for dims, pairs, angles, include, theta, defined, bad in rows]
+    pairs = bin_out.reshape(len(batch), model.cfg.num_bins, 2)
+    return [ForwardResult(dims, row_pairs, angles, excluded, theta, bad)
+            for dims, row_pairs, (angles, excluded, theta, bad)
+            in zip(dims_pred, pairs, _decoded_rows(decode_bins(bin_out, model.cfg)))]
 
 
 def forward(model: OrientationNet, sample: TrainingSample) -> ForwardResult:
@@ -728,6 +736,15 @@ class SweepPoint:
     excluded: set[int]
 
 
+def _sweep_points(model: OrientationNet, batch: Batch, factors: np.ndarray,
+                  h1_feed_scale=1.0) -> list[SweepPoint]:
+    """One point per factor, from the matching row of ``batch``."""
+    _, bin_out = forward_batch(model, batch, h1_feed_scale)
+    return [SweepPoint(f, theta, angles, excluded)
+            for f, (angles, excluded, theta, _) in zip(
+                factors.tolist(), _decoded_rows(decode_bins(bin_out, model.cfg)))]
+
+
 def sweep_2d_width(model: OrientationNet, sample: TrainingSample,
                    factors=None) -> list[SweepPoint]:
     """Scale the sample's 2D box width by each factor and re-predict."""
@@ -736,8 +753,7 @@ def sweep_2d_width(model: OrientationNet, sample: TrainingSample,
     batch.dims2d[:, 1] *= factors
     if not np.all(np.isfinite(batch.dims2d[:, 1]) & (batch.dims2d[:, 1] > 0)):
         raise ValueError(f"scaled 2D widths must be finite and > 0, got factors {factors}")
-    return [SweepPoint(float(f), r.theta_pred, r.per_bin_angles, r.excluded)
-            for f, r in zip(factors, _forward_rows(model, batch))]
+    return _sweep_points(model, batch, factors)
 
 
 def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
@@ -748,9 +764,8 @@ def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
     the teacher-forced one), not to the sample's ground truth.
     """
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
-    rows = _forward_rows(model, make_batch([sample] * len(factors)), h1_feed_scale=factors)
-    return [SweepPoint(float(f), r.theta_pred, r.per_bin_angles, r.excluded)
-            for f, r in zip(factors, rows)]
+    return _sweep_points(model, make_batch([sample] * len(factors)), factors,
+                         h1_feed_scale=factors)
 
 
 def analytic_selector_curve(sample: TrainingSample, factors=None,

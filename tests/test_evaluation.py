@@ -146,7 +146,89 @@ class TestMatching:
             match_detections([], [gt(0.0)], iou_threshold=0.0)
 
 
+def covered_share(box, region):
+    """The share of ``box``'s area that lies inside ``region``."""
+    iw = min(box[2], region[2]) - max(box[0], region[0])
+    ih = min(box[3], region[3]) - max(box[1], region[1])
+    return max(iw, 0.0) * max(ih, 0.0) / ((box[2] - box[0]) * (box[3] - box[1]))
+
+
+def brute_force_report(dets, gts, ignore_boxes=(), iou_threshold=0.5):
+    """AP, AOS and the (recall, os-precision) curve from scratch: greedy
+    matching over a stable descending argsort of the scores, every counted
+    prefix of that order tallied anew, then at each 11-point anchor the
+    largest value over the prefixes that reach it."""
+    order = [int(i) for i in np.argsort([-d.score for d in dets], kind="stable")]
+    taken, matched_gt, ignored = set(), {}, set()
+    for di in order:
+        best_gi, best_iou = -1, 0.0
+        for gi, g in enumerate(gts):
+            iou = box_iou(dets[di].box2d, g.box2d)
+            if gi not in taken and iou > best_iou:
+                best_gi, best_iou = gi, iou
+        if best_iou >= iou_threshold:
+            taken.add(best_gi)
+            matched_gt[di] = best_gi
+        elif any(covered_share(dets[di].box2d, ib) >= iou_threshold for ib in ignore_boxes):
+            ignored.add(di)
+    counted = [di for di in order if di not in ignored]
+    recalls, precisions, os_precisions = [], [], []
+    for k in range(1, len(counted) + 1):
+        tp, sim = 0, 0.0
+        for di in counted[:k]:
+            if di in matched_gt:
+                tp += 1
+                sim += orientation_similarity(dets[di].theta, gts[matched_gt[di]].theta)
+        recalls.append(tp / len(gts))
+        precisions.append(tp / k)
+        os_precisions.append(sim / k)
+
+    def envelope(values):
+        total = 0.0
+        for anchor in np.linspace(0.0, 1.0, 11):
+            reached = [v for r, v in zip(recalls, values) if r >= anchor - 1e-12]
+            total += max(reached) if reached else 0.0
+        return total / 11
+
+    return envelope(precisions), envelope(os_precisions), list(zip(recalls, os_precisions))
+
+
 class TestAosAndAp:
+    def test_matches_brute_force_envelope(self):
+        # Seeded frames with tied scores, detections inside an ignore
+        # region, missed ground truths and frames without a match; every
+        # figure must equal the brute force bit for bit.
+        rng = np.random.default_rng(18)
+        ignore = [(2000.0, 0.0, 2200.0, 300.0)]
+        n_ties = n_ignored = n_unmatched = 0
+        for _ in range(400):
+            n_gt = int(rng.choice([1, 2, 3, 4, 5, 10]))
+            gts = [gt(100.0 * i, theta=rng.uniform(-4.0, 4.0), size=40.0) for i in range(n_gt)]
+            dets = []
+            for i in range(n_gt + 3):
+                for _ in range(int(rng.integers(0, 3))):
+                    x = 100.0 * i + rng.uniform(-25.0, 25.0)
+                    score = rng.choice([0.5, 0.7]) if rng.random() < 0.5 else rng.uniform()
+                    dets.append(det(x, score=score, theta=rng.uniform(-4.0, 4.0), size=40.0))
+            for _ in range(int(rng.integers(0, 3))):
+                dets.append(det(2050.0 + rng.uniform(0, 100), score=rng.uniform(), size=40.0))
+            rep = evaluate_detections(dets, gts, ignore_boxes=ignore)
+            want_ap, want_aos, want_curve = brute_force_report(dets, gts, ignore)
+            assert (rep.ap, rep.aos, rep.os_recall_curve) == (want_ap, want_aos, want_curve)
+            assert (rep.ap, rep.aos) == (average_precision(dets, gts, ignore_boxes=ignore),
+                                         aos(dets, gts, ignore_boxes=ignore)[0])
+            n_ties += len({d.score for d in dets}) < len(dets)
+            n_ignored += len(want_curve) < len(dets)
+            n_unmatched += rep.n_matched == 0
+        assert min(n_ties, n_ignored, n_unmatched) >= 20
+
+    def test_recall_on_an_anchor_counts_for_it(self):
+        # Three of ten found: recall 0.3 sits 1 ulp below the anchor
+        # linspace gives (0.30000000000000004) and still reaches it.
+        gts = [gt(100.0 * i) for i in range(10)]
+        dets = [det(100.0 * i, score=1.0 - 0.1 * i) for i in range(3)]
+        assert evaluate_detections(dets, gts).ap == 4 / 11 == brute_force_report(dets, gts)[0]
+
     def test_perfect_detections(self):
         gts = [gt(0.0, theta=0.5), gt(100.0, theta=-2.0)]
         dets = [det(0.0, score=0.9, theta=0.5), det(100.0, score=0.8, theta=-2.0)]

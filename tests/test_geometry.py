@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from pedorient import geometry
 from pedorient.geometry import (
     Dims2D,
     Dims3D,
@@ -189,19 +190,21 @@ class TestWidthSpan:
 
     def test_pi_shift_symmetry(self):
         rng = np.random.default_rng(42)
-        dims = random_dims(rng)
-        th = rng.uniform(-math.pi, math.pi, size=500)
-        np.testing.assert_allclose(
-            width_span(dims, th), width_span(dims, th + math.pi), atol=1e-12
-        )
+        for _ in range(20):
+            dims = random_dims(rng)
+            th = rng.uniform(-math.pi, math.pi, size=500)
+            np.testing.assert_allclose(
+                width_span(dims, th), width_span(dims, th + math.pi), atol=1e-12
+            )
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(42)
-        dims = random_dims(rng)
-        th = rng.uniform(-math.pi, math.pi, size=500)
-        np.testing.assert_allclose(
-            width_span(dims, th), width_span(dims, -th), atol=1e-12
-        )
+        for _ in range(20):
+            dims = random_dims(rng)
+            th = rng.uniform(-math.pi, math.pi, size=500)
+            np.testing.assert_allclose(
+                width_span(dims, th), width_span(dims, -th), atol=1e-12
+            )
 
     def test_bounds(self):
         rng = np.random.default_rng(42)
@@ -309,6 +312,50 @@ class TestCandidatesForSpan:
         dims = Dims3D(1.7, 0.5, 0.5)
         res = candidates_for_span(dims, math.hypot(0.5, 0.5))
         assert len(res.candidates) == 4
+
+    def test_merge_matches_all_survivors_loop(self, monkeypatch):
+        # Each root is checked against the last and first survivors only;
+        # the reference checks every survivor.
+        def every_survivor(roots):
+            kept = []
+            for th in sorted(roots):
+                if all(circ_abs_diff(th, prev) > geometry._DEDUP_TOL for prev in kept):
+                    kept.append(th)
+            if len(kept) >= 2 and circ_abs_diff(kept[0], kept[-1]) <= geometry._DEDUP_TOL:
+                kept.pop()
+            return kept
+
+        seen = []
+
+        def spy(roots):
+            seen.append(list(roots))
+            return merge(roots)
+
+        merge = geometry._merge_roots
+        monkeypatch.setattr(geometry, "_merge_roots", spy)
+        rng = np.random.default_rng(18)
+        for trial in range(400):
+            dims = random_dims(rng)
+            if trial % 4 == 0:
+                dims = Dims3D(dims.h1, dims.w1, dims.w1)
+            w1, l1 = dims.w1, dims.l1
+            r = math.hypot(w1, l1)
+            for target in (0.0, w1, l1, r, r * (1 + 5e-10), rng.uniform(0.0, r)):
+                seen.clear()
+                cands = candidates_for_span(dims, target).candidates
+                if target > r * (1 + 1e-9):
+                    assert not seen
+                    continue
+                assert list(cands) == every_survivor(seen[0])
+        # Clusters of roots closer and farther than the tolerance, on both
+        # sides of the seam.
+        tol = geometry._DEDUP_TOL
+        for _ in range(3000):
+            centres = rng.choice([-math.pi, -1.0, 0.0, 2.0, math.pi], size=int(rng.integers(1, 4)))
+            roots = [wrap_angle(float(c + d)) for c in centres
+                     for d in rng.choice([0.0, 0.4, 0.9, 1.0, 1.1, 2.5], size=3) * tol
+                     * rng.choice([-1.0, 1.0], size=3)]
+            assert merge(roots) == every_survivor(roots)
 
     def test_rejects_bad_target(self):
         dims = Dims3D(1.7, 0.6, 0.5)

@@ -16,6 +16,7 @@ from pedorient.kitti_io import (
     to_sample,
 )
 from pedorient.geometry import Dims2D, Dims3D
+from pedorient.synth import SynthConfig, gen_dataset, read_dataset, write_dataset
 
 PED_LINE = (
     "Pedestrian 0.10 1 -1.2 423.50 145.20 458.10 255.80 "
@@ -23,6 +24,95 @@ PED_LINE = (
 )
 DET_LINE = PED_LINE + " 0.87"
 DONT_CARE_LINE = "DontCare -1 -1 -10 500.0 160.0 550.0 190.0 -1 -1 -1 -1000 -1000 -1000 -10"
+
+# Values that %.17g must carry through a round trip: signed zero, the
+# smallest subnormal, the largest powers of ten, and inexact decimals.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0)
+
+
+def random_label_text(rng, n_rows):
+    """Label rows: DontCare rows with their sentinels or edge values, and
+    pedestrian rows with edge values wherever a field's range allows,
+    about half of them with a score."""
+
+    def value(lo=-1e308, hi=1e308):
+        if rng.random() < 0.4:
+            edges = [v for v in EDGE_VALUES if lo <= v <= hi]
+            return float(edges[rng.integers(len(edges))])
+        return float(rng.uniform(max(lo, -1e3), min(hi, 1e3)))
+
+    rows = []
+    for _ in range(n_rows):
+        if rng.random() < 0.2:
+            fields = DONT_CARE_LINE.split()
+            if rng.random() < 0.5:
+                fields[4:8] = [repr(value()) for _ in range(4)]
+            rows.append(" ".join(fields))
+            continue
+        left, top = value(-1e3, 1e3), value(-1e3, 1e3)
+        fields = ["Pedestrian", repr(value(0.0, 1.0)), str(int(rng.integers(4))),
+                  repr(value(-3.14, 3.14)), repr(left), repr(top),
+                  repr(left + float(rng.uniform(1.0, 300.0))),
+                  repr(top + float(rng.uniform(1.0, 300.0))),
+                  *[repr(value(5e-324)) for _ in range(3)],
+                  *[repr(value()) for _ in range(3)], repr(value(-3.14, 3.14))]
+        if rng.random() < 0.5:
+            fields.append(repr(value()))
+        rows.append(" ".join(fields))
+    return "\n".join(rows) + "\n"
+
+
+def per_field_serialize(labels):
+    """Label text with one %.17g per float field, joined by spaces."""
+    out = []
+    for lab in labels:
+        fields = [lab.class_name, "%.17g" % lab.truncation, str(lab.occlusion),
+                  "%.17g" % lab.alpha]
+        fields += ["%.17g" % v for v in (*lab.box2d, *lab.dims3d, *lab.location)]
+        fields.append("%.17g" % lab.rotation_y)
+        if lab.score is not None:
+            fields.append("%.17g" % lab.score)
+        out.append(" ".join(fields))
+    return "".join(line + "\n" for line in out)
+
+
+# Replacement fields for the fuzz: non-numbers, overflow, non-finite values,
+# numbers Python's float() reads but KITTI files do not hold, class names.
+FUZZ_TOKENS = ("nan", "inf", "-inf", "1e400", "-1e400", "True", "0x10", "1_0", "--1",
+               "1e", "3.5.1", "+", "DontCare", "Pedestrian", "#", "5e-324", "-0", "\x00", "\u00e9")
+FUZZ_CHARS = "0123456789.-+eEnaif# \t\n"
+
+
+def mutate(text, rng):
+    """Apply one to three random edits: delete, insert or replace a
+    character, replace, drop or repeat a field, truncate the text, or
+    repeat or drop a line."""
+    for _ in range(int(rng.integers(1, 4))):
+        op = int(rng.integers(7))
+        if op <= 2 and text:
+            i = int(rng.integers(len(text)))
+            ch = FUZZ_CHARS[rng.integers(len(FUZZ_CHARS))]
+            text = text[:i] + ("", ch, ch)[op] + text[i + (op != 1):]
+            continue
+        lines = text.split("\n")
+        li = int(rng.integers(len(lines)))
+        fields = lines[li].split()
+        if op == 3 and fields:
+            fields[rng.integers(len(fields))] = FUZZ_TOKENS[rng.integers(len(FUZZ_TOKENS))]
+        elif op == 4 and fields:
+            del fields[rng.integers(len(fields))]
+        elif op == 5 and fields:
+            fields.insert(int(rng.integers(len(fields))), fields[rng.integers(len(fields))])
+        elif op == 6:
+            if rng.random() < 0.5:
+                text = text[:int(rng.integers(len(text) + 1))]
+            else:
+                lines.insert(li, lines[int(rng.integers(len(lines)))])
+                text = "\n".join(lines)
+            continue
+        lines[li] = " ".join(fields)
+        text = "\n".join(lines)
+    return text
 
 
 class TestParsing:
@@ -124,6 +214,19 @@ class TestParsing:
         with pytest.raises(KittiParseError, match="^line 1: "):
             parse_label_file(" ".join(dc))
 
+    def test_occlusion_must_be_an_int(self):
+        # A bool or a float would be written as "True" or "2.0": the first
+        # does not parse back, the second parses as the int 2.
+        parts = PED_LINE.split()
+        box, dims, loc = (423.5, 145.2, 458.1, 255.8), (1.78, 0.6, 0.45), (2.31, 1.65, 14.2)
+        for name in ("Pedestrian", "DontCare"):
+            for bad in (True, False, 2.0, np.int64(1), "1", None):
+                with pytest.raises(ValueError, match="^occlusion must be an int"):
+                    ObjectLabel(name, 0.1, bad, -1.2, box, dims, loc, -1.15)
+        lab = ObjectLabel("Pedestrian", 0.1, 1, -1.2, box, dims, loc, -1.15)
+        (back,) = parse_label_file(serialize_labels([lab])).labels
+        assert back == lab and serialize_labels([back]).split()[2] == parts[2]
+
     def test_inverted_box_rejected(self):
         parts = PED_LINE.split()
         parts[4], parts[6] = parts[6], parts[4]  # left > right
@@ -149,6 +252,48 @@ class TestSerialization:
     def test_empty_input(self):
         assert serialize_labels([]) == ""
         assert parse_label_file("").labels == []
+
+    def test_seeded_roundtrips(self):
+        # parse -> serialize -> parse is the identity, down to the sign of
+        # zero, and the text is what one %.17g per field gives.
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            labels = parse_label_file(random_label_text(rng, int(rng.integers(1, 8)))).labels
+            text = serialize_labels(labels)
+            assert text == per_field_serialize(labels)
+            again = parse_label_file(text).labels
+            assert repr(again) == repr(labels)
+            assert serialize_labels(again) == text
+
+
+class TestParserFuzz:
+    """Seeded mutations of valid files: each either parses or raises the
+    parser's ValueError, never another exception."""
+
+    def test_label_parser_raises_only_parse_errors(self):
+        rng = np.random.default_rng(6)
+        rejected = 0
+        for _ in range(3000):
+            text = mutate(random_label_text(rng, int(rng.integers(1, 4))), rng)
+            try:
+                parse_label_file(text)
+            except KittiParseError:
+                rejected += 1
+        assert 1000 < rejected < 3000
+
+    def test_dataset_reader_raises_only_value_errors(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "data.txt"
+        write_dataset(path, gen_dataset(SynthConfig(n=3, seed=0, context_width=3))[0])
+        valid = path.read_text()
+        rejected = 0
+        for _ in range(1500):
+            path.write_text(mutate(valid, rng), encoding="utf-8")
+            try:
+                read_dataset(path)
+            except ValueError:
+                rejected += 1
+        assert 500 < rejected < 1500
 
 
 class TestDifficulty:

@@ -643,6 +643,37 @@ class TestSweeps:
                         assert circ_abs_diff(p.theta_pred, theta) <= 1e-12
         assert fired > 0
 
+    def test_points_match_forward_rows_on_undefined_rows(self, monkeypatch):
+        # Row 1's bin 0 is exactly (0, 0); row 2's two bins point at global
+        # angles 0 and pi, which cancel.  Each point must carry its row's
+        # _forward_rows result, bit for bit.
+        model = build_model(tiny_cfg(num_bins=2))
+        s = tiny_samples(1)[0]
+        factors = (0.5, 1.0, 1.5, 2.0)
+        real_forward = model_module.forward_batch
+
+        def forced(m, batch, h1_feed_scale=1.0):
+            dims, out = real_forward(m, batch, h1_feed_scale)
+            out[1] = (0.0, 0.0, 0.3, 1.0)
+            out[2] = (1.0, 0.0, 1.0, 0.0)
+            return dims, out
+
+        monkeypatch.setattr(model_module, "forward_batch", forced)
+        widened = make_batch([s] * len(factors))
+        widened.dims2d[:, 1] *= factors
+        for points, batch, scale in (
+                (sweep_2d_width(model, s, factors), widened, 1.0),
+                (sweep_3d_height(model, s, factors), make_batch([s] * len(factors)),
+                 np.array(factors))):
+            rows = model_module._forward_rows(model, batch, scale)
+            assert [p.factor for p in points] == list(factors)
+            assert ([(p.theta_pred, p.per_bin_angles, p.excluded) for p in points]
+                    == [(r.theta_pred, r.per_bin_angles, r.excluded) for r in rows])
+            assert (points[1].theta_pred, points[1].per_bin_angles) == (None, None)
+            assert rows[1].degenerate_bins == (0,)
+            assert points[2].theta_pred is None and len(points[2].per_bin_angles) == 2
+            assert points[0].theta_pred is not None and points[3].theta_pred is not None
+
     def test_height_sweep_inert_for_plain_model(self):
         model = build_model(tiny_cfg(use_feedforward=False))
         s = tiny_samples(1)[0]
