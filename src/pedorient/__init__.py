@@ -92,13 +92,10 @@ from .model import (
     train,
 )
 from .nn_core import (
-    DenseLayer,
     GradCheckReport,
-    LayerSpec,
     NonFiniteGradientError,
     Tape,
     finite_diff_check,
-    init_params,
     sgd_step,
 )
 from .synth import (

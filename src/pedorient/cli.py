@@ -402,10 +402,24 @@ def cmd_compare(args) -> int:
 _TIER_ORDER = (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD)
 
 
+def _read_labels(path):
+    """Parse the label file at ``path``: its ``ParseResult`` and the
+    line in the file of each label.  An error names the file and the line."""
+    text = Path(path).read_text()
+    try:
+        parsed = parse_label_file(text)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    # Every line that is not blank holds one label.
+    return parsed, [no for no, line in enumerate(text.splitlines(), start=1) if line.split()]
+
+
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    gt_parsed = parse_label_file(Path(args.labels).read_text())
-    det_parsed = parse_label_file(Path(args.detections).read_text())
+    if not 0.0 < args.iou <= 1.0:
+        raise ValueError(f"--iou {args.iou}: must be in (0, 1]")
+    gt_parsed, _ = _read_labels(args.labels)
+    det_parsed, det_lines = _read_labels(args.detections)
     tier = Difficulty(args.difficulty)
     included = set(_TIER_ORDER[: _TIER_ORDER.index(tier) + 1])
 
@@ -422,11 +436,12 @@ def cmd_eval(args) -> int:
             ignores.append(lb.box2d)
 
     dets = []
-    for i, lb in enumerate(det_parsed.labels):
+    for line_no, lb in zip(det_lines, det_parsed.labels):
         if lb.class_name != _PEDESTRIAN:
             continue
         if lb.score is None:
-            raise ValueError(f"detection row {i + 1} has no confidence score")
+            raise ValueError(f"{args.detections}: line {line_no}:"
+                             " detection has no confidence score")
         dets.append(Detection(lb.box2d, lb.score, getattr(lb, args.orientation)))
 
     report = evaluate_detections(dets, gts, iou_threshold=args.iou,
@@ -482,7 +497,8 @@ def cmd_sweep(args) -> int:
     model = load_model(args.checkpoint)
     samples = read_dataset(args.data)
     if not 0 <= args.index < len(samples):
-        raise ValueError(f"index {args.index} outside dataset of {len(samples)}")
+        raise ValueError(f"--index {args.index}: outside {args.data},"
+                         f" which holds {len(samples)} samples")
     sample = samples[args.index]
     factors = _parse_factors(args.factors)
 
@@ -521,7 +537,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# The cross-check's grid has 360 / step points: 3.6 million at the finest.
+_MIN_GRID_STEP_DEG = 1e-4
+
+
 def cmd_invert(args) -> int:
+    if not (math.isfinite(args.grid_step_deg) and args.grid_step_deg >= _MIN_GRID_STEP_DEG):
+        raise ValueError(f"--grid-step-deg {args.grid_step_deg}: must be finite"
+                         f" and >= {_MIN_GRID_STEP_DEG}")
     d2 = Dims2D(args.h2d, args.w2d)
     dims = Dims3D(args.h1, args.w1, args.l1)
     implied = implied_width_span(d2, dims.h1)

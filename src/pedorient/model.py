@@ -34,15 +34,7 @@ from . import config
 from .binning import BinConfig, exclusion_mask_batch, orientation_loss
 from .geometry import candidates_for_span, circ_abs_diff, implied_width_span, wrap_angle
 from .kitti_io import TrainingSample
-from .nn_core import (
-    DenseLayer,
-    LayerSpec,
-    NonFiniteGradientError,
-    Tape,
-    finite_diff_check,
-    init_params,
-    sgd_step,
-)
+from .nn_core import NonFiniteGradientError, Tape, finite_diff_check, sgd_step
 
 DEFAULT_SWEEP_FACTORS = tuple(np.linspace(0.1, 2.0, 20))
 
@@ -129,61 +121,91 @@ class ModelConfig:
         return self.lr_schedule[-1][1]
 
 
-def _stack_specs(cfg: ModelConfig) -> dict[str, list[LayerSpec]]:
+def _stack_specs(cfg: ModelConfig) -> dict[str, list[tuple[int, int, bool]]]:
+    """(in width, out width, ReLU follows) of each layer, by stack in
+    forward order."""
     e0, e1 = cfg.encoder_hidden
     p0, p1 = cfg.proc_hidden
-    specs = {
-        "encoder": [LayerSpec(cfg.context_width, e0, "relu"),
-                    LayerSpec(e0, e1, "relu")],
-        "dims3d_regressor": [LayerSpec(e1, 3, "linear")],
-    }
+    specs = {"encoder": [(cfg.context_width, e0, True), (e0, e1, True)],
+             "dims3d_regressor": [(e1, 3, False)]}
     head_in = e1
     if cfg.use_feedforward:
-        specs["proc2d"] = [LayerSpec(2, p0, "relu"), LayerSpec(p0, p1, "relu")]
-        specs["proc3d"] = [LayerSpec(3, p0, "relu"), LayerSpec(p0, p1, "relu")]
+        specs["proc2d"] = [(2, p0, True), (p0, p1, True)]
+        specs["proc3d"] = [(3, p0, True), (p0, p1, True)]
         head_in = e1 + 2 * p1
-    specs["head"] = [LayerSpec(head_in, cfg.head_hidden, "relu"),
-                     LayerSpec(cfg.head_hidden, 2 * cfg.num_bins, "linear")]
+    specs["head"] = [(head_in, cfg.head_hidden, True),
+                     (cfg.head_hidden, 2 * cfg.num_bins, False)]
     return specs
 
 
 @dataclass(eq=False)
+class Layer:
+    """One dense layer: views of its weights (out, in) and bias (out,) in
+    a flat array, and whether a ReLU follows."""
+
+    weights: np.ndarray
+    bias: np.ndarray
+    relu: bool
+
+
+def _carve(flat: np.ndarray, cfg: ModelConfig) -> dict[str, list[Layer]]:
+    """Lay the layers of ``cfg`` out in ``flat``: each layer's weights then
+    its bias, stack by stack in forward order (:func:`named_parameters`
+    order)."""
+    stacks, pos = {}, 0
+    for name, specs in _stack_specs(cfg).items():
+        stacks[name] = []
+        for n_in, n_out, relu in specs:
+            weights = flat[pos:pos + n_out * n_in].reshape(n_out, n_in)
+            pos += n_out * n_in
+            stacks[name].append(Layer(weights, flat[pos:pos + n_out], relu))
+            pos += n_out
+    return stacks
+
+
+@dataclass(eq=False)
 class OrientationNet:
-    """The config, the stacks of dense layers by name in forward order
+    """The config, the stacks of :class:`Layer` by name in forward order
     (encoder, dims3d_regressor, then proc2d and proc3d with feedforward,
     head), and ``params``: one flat float64 array holding every parameter
     in :func:`named_parameters` order, of which each layer's weights and
     bias are views."""
 
     cfg: ModelConfig
-    stacks: dict[str, list[DenseLayer]]
+    stacks: dict[str, list[Layer]]
     params: np.ndarray
 
 
 def build_model(cfg: ModelConfig) -> OrientationNet:
-    """Seeded construction; identical configs yield identical parameters."""
-    stacks = {name: [init_params(spec, [cfg.seed, si, li])
-                     for li, spec in enumerate(layer_specs)]
-              for si, (name, layer_specs) in enumerate(_stack_specs(cfg).items())}
-    layers = [layer for stack in stacks.values() for layer in stack]
-    params = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
-    pos = 0
-    for layer in layers:
-        for attr in ("weights", "bias"):
-            arr = getattr(layer, attr)
-            setattr(layer, attr, params[pos:pos + arr.size].reshape(arr.shape))
-            pos += arr.size
+    """Seeded construction; identical configs yield identical parameters.
+
+    Layer ``li`` of stack ``si`` (both counted in forward order) draws its
+    weights from ``default_rng([cfg.seed, si, li]).uniform(-limit, limit)``,
+    with ``limit = sqrt(6 / in)`` (He) where a ReLU follows and
+    ``sqrt(6 / (in + out))`` (Xavier) where none does.  Biases start at 0.
+    """
+    size = sum((n_in + 1) * n_out for specs in _stack_specs(cfg).values()
+               for n_in, n_out, _ in specs)
+    params = np.zeros(size)
+    stacks = _carve(params, cfg)
+    for si, stack in enumerate(stacks.values()):
+        for li, layer in enumerate(stack):
+            n_out, n_in = layer.weights.shape
+            limit = math.sqrt(6.0 / n_in if layer.relu else 6.0 / (n_in + n_out))
+            rng = np.random.default_rng([cfg.seed, si, li])
+            layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
     return OrientationNet(cfg, stacks, params)
+
+
+def _named_arrays(stacks: dict[str, list[Layer]]) -> list[tuple[str, np.ndarray]]:
+    return [(f"{name}.{i}.{part}", getattr(layer, part))
+            for name, stack in stacks.items() for i, layer in enumerate(stack)
+            for part in ("weights", "bias")]
 
 
 def named_parameters(model: OrientationNet) -> list[tuple[str, np.ndarray]]:
     """Flat (name, array) view of every parameter, in a stable order."""
-    out = []
-    for name, stack in model.stacks.items():
-        for i, layer in enumerate(stack):
-            out.append((f"{name}.{i}.weights", layer.weights))
-            out.append((f"{name}.{i}.bias", layer.bias))
-    return out
+    return _named_arrays(model.stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +246,7 @@ def _apply_stack(stack, x: np.ndarray) -> np.ndarray:
     for layer in stack:
         x = x @ layer.weights.T
         x += layer.bias
-        if layer.activation == "relu":
+        if layer.relu:
             np.maximum(x, 0.0, out=x)
     return x
 
@@ -540,22 +562,17 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     inputs, write_inputs = _graph_inputs(len(batch), cfg)
     write_inputs(batch)
     t = Tape()
-    param_nodes: list[tuple[str, int, np.ndarray]] = []
-    stack_ids: dict[str, list[tuple[int, int, str]]] = {}
-    for name, stack in model.stacks.items():
-        ids = []
-        for i, layer in enumerate(stack):
-            wid = t.leaf(layer.weights)
-            bid = t.leaf(layer.bias)
-            param_nodes.append((f"{name}.{i}.weights", wid, layer.weights))
-            param_nodes.append((f"{name}.{i}.bias", bid, layer.bias))
-            ids.append((wid, bid, layer.activation))
-        stack_ids[name] = ids
+    param_nodes = [(name, t.leaf(arr), arr) for name, arr in named_parameters(model)]
+    # named_parameters lists each layer's weights, then its bias: each
+    # layer takes the next two leaves.
+    leaves = (nid for _, nid, _ in param_nodes)
+    stack_ids = {name: [(wid, bid, layer.relu) for layer, wid, bid in zip(stack, leaves, leaves)]
+                 for name, stack in model.stacks.items()}
 
     def apply(name: str, x: int) -> int:
-        for wid, bid, act in stack_ids[name]:
+        for wid, bid, relu in stack_ids[name]:
             x = t.affine(x, wid, bid)
-            if act == "relu":
+            if relu:
                 x = t.relu(x)
         return x
 
@@ -666,10 +683,9 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
                                                     cfg.batch_size))
         lg = build_loss_graph(model, data.take(block[step % _INDEX_BLOCK]), replay=lg)
         if step == 0:
-            bounds = np.cumsum([arr.size for _, _, arr in lg.param_nodes])[:-1]
-            lg.tape.keep_gradients(lg.loss, {
-                nid: view.reshape(arr.shape)
-                for (_, nid, arr), view in zip(lg.param_nodes, np.split(grad, bounds))})
+            grad_views = dict(_named_arrays(_carve(grad, cfg)))
+            lg.tape.keep_gradients(lg.loss, {nid: grad_views[name]
+                                             for name, nid, _ in lg.param_nodes})
         vals = lg.term_values()
         row = TrainLogRow(
             step=step,

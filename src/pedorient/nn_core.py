@@ -1,8 +1,9 @@
-"""A small dense-network engine: layers, a gradient tape, SGD, checking.
+"""A small autodiff engine: a gradient tape, momentum SGD, and a
+finite-difference gradient checker.
 
 Everything is float64 numpy.  Values flowing through a :class:`Tape` are
-2-D arrays shaped (batch, width); parameters are 2-D weight matrices
-(out, in) and 1-D biases.  Backpropagation is reverse-mode over an
+2-D arrays shaped (batch, width); a leaf may also be a weight matrix
+(out, in) or a 1-D bias.  Backpropagation is reverse-mode over an
 explicit node list, so gradients are exact and reproducible, and a
 value-only node, such as a ``stop_gradient`` copy, takes no gradient,
 which cuts every path through it.  A tape is recorded once and can be
@@ -14,69 +15,14 @@ written once for both.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-ACTIVATIONS = ("linear", "relu")
-
 
 class NonFiniteGradientError(RuntimeError):
     """A gradient or parameter update contained NaN or infinity."""
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Shape and activation of one dense layer."""
-
-    in_width: int
-    out_width: int
-    activation: str = "linear"
-
-    def __post_init__(self):
-        if self.in_width < 1 or self.out_width < 1:
-            raise ValueError(f"layer widths must be >= 1, got {self}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-@dataclass(eq=False)
-class DenseLayer:
-    """Parameters of one dense layer: weights (out, in) and bias (out,)."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-    activation: str = "linear"
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError(
-                f"shape mismatch: weights {self.weights.shape}, bias {self.bias.shape}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("parameters must be finite")
-
-
-def init_params(spec: LayerSpec, seed) -> DenseLayer:
-    """Seeded uniform initialization matched to the activation.
-
-    ReLU layers use He-uniform (limit sqrt(6 / in)); linear layers use
-    Xavier-uniform (limit sqrt(6 / (in + out))).  Biases start at zero.
-    """
-    rng = np.random.default_rng(seed)
-    if spec.activation == "relu":
-        limit = math.sqrt(6.0 / spec.in_width)
-    else:
-        limit = math.sqrt(6.0 / (spec.in_width + spec.out_width))
-    w = rng.uniform(-limit, limit, size=(spec.out_width, spec.in_width))
-    b = np.zeros(spec.out_width)
-    return DenseLayer(w, b, spec.activation)
 
 
 def _grouped(xv: np.ndarray, group: int | None) -> np.ndarray:

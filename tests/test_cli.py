@@ -444,6 +444,34 @@ class TestEval:
         assert rc == 1
         assert "confidence score" in capsys.readouterr().err
 
+    def test_errors_name_the_file_and_its_line(self, tmp_path, capsys):
+        # Blank lines 1 and 3 count: the row at fault is line 4 of its file.
+        gt, det = self.write_labels(tmp_path)
+        scored, unscored = DET_LINES.splitlines()[0], GT_LINES.splitlines()[0]
+        cases = [(det, f"\n{scored}\n\n{unscored}\n",
+                  f"{det}: line 4: detection has no confidence score"),
+                 (det, f"\n{scored}\n  \n{scored} 7\n",
+                  f"{det}: line 4: expected 15 or 16 fields, got 17"),
+                 (gt, f"\n{unscored}\n\n{unscored.replace(' 0.5', ' x', 1)}\n",
+                  f"{gt}: line 4: field 'length_3d' is not numeric: 'x'")]
+        for path, text, message in cases:
+            path.write_text(text)
+            rc = main(["eval", "--labels", str(gt), "--detections", str(det),
+                       "--out", str(tmp_path / "eval")])
+            assert rc == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not (tmp_path / "eval").exists()
+            self.write_labels(tmp_path)
+
+    @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan", "inf"])
+    def test_iou_outside_unit_interval_names_the_flag(self, tmp_path, capsys, iou):
+        gt, det = self.write_labels(tmp_path)
+        rc = main(["eval", "--labels", str(gt), "--detections", str(det),
+                   "--out", str(tmp_path / "eval"), f"--iou={iou}"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: --iou {float(iou)}: must be in (0, 1]\n")
+        assert not (tmp_path / "eval").exists()
+
 
 class TestSweep:
     def test_width_sweep_csv(self, tmp_path, workspace):
@@ -516,12 +544,16 @@ class TestSweep:
             err = capsys.readouterr().err
             assert name in err and str(bad) in err
 
-    def test_bad_index(self, tmp_path, workspace):
-        rc = main(["sweep", "--checkpoint", str(workspace["model"]),
-                   "--data", str(workspace["data"]),
-                   "--out", str(tmp_path / "s"), "--which", "2d",
-                   "--index", "999"])
-        assert rc == 1
+    def test_bad_index(self, tmp_path, workspace, capsys):
+        for index in ("999", "60", "-1"):
+            rc = main(["sweep", "--checkpoint", str(workspace["model"]),
+                       "--data", str(workspace["data"]),
+                       "--out", str(tmp_path / "s"), "--which", "2d",
+                       f"--index={index}"])
+            assert rc == 1
+            assert capsys.readouterr() == ("", f"error: --index {index}: outside"
+                                               f" {workspace['data']}, which holds 60 samples\n")
+            assert not (tmp_path / "s").exists()
 
 
 class TestInvert:
@@ -538,6 +570,15 @@ class TestInvert:
                    "--w1", "0.6", "--l1", "0.5"])
         assert rc == 0
         assert "infeasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "9e-05"])
+    def test_bad_grid_step_names_the_flag_before_any_output(self, capsys, step):
+        # Each is rejected before anything is printed or the grid is built.
+        rc = main(["invert", "--h2d", "86", "--w2d", "33", "--h1", "1.68",
+                   "--w1", "0.50", "--l1", "0.42", f"--grid-step-deg={step}"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: --grid-step-deg {float(step)}:"
+                                           " must be finite and >= 0.0001\n")
 
     def test_degenerate_box_rejected(self, capsys):
         rc = main(["invert", "--h2d", "86", "--w2d", "0", "--h1", "1.7",

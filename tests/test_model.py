@@ -24,7 +24,7 @@ from pedorient.cli import (
 )
 from pedorient.geometry import Dims2D, Dims3D, circ_abs_diff, width_span_abs
 from pedorient.kitti_io import TrainingSample
-from pedorient.nn_core import DenseLayer, Tape
+from pedorient.nn_core import Tape
 from pedorient.model import (
     DEFAULT_SWEEP_FACTORS,
     Batch,
@@ -132,6 +132,9 @@ class TestModelConfig:
         assert tiny_cfg(lr_schedule=((0, 1e-3), (1, 1e-4))).total_steps() == 1
         with pytest.raises(ValueError):
             tiny_cfg(exclusion_tau=0.0)
+        for widths in (dict(encoder_hidden=(0, 8)), dict(proc_hidden=(8, 0)), dict(head_hidden=0)):
+            with pytest.raises(ValueError, match="widths"):
+                tiny_cfg(**widths)
         for key in ("consistency_weight", "dims2d_scale"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=key):
@@ -200,6 +203,38 @@ class TestBuildModel:
         assert len(names) == 18
         plain = build_model(tiny_cfg(use_feedforward=False))
         assert len(named_parameters(plain)) == 10
+
+    def test_init_matches_independent_reference(self):
+        # The layer table written out by hand; layer li of stack si draws
+        # uniform(-limit, limit) from default_rng([seed, si, li]), with He
+        # limits before a ReLU, Xavier limits on the two linear outputs,
+        # and zero biases.
+        for (wiring, kw), bins, seed in itertools.product(WIRINGS.items(), (1, 4), (0, 7)):
+            cfg = tiny_cfg(num_bins=bins, seed=seed, **kw)
+            c, (e0, e1), (p0, p1), hh = (cfg.context_width, cfg.encoder_hidden,
+                                         cfg.proc_hidden, cfg.head_hidden)
+            stacks = [("encoder", [(c, e0, True), (e0, e1, True)]),
+                      ("dims3d_regressor", [(e1, 3, False)])]
+            if wiring != "plain":
+                stacks += [("proc2d", [(2, p0, True), (p0, p1, True)]),
+                           ("proc3d", [(3, p0, True), (p0, p1, True)])]
+            head_in = e1 if wiring == "plain" else e1 + 2 * p1
+            stacks += [("head", [(head_in, hh, True), (hh, 2 * bins, False)])]
+            names, arrays = [], []
+            for si, (name, layers) in enumerate(stacks):
+                for li, (n_in, n_out, relu) in enumerate(layers):
+                    limit = math.sqrt(6.0 / n_in) if relu else math.sqrt(6.0 / (n_in + n_out))
+                    w = np.random.default_rng([seed, si, li]).uniform(
+                        -limit, limit, size=(n_out, n_in))
+                    names += [f"{name}.{li}.weights", f"{name}.{li}.bias"]
+                    arrays += [w, np.zeros(n_out)]
+            model = build_model(cfg)
+            assert [(n, a.shape) for n, a in named_parameters(model)] == \
+                [(n, a.shape) for n, a in zip(names, arrays)], wiring
+            want = np.concatenate([a.ravel() for a in arrays])
+            assert model.params.tobytes() == want.tobytes(), (wiring, bins, seed)
+            assert [layer.relu for stack in model.stacks.values() for layer in stack] == \
+                [relu for _, layers in stacks for _, _, relu in layers]
 
     def test_head_width_scales_with_bins(self):
         for bins in (2, 4, 5):
@@ -292,9 +327,11 @@ class TestForward:
         # The value-only forward is x @ W.T + b, then max(., 0) on ReLU
         # layers, bit for bit, and leaves its input alone.
         rng = np.random.default_rng(42)
-        relu = DenseLayer(rng.normal(size=(3, 5)), rng.normal(size=3), "relu")
-        linear = DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2), "linear")
-        x = rng.normal(size=(7, 5))
+        relu, linear = build_model(tiny_cfg()).stacks["head"]
+        assert relu.relu and not linear.relu
+        for layer in (relu, linear):
+            layer.bias[...] = rng.normal(size=layer.bias.shape)
+        x = rng.normal(size=(7, relu.weights.shape[1]))
         x_before = x.copy()
         hidden = np.maximum(x @ relu.weights.T + relu.bias, 0.0)
         assert np.array_equal(model_module._apply_stack([relu], x), hidden)

@@ -1,4 +1,4 @@
-"""Tests for the dense-network engine: layers, tape autodiff, SGD, checking."""
+"""Tests for the dense-network engine: layer init, tape autodiff, SGD, checking."""
 
 import math
 import re
@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from pedorient.nn_core import (
-    DenseLayer,
     GradCheckReport,
-    LayerSpec,
     NonFiniteGradientError,
     Tape,
     finite_diff_check,
-    init_params,
     sgd_step,
 )
+from pedorient.model import ModelConfig, build_model
 
 
 def fd_grad(fn, arr, eps=1e-6):
@@ -35,33 +33,34 @@ def fd_grad(fn, arr, eps=1e-6):
 
 
 class TestLayerBasics:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            LayerSpec(0, 4)
-        with pytest.raises(ValueError):
-            LayerSpec(4, 4, "tanh")
-
-    def test_dense_layer_validation(self):
-        with pytest.raises(ValueError):
-            DenseLayer(np.zeros((3, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            DenseLayer(np.full((3, 2), np.nan), np.zeros(3))
+    # Dense layers are drawn by build_model; these pin the per-layer init.
+    @staticmethod
+    def layer(stack, index, **kw):
+        cfg = ModelConfig(**{"encoder_hidden": (16, 8), "use_feedforward": False, **kw})
+        return build_model(cfg).stacks[stack][index]
 
     def test_init_is_seeded_and_bounded(self):
-        spec = LayerSpec(8, 16, "relu")
-        a = init_params(spec, [1, 2])
-        b = init_params(spec, [1, 2])
-        c = init_params(spec, [1, 3])
+        kw = dict(context_width=8)
+        a = self.layer("encoder", 0, seed=1, **kw)
+        b = self.layer("encoder", 0, seed=1, **kw)
+        c = self.layer("encoder", 0, seed=2, **kw)
+        assert a.weights.shape == (16, 8) and a.relu
         assert np.array_equal(a.weights, b.weights)
         assert not np.array_equal(a.weights, c.weights)
         assert np.all(np.abs(a.weights) <= math.sqrt(6.0 / 8))
         assert np.array_equal(a.bias, np.zeros(16))
 
     def test_init_limit_depends_on_activation(self):
-        relu = init_params(LayerSpec(100, 4, "relu"), 0)
-        lin = init_params(LayerSpec(100, 4, "linear"), 0)
+        # encoder.1 (ReLU follows) and head.1 (linear output) are both 100 -> 4.
+        kw = dict(encoder_hidden=(100, 4), head_hidden=100, num_bins=2)
+        relu = self.layer("encoder", 1, **kw)
+        lin = self.layer("head", 1, **kw)
+        assert relu.weights.shape == lin.weights.shape == (4, 100)
+        assert relu.relu and not lin.relu
         assert np.max(np.abs(relu.weights)) <= math.sqrt(6.0 / 100)
         assert np.max(np.abs(lin.weights)) <= math.sqrt(6.0 / 104)
+        # The He draw reaches past the tighter Xavier limit.
+        assert np.max(np.abs(relu.weights)) > math.sqrt(6.0 / 104)
 
 
 class TestTapeValues:
