@@ -39,7 +39,8 @@ import numpy as np
 
 from . import __version__, config
 from .evaluation import Detection, GroundTruth, evaluate_detections
-from .geometry import Dims2D, Dims3D, invert_orientation_candidates, implied_width_span
+from .geometry import (Dims2D, Dims3D, circ_abs_diff, implied_width_span,
+                       invert_orientation_candidates)
 from .kitti_io import DONT_CARE, Difficulty, classify_difficulty, parse_label_file
 from .model import (
     DEFAULT_SWEEP_FACTORS,
@@ -57,7 +58,8 @@ from .model import (
     train,
 )
 from .nn_core import NonFiniteGradientError
-from .synth import SynthConfig, brute_force_orientation_oracle, gen_dataset, read_dataset, write_dataset
+from .synth import (_CLUSTER_TOL, SynthConfig, brute_force_orientation_oracle, gen_dataset,
+                    read_dataset, write_dataset)
 
 _PEDESTRIAN = "Pedestrian"
 # Sitting people overlap pedestrians in appearance; their boxes become
@@ -111,13 +113,7 @@ def _load_ini(path) -> configparser.ConfigParser:
             _model_config(cp)
             _settings(CompareSettings, cp, "compare")
             _settings(GradcheckSettings, cp, "gradcheck")
-            holdout = _sec(cp, "train").get("holdout_fraction")
-            if holdout is not None:
-                try:
-                    if not 0.0 <= config.coerce(holdout, float) <= 0.9:
-                        raise ValueError("outside [0, 0.9]")
-                except ValueError as e:
-                    raise ValueError(f"[train] holdout_fraction = {holdout!r}: {e}") from None
+            _holdout_fraction(cp)
         except (ValueError, configparser.Error) as e:
             raise ValueError(f"{p}: {e}") from None
     return cp
@@ -130,6 +126,17 @@ def _sec(cp, name: str):
 def _getfloat(sec, key: str, default: float) -> float:
     v = sec.get(key)
     return default if v is None else float(v)
+
+
+def _holdout_fraction(cp) -> float:
+    """``[train] holdout_fraction``: 0.1 when unset, else a float in [0, 0.9]."""
+    text = _sec(cp, "train").get("holdout_fraction", "0.1")
+    try:
+        if not 0.0 <= (fraction := config.coerce(text, float)) <= 0.9:
+            raise ValueError("outside [0, 0.9]")
+    except ValueError as e:
+        raise ValueError(f"[train] holdout_fraction = {text!r}: {e}") from None
+    return fraction
 
 
 def parse_lr_schedule(text: str) -> tuple[tuple[int, float], ...]:
@@ -147,7 +154,7 @@ def _ini_values(cls, cp, sections, **given) -> dict:
     for section in sections:
         for key, text in _sec(cp, section).items():
             if (section, key) == ("train", "holdout_fraction"):
-                continue  # read by train and compare
+                continue  # read by _holdout_fraction
             stem, end = key[:-4], key[-4:]
             try:
                 if key in types:
@@ -250,8 +257,6 @@ def _out_dir(args) -> Path:
 
 def _split_holdout(samples, fraction: float, seed: int):
     """Deterministic train/validation split; order within parts is stable."""
-    if not 0.0 <= fraction <= 0.9:
-        raise ValueError(f"holdout_fraction {fraction} outside [0, 0.9]")
     n_val = int(round(fraction * len(samples)))
     if n_val == 0:
         return list(samples), []
@@ -297,8 +302,7 @@ def cmd_train(args) -> int:
     cp = _load_ini(args.config)
     cfg = _model_config(cp, seed=args.seed)
     samples = read_dataset(args.data)
-    holdout = _getfloat(_sec(cp, "train"), "holdout_fraction", 0.1)
-    train_s, val_s = _training_split(args.data, samples, holdout, cfg.seed)
+    train_s, val_s = _training_split(args.data, samples, _holdout_fraction(cp), cfg.seed)
 
     result = train(train_s, cfg)
     out = _out_dir(args)
@@ -351,7 +355,7 @@ def cmd_compare(args) -> int:
         except ValueError as e:
             raise ValueError(f"--seeds {args.seeds}: {e}") from None
     samples = read_dataset(args.data)
-    holdout = _getfloat(_sec(cp, "train"), "holdout_fraction", 0.1)
+    holdout = _holdout_fraction(cp)
 
     runs = []
     for name, use_ff, use_cons in _COMPARE_VARIANTS:
@@ -371,13 +375,17 @@ def cmd_compare(args) -> int:
             print(f"  {name:<22s} seed {seed}: val loss {metrics['loss']:.4f},"
                   f" MAE {metrics['mae_deg']:.2f} deg")
 
+    # A NaN metric is named and left out of its median, which it would make order-dependent.
+    keys = ("val_loss", "dims_loss", "orientation_loss", "mae_deg")
+    nan_runs = [{"variant": r["variant"], "seed": r["seed"],
+                 "metrics": [key for key in keys if math.isnan(r[key])]}
+                for r in runs if any(math.isnan(r[key]) for key in keys)]
     medians = {}
     for name, _, _ in _COMPARE_VARIANTS:
         rows = [r for r in runs if r["variant"] == name]
-        medians[name] = {
-            key: statistics.median(r[key] for r in rows)
-            for key in ("val_loss", "dims_loss", "orientation_loss", "mae_deg")
-        }
+        medians[name] = {key: statistics.median([r[key] for r in rows if not math.isnan(r[key])]
+                                                or [math.nan])  # NaN if no run is finite
+                         for key in keys}
 
     print(f"{'variant':<22s} {'median val loss':>16s} {'median MAE deg':>15s}")
     for name, _, _ in _COMPARE_VARIANTS:
@@ -387,11 +395,15 @@ def cmd_compare(args) -> int:
     better = "lower" if gap > 0 else "not lower"
     print(f"finding: proposed median val loss is {better} than plain"
           f" (difference {gap:+.4f})")
+    if nan_runs:
+        named = "; ".join(f"{r['variant']} seed {r['seed']} ({', '.join(r['metrics'])})"
+                          for r in nan_runs)
+        print(f"{len(nan_runs)} run(s) with a NaN metric, left out of its median: {named}")
 
     out = _out_dir(args)
     report_path = out / "compare.json"
     report_path.write_text(json.dumps(
-        {"runs": runs, "medians": medians, "seeds": list(seeds)},
+        {"runs": runs, "medians": medians, "seeds": list(seeds), "nan_runs": nan_runs},
         sort_keys=True, indent=2) + "\n")
     inputs = [args.data] + ([args.config] if args.config else [])
     _write_manifest(out, "compare", config.snapshot(base), list(seeds),
@@ -561,19 +573,15 @@ def cmd_invert(args) -> int:
     degs = ", ".join(f"{math.degrees(c):+.3f}" for c in result.candidates)
     print(f"{len(result.candidates)} yaw candidate(s) [deg]: {degs}")
 
-    oracle = brute_force_orientation_oracle(
-        d2, dims, grid_step=math.radians(args.grid_step_deg))
-    tol = math.radians(0.05)
-    covered = all(
-        any(abs(math.remainder(c - o, 2 * math.pi)) <= tol for c in result.candidates)
-        for o in oracle
-    ) and all(
-        any(abs(math.remainder(c - o, 2 * math.pi)) <= tol for o in oracle)
-        for c in result.candidates
-    )
+    step = math.radians(args.grid_step_deg)
+    oracle = brute_force_orientation_oracle(d2, dims, grid_step=step)
+    # A hit lies within half a step of its root; hits within _CLUSTER_TOL merge.
+    tol = step + _CLUSTER_TOL
+    covered = (all(any(circ_abs_diff(c, o) <= tol for c in result.candidates) for o in oracle)
+               and all(any(circ_abs_diff(c, o) <= tol for o in oracle) for c in result.candidates))
     print(f"grid-search cross-check: {len(oracle)} hit(s),"
           f" {'agrees' if covered else 'DISAGREES'} with the analytic set")
-    return 0
+    return 0 if covered else 1
 
 
 def cmd_gradcheck(args) -> int:

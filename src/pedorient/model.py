@@ -68,7 +68,6 @@ class ModelConfig:
     use_consistency_loss: bool = False
     consistency_weight: float = 0.01
     exclusion_tau: float = math.radians(15.0)
-    teacher_force_dims3d: bool = False
     dims2d_scale: float = 0.01
     seed: int = 0
     batch_size: int = 32
@@ -183,6 +182,9 @@ def build_model(cfg: ModelConfig) -> OrientationNet:
     weights from ``default_rng([cfg.seed, si, li]).uniform(-limit, limit)``,
     with ``limit = sqrt(6 / in)`` (He) where a ReLU follows and
     ``sqrt(6 / (in + out))`` (Xavier) where none does.  Biases start at 0.
+    Then the last weight blocks of proc2d and proc3d are multiplied by 0.1
+    (undamped, they swamp the encoder, which alone carries the yaw's sign,
+    and some seeds stall; at 0 their ReLU would pass no gradient).
     """
     size = sum((n_in + 1) * n_out for specs in _stack_specs(cfg).values()
                for n_in, n_out, _ in specs)
@@ -194,6 +196,8 @@ def build_model(cfg: ModelConfig) -> OrientationNet:
             limit = math.sqrt(6.0 / n_in if layer.relu else 6.0 / (n_in + n_out))
             rng = np.random.default_rng([cfg.seed, si, li])
             layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
+    for stack in (stacks[name] for name in ("proc2d", "proc3d") if name in stacks):
+        stack[-1].weights *= 0.1
     return OrientationNet(cfg, stacks, params)
 
 
@@ -256,35 +260,23 @@ def _scaled_dims2d(dims2d: np.ndarray, cfg: ModelConfig, out=None) -> np.ndarray
     return np.multiply(dims2d, cfg.dims2d_scale, out=out)
 
 
-def _net_inputs(batch: Batch, cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """The network's inputs from a batch: the context, the true 3D
-    dimensions and, with feedforward, the scaled 2D box dimensions."""
-    inputs = {"context": batch.context, "dims3d": batch.dims3d}
-    if cfg.use_feedforward:
-        inputs["dims2d"] = _scaled_dims2d(batch.dims2d, cfg)
-    return inputs
-
-
 def _wiring(cfg: ModelConfig, inputs: dict, apply: Callable, concat: Callable,
-            proc3d_input: Callable):
+            feed: Callable):
     """The network's wiring, the one copy that both the value-only forward
     and the loss graph run; returns (the regressor output, the head output).
 
-    ``inputs`` maps the keys of :func:`_net_inputs` to the path's values
-    (arrays, or tape nodes); ``apply(name, x)`` runs the stack ``name`` on
-    ``x``; ``concat(xs)`` joins along columns; ``proc3d_input(x, fed)``
-    gives the dimension processor's input from ``x``, the regressor output
-    when ``fed`` and the true 3D dimensions when teacher forced.
+    ``inputs`` maps "context" and, with feedforward, "dims2d" (the scaled
+    2D box dimensions) to the path's values (arrays, or tape nodes);
+    ``apply(name, x)`` runs the stack ``name`` on ``x``; ``concat(xs)``
+    joins along columns; ``feed(x)`` gives the dimension processor's input
+    from the regressor output ``x``.
     """
     enc = apply("encoder", inputs["context"])
     dims_pred = apply("dims3d_regressor", enc)
     if not cfg.use_feedforward:
         return dims_pred, apply("head", enc)
     p2 = apply("proc2d", inputs["dims2d"])
-    if cfg.teacher_force_dims3d:
-        p3 = apply("proc3d", proc3d_input(inputs["dims3d"], fed=False))
-    else:
-        p3 = apply("proc3d", proc3d_input(dims_pred, fed=True))
+    p3 = apply("proc3d", feed(dims_pred))
     return dims_pred, apply("head", concat([enc, p2, p3]))
 
 
@@ -302,14 +294,16 @@ def forward_batch(model: OrientationNet, batch: Batch,
             f"context width {batch.context.shape[1]} != config {cfg.context_width}"
         )
 
-    def proc3d_input(x: np.ndarray, fed: bool) -> np.ndarray:
-        feed = x.copy()
-        feed[:, 0] *= h1_feed_scale
-        return feed
+    def feed(x: np.ndarray) -> np.ndarray:
+        x = x.copy()
+        x[:, 0] *= h1_feed_scale
+        return x
 
-    return _wiring(cfg, _net_inputs(batch, cfg),
-                   lambda name, x: _apply_stack(model.stacks[name], x),
-                   lambda xs: np.concatenate(xs, axis=1), proc3d_input)
+    inputs = {"context": batch.context}
+    if cfg.use_feedforward:
+        inputs["dims2d"] = _scaled_dims2d(batch.dims2d, cfg)
+    return _wiring(cfg, inputs, lambda name, x: _apply_stack(model.stacks[name], x),
+                   lambda xs: np.concatenate(xs, axis=1), feed)
 
 
 @dataclass
@@ -540,7 +534,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
     of each.  The batch's arrays are data leaves and take no gradient.
     Two kinds of value-only node take none either, and backward holds them
     constant: the exclusion vote, recomputed from the head outputs after
-    the head and before the loss nodes that read it, and on the fed wiring
+    the head and before the loss nodes that read it, and with feedforward
     the stop-gradient copy of the predicted 3D dimensions that the
     dimension processor reads.
 
@@ -576,12 +570,8 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
                 x = t.relu(x)
         return x
 
-    def proc3d_input(x: int, fed: bool) -> int:
-        return t.stop_gradient(x) if fed else x
-
-    data = {key: t.data(inputs[key]) for key in ("context", "dims2d", "dims3d")
-            if key in inputs}
-    dims_pred, head_out = _wiring(cfg, data, apply, t.concat, proc3d_input)
+    data = {key: t.data(inputs[key]) for key in ("context", "dims2d") if key in inputs}
+    dims_pred, head_out = _wiring(cfg, data, apply, t.concat, t.stop_gradient)
 
     n = len(batch)
 
@@ -591,7 +581,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
 
     include_mask = t.value(t.value_only(head_out, vote, (n, bcfg.num_bins)))
 
-    diff = t.sub(dims_pred, data["dims3d"])
+    diff = t.sub(dims_pred, t.data(inputs["dims3d"]))
     terms = {"dims": t.mean(t.rowsum(t.mul(diff, diff)))}
 
     # Every (sin, cos) pair at unit length: (n, 2 * num_bins).
@@ -776,8 +766,8 @@ def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
                     factors=None) -> list[SweepPoint]:
     """Scale the 3D height flowing into the dimension feedforward link.
 
-    The scaling applies to the processor's input (the predicted height, or
-    the teacher-forced one), not to the sample's ground truth.
+    The scaling applies to the processor's input, the predicted height,
+    not to the sample's ground truth.
     """
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
     return _sweep_points(model, make_batch([sample] * len(factors)), factors,

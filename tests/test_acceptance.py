@@ -224,8 +224,7 @@ def test_criterion_08_feedforward_beats_plain_on_holdout(capsys):
                "plain": {"loss": [], "mae": []}}
     for seed in (0, 1, 2):
         for name, cfg in (
-            ("proposed", ModelConfig(seed=seed, use_feedforward=True,
-                                     teacher_force_dims3d=True, **base)),
+            ("proposed", ModelConfig(seed=seed, use_feedforward=True, **base)),
             ("plain", ModelConfig(seed=seed, use_feedforward=False, **base)),
         ):
             stats = evaluate_model(train(train_s, cfg).model, val_s)
@@ -256,7 +255,6 @@ context_width = 8
 encoder_hidden = 16, 16
 proc_hidden = 16, 32
 head_hidden = 16
-teacher_force_dims3d = true
 
 [train]
 seed = 0

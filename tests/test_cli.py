@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pedorient import cli as cli_module
 from pedorient.cli import (
     CompareSettings,
     GradcheckSettings,
@@ -111,7 +112,7 @@ class TestConfig:
     MODEL = dict(num_bins=3, context_width=9, encoder_hidden=(5, 6),
                  proc_hidden=(7, 8), head_hidden=9, use_feedforward=False,
                  use_consistency_loss=True, consistency_weight=0.02,
-                 exclusion_tau=0.3, teacher_force_dims3d=True, dims2d_scale=0.02)
+                 exclusion_tau=0.3, dims2d_scale=0.02)
     TRAIN = dict(seed=4, batch_size=5, momentum=0.8, lr_schedule=((3, 0.01), (4, 0.001)))
     COMPARE = dict(seeds=(4, 5))
     GRADCHECK = dict(batch_size=3, eps=1e-6, max_entries_per_param=7, threshold=1e-3,
@@ -263,6 +264,15 @@ class TestConfig:
         assert why in err
         assert not (tmp_path / "g").exists()
 
+    def test_teacher_forcing_key_is_unknown(self, tmp_path, capsys):
+        # proc3d always reads the regressor's predicted 3D dimensions.
+        path = tmp_path / "tf.ini"
+        path.write_text(TINY_INI.replace("[model]\n", "[model]\nteacher_force_dims3d = true\n"))
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: [model] teacher_force_dims3d"
+                                           " = 'true': unknown key\n")
+        assert not (tmp_path / "g").exists()
+
 
 class TestGen:
     def test_outputs(self, workspace):
@@ -368,6 +378,35 @@ class TestCompare:
         for m in report["medians"].values():
             assert set(m) == {"val_loss", "dims_loss", "orientation_loss",
                               "mae_deg"}
+
+    def test_nan_run_is_named_and_left_out_of_the_median(self, tmp_path, workspace,
+                                                         capsys, monkeypatch):
+        real = cli_module.evaluate_model
+
+        def nan_for_proposed_seed_1(model, samples):
+            metrics = real(model, samples)
+            cfg = model.cfg
+            if cfg.seed == 1 and cfg.use_feedforward and not cfg.use_consistency_loss:
+                metrics["mae_deg"] = math.nan
+            return metrics
+
+        monkeypatch.setattr(cli_module, "evaluate_model", nan_for_proposed_seed_1)
+        medians = []
+        for order in ("0,1,2", "1,2,0"):
+            out = tmp_path / order.replace(",", "")
+            assert main(["compare", "--config", str(workspace["ini"]),
+                         "--data", str(workspace["data"]), "--out", str(out),
+                         "--seeds", order]) == 0
+            assert ("1 run(s) with a NaN metric, left out of its median:"
+                    " proposed seed 1 (mae_deg)\n") in capsys.readouterr().out
+            report = json.loads((out / "compare.json").read_text())
+            assert report["nan_runs"] == [{"variant": "proposed", "seed": 1,
+                                           "metrics": ["mae_deg"]}]
+            finite = [r["mae_deg"] for r in report["runs"]
+                      if r["variant"] == "proposed" and r["seed"] != 1]
+            assert report["medians"]["proposed"]["mae_deg"] == (finite[0] + finite[1]) / 2
+            medians.append(report["medians"])
+        assert medians[0] == medians[1]
 
     def test_seed_list_override(self, tmp_path, workspace):
         out = tmp_path / "cmp2"
@@ -556,14 +595,34 @@ class TestSweep:
             assert not (tmp_path / "s").exists()
 
 
+EXEMPLAR = ["invert", "--h2d", "86", "--w2d", "33", "--h1", "1.68", "--w1", "0.50", "--l1", "0.42"]
+
+
 class TestInvert:
     def test_known_exemplar(self, capsys):
-        rc = main(["invert", "--h2d", "86", "--w2d", "33", "--h1", "1.68",
-                   "--w1", "0.50", "--l1", "0.42"])
+        rc = main(EXEMPLAR)
         assert rc == 0
         text = capsys.readouterr().out
         assert "yaw candidate(s)" in text
         assert "agrees" in text
+
+    @pytest.mark.parametrize("step", ["0.05", "0.2", "0.5", "5"])
+    def test_cross_check_tolerance_follows_the_grid_step(self, capsys, step):
+        # The grid's hits sit up to half a step from the analytic roots.
+        rc = main([*EXEMPLAR, "--grid-step-deg", step])
+        assert rc == 0
+        assert "agrees with the analytic set" in capsys.readouterr().out
+
+    def test_disagreement_exits_1(self, capsys, monkeypatch):
+        real = cli_module.invert_orientation_candidates
+
+        def shifted(d2, dims):
+            res = real(d2, dims)
+            return dataclasses.replace(res, candidates=tuple(c + 0.01 for c in res.candidates))
+
+        monkeypatch.setattr(cli_module, "invert_orientation_candidates", shifted)
+        assert main([*EXEMPLAR, "--grid-step-deg", "0.2"]) == 1
+        assert "DISAGREES with the analytic set" in capsys.readouterr().out
 
     def test_infeasible(self, capsys):
         rc = main(["invert", "--h2d", "50", "--w2d", "200", "--h1", "1.7",

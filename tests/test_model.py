@@ -20,7 +20,7 @@ from pedorient.binning import (
     per_bin_global_angles,
 )
 from pedorient.cli import (
-    _getfloat, _load_ini, _model_config, _sec, _split_holdout, _synth_config,
+    _holdout_fraction, _load_ini, _model_config, _split_holdout, _synth_config,
 )
 from pedorient.geometry import Dims2D, Dims3D, circ_abs_diff, width_span_abs
 from pedorient.kitti_io import TrainingSample
@@ -98,9 +98,7 @@ def reference_train(samples, cfg):
     return ref, totals, dropped
 
 
-WIRINGS = {"teacher_forced": dict(teacher_force_dims3d=True),
-           "fed": dict(teacher_force_dims3d=False),
-           "plain": dict(use_feedforward=False)}
+WIRINGS = {"fed": dict(), "plain": dict(use_feedforward=False)}
 
 
 def set_bin0_apart(model, turn):
@@ -208,23 +206,24 @@ class TestBuildModel:
         # The layer table written out by hand; layer li of stack si draws
         # uniform(-limit, limit) from default_rng([seed, si, li]), with He
         # limits before a ReLU, Xavier limits on the two linear outputs,
-        # and zero biases.
+        # and zero biases; the last weight block of proc2d and of proc3d is
+        # then multiplied by 0.1.
         for (wiring, kw), bins, seed in itertools.product(WIRINGS.items(), (1, 4), (0, 7)):
             cfg = tiny_cfg(num_bins=bins, seed=seed, **kw)
             c, (e0, e1), (p0, p1), hh = (cfg.context_width, cfg.encoder_hidden,
                                          cfg.proc_hidden, cfg.head_hidden)
-            stacks = [("encoder", [(c, e0, True), (e0, e1, True)]),
-                      ("dims3d_regressor", [(e1, 3, False)])]
+            stacks = [("encoder", [(c, e0, True, 1), (e0, e1, True, 1)]),
+                      ("dims3d_regressor", [(e1, 3, False, 1)])]
             if wiring != "plain":
-                stacks += [("proc2d", [(2, p0, True), (p0, p1, True)]),
-                           ("proc3d", [(3, p0, True), (p0, p1, True)])]
+                stacks += [("proc2d", [(2, p0, True, 1), (p0, p1, True, 0.1)]),
+                           ("proc3d", [(3, p0, True, 1), (p0, p1, True, 0.1)])]
             head_in = e1 if wiring == "plain" else e1 + 2 * p1
-            stacks += [("head", [(head_in, hh, True), (hh, 2 * bins, False)])]
+            stacks += [("head", [(head_in, hh, True, 1), (hh, 2 * bins, False, 1)])]
             names, arrays = [], []
             for si, (name, layers) in enumerate(stacks):
-                for li, (n_in, n_out, relu) in enumerate(layers):
+                for li, (n_in, n_out, relu, scale) in enumerate(layers):
                     limit = math.sqrt(6.0 / n_in) if relu else math.sqrt(6.0 / (n_in + n_out))
-                    w = np.random.default_rng([seed, si, li]).uniform(
+                    w = scale * np.random.default_rng([seed, si, li]).uniform(
                         -limit, limit, size=(n_out, n_in))
                     names += [f"{name}.{li}.weights", f"{name}.{li}.bias"]
                     arrays += [w, np.zeros(n_out)]
@@ -234,7 +233,7 @@ class TestBuildModel:
             want = np.concatenate([a.ravel() for a in arrays])
             assert model.params.tobytes() == want.tobytes(), (wiring, bins, seed)
             assert [layer.relu for stack in model.stacks.values() for layer in stack] == \
-                [relu for _, layers in stacks for _, _, relu in layers]
+                [relu for _, layers in stacks for _, _, relu, _ in layers]
 
     def test_head_width_scales_with_bins(self):
         for bins in (2, 4, 5):
@@ -270,14 +269,6 @@ class TestForward:
         dims_pred, bin_out = forward_batch(model, batch)
         assert dims_pred.shape == (6, 3)
         assert bin_out.shape == (6, 8)
-
-    def test_teacher_forcing_changes_outputs(self):
-        batch = make_batch(tiny_samples(6))
-        m_tf = build_model(tiny_cfg(teacher_force_dims3d=True))
-        m_sp = build_model(tiny_cfg(teacher_force_dims3d=False))
-        _, out_tf = forward_batch(m_tf, batch)
-        _, out_sp = forward_batch(m_sp, batch)
-        assert not np.allclose(out_tf, out_sp)
 
     def test_h1_scale_inert_without_feedforward(self):
         model = build_model(tiny_cfg(use_feedforward=False))
@@ -380,7 +371,7 @@ class TestDecodeBins:
 class TestLossGraph:
     def test_matches_reference_loss(self):
         samples = tiny_samples(6)
-        configs = [dict(), dict(use_feedforward=False), dict(teacher_force_dims3d=True)]
+        configs = [dict(), dict(use_feedforward=False)]
         configs += [dict(use_consistency_loss=True, num_bins=b, use_feedforward=ff)
                     for b in range(1, 7) for ff in (True, False)]
         for kw in configs:
@@ -462,14 +453,6 @@ class TestLossGraph:
         second = build_loss_graph(model, make_batch(tiny_samples(4, seed=2)))
         assert second.tape is not first.tape
         assert first.loss_value() == loss and np.array_equal(first.include_mask, mask)
-
-    def test_teacher_forced_graph_has_no_feed(self):
-        # The vote is the teacher-forced graph's only value-only node.
-        cfg = tiny_cfg(teacher_force_dims3d=True)
-        model = build_model(cfg)
-        lg = build_loss_graph(model, make_batch(tiny_samples(3)))
-        [vote] = [node for node in lg.tape.nodes if node.op == "value_only"]
-        assert vote.value is lg.include_mask
 
     @pytest.mark.parametrize("bins", [1, 4])
     @pytest.mark.parametrize("wiring", WIRINGS)
@@ -597,8 +580,7 @@ class TestTraining:
         cfg = dataclasses.replace(_model_config(cp), use_feedforward=False,
                                   use_consistency_loss=True, seed=model_seed,
                                   lr_schedule=((1000, 1e-3), (500, 1e-4)))
-        holdout = _getfloat(_sec(cp, "train"), "holdout_fraction", 0.1)
-        train_s, val_s = _split_holdout(samples, holdout, _model_config(cp).seed)
+        train_s, val_s = _split_holdout(samples, _holdout_fraction(cp), _model_config(cp).seed)
         res = train(train_s, cfg)
         assert max(r.total for r in res.log) < 1e3
         assert evaluate_model(res.model, val_s)["mae_deg"] < 20.0
@@ -661,7 +643,7 @@ class TestSweeps:
                                   s.dims3d, s.theta, s.context), 1.0
 
         fired = 0
-        for kw in (dict(use_feedforward=False), dict(), dict(teacher_force_dims3d=True)):
+        for kw in WIRINGS.values():
             # Three bins and a wide tau, so the vote fires on these models.
             cfg = tiny_cfg(seed=2, num_bins=3, exclusion_tau=1.0,
                            lr_schedule=((40, 1e-3),), **kw)
@@ -806,6 +788,22 @@ class TestCheckpoint:
                 load_model(path)
             assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value", [False, True])
+    def test_rejects_a_config_naming_teacher_forcing(self, tmp_path, value):
+        # The fed wiring is the only one; a config that names the deleted
+        # teacher_force_dims3d field is rejected by name.
+        path = tmp_path / "model.npz"
+        save_model(build_model(tiny_cfg()), path)
+        with np.load(path, allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        meta = json.loads(str(payload["__meta__"][()]))
+        meta["config"]["teacher_force_dims3d"] = value
+        np.savez(path, **{**payload, "__meta__": np.array(json.dumps(meta))})
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (f"checkpoint {path}: ModelConfig: unknown keys"
+                                   " ['teacher_force_dims3d'], missing keys []")
+
 
 class TestGradientCheck:
     def test_full_graph_passes(self):
@@ -823,7 +821,7 @@ class TestGradientCheck:
         # orientation term only through the fed dimensions: rerun, the feed
         # would add that path to the regressor's quotients.
         batch = make_batch(tiny_samples(6))
-        model = build_model(tiny_cfg(seed=0, teacher_force_dims3d=False))
+        model = build_model(tiny_cfg(seed=0))
         report = model_gradient_check(model, batch, max_entries_per_param=6)
         assert dict(report.per_param)["dims3d_regressor.0.weights"] < 1e-4
         # Every row puts bin 0 just over tau from three coinciding bins, so
