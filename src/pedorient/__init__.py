@@ -69,7 +69,6 @@ from .model import (
     LossGraph,
     ModelConfig,
     OrientationNet,
-    SweepPoint,
     TrainLogRow,
     TrainResult,
     TrainingDivergedError,

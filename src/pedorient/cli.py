@@ -349,7 +349,7 @@ def cmd_compare(args) -> int:
     cp = _load_ini(args.config)
     base = _model_config(cp)
     seeds = _settings(CompareSettings, cp, "compare").seeds
-    if args.seeds:
+    if args.seeds is not None:
         try:
             seeds = CompareSettings(config.coerce(args.seeds, tuple[int, ...])).seeds
         except ValueError as e:
@@ -417,10 +417,10 @@ _TIER_ORDER = (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD)
 def _read_labels(path):
     """Parse the label file at ``path``: its ``ParseResult`` and the
     line in the file of each label.  An error names the file and the line."""
-    text = Path(path).read_text()
     try:
+        text = Path(path).read_text()
         parsed = parse_label_file(text)
-    except ValueError as e:
+    except ValueError as e:  # a UnicodeDecodeError too
         raise ValueError(f"{path}: {e}") from None
     # Every line that is not blank holds one label.
     return parsed, [no for no, line in enumerate(text.splitlines(), start=1) if line.split()]
@@ -513,13 +513,16 @@ def cmd_sweep(args) -> int:
                          f" which holds {len(samples)} samples")
     sample = samples[args.index]
     factors = _parse_factors(args.factors)
+    if args.which == "2d" and factors[0] == 0:  # the smallest factor
+        raise ValueError(f"--factors {args.factors!r}: factor {float(factors[0])!r}"
+                         " is not > 0 for --which 2d")
 
     sweep_fn = sweep_2d_width if args.which == "2d" else sweep_3d_height
-    points = sweep_fn(model, sample, factors)
+    rows = sweep_fn(model, sample, factors)
 
     # Baseline for the analytic selector: the model's own prediction at the
     # factor closest to 1.0, falling back to the true yaw.
-    nearest = min(points, key=lambda p: abs(p.factor - 1.0))
+    _, nearest = min(zip(factors, rows), key=lambda fr: abs(fr[0] - 1.0))
     baseline = nearest.theta_pred if nearest.theta_pred is not None else sample.theta
     analytic = analytic_selector_curve(sample, factors, baseline_theta=baseline)
 
@@ -529,16 +532,16 @@ def cmd_sweep(args) -> int:
     with open(csv_path, "w") as fh:
         bin_cols = "".join(f",bin{i}_deg" for i in range(num_bins))
         fh.write(f"factor,model_theta_deg,analytic_theta_deg,n_excluded{bin_cols}\n")
-        for p, a in zip(points, analytic):
+        for f, p, a in zip(factors, rows, analytic):
             model_deg = "" if p.theta_pred is None else f"{math.degrees(p.theta_pred):.4f}"
             analytic_deg = "" if math.isnan(a) else f"{math.degrees(a):.4f}"
             if p.per_bin_angles is None:
                 bins = "".join("," for _ in range(num_bins))
             else:
                 bins = "".join(f",{math.degrees(b):.4f}" for b in p.per_bin_angles)
-            fh.write(f"{p.factor:.6f},{model_deg},{analytic_deg},{len(p.excluded)}{bins}\n")
+            fh.write(f"{f:.6f},{model_deg},{analytic_deg},{len(p.excluded)}{bins}\n")
 
-    print(f"swept {len(points)} factors over sample {args.index}"
+    print(f"swept {len(rows)} factors over sample {args.index}"
           f" ({args.which}), wrote {csv_path}")
     settings = {"which": args.which, "index": args.index,
                 "factors": [float(f) for f in factors],

@@ -286,14 +286,12 @@ def _merge_roots(roots: list[float]) -> list[float]:
         # The survivors ascend and none exceeds th, so th is circularly
         # closest to the last one, or to the first across the +/-pi seam:
         # the rounded difference and its wrap are monotone, so these two
-        # decide as every survivor would.
+        # decide as every survivor would.  Across the seam the rounded
+        # distance can depend on argument order, but only this order is
+        # ever within the tolerance when the other is not.
         if (circ_abs_diff(th, kept[-1]) > _DEDUP_TOL
                 and circ_abs_diff(th, kept[0]) > _DEDUP_TOL):
             kept.append(th)
-    # The first and last survivors can still be circular duplicates across
-    # the +/-pi seam if the rounded distance depends on argument order.
-    if len(kept) >= 2 and circ_abs_diff(kept[0], kept[-1]) <= _DEDUP_TOL:
-        kept.pop()
     return kept
 
 

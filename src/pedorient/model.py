@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -369,26 +370,25 @@ class ForwardResult:
     degenerate_bins: tuple[int, ...] = ()
 
 
-def _decoded_rows(dec: DecodedBins):
-    """Yield each row of ``dec`` as Python values: (per-bin angles, the
-    excluded bins, theta, the degenerate bins).  A row with a degenerate
-    pair has neither angles nor a vote; theta is None where undefined."""
-    for angles, include, theta, defined, bad in zip(
+def _forward_rows(model: OrientationNet, batch: Batch, h1_feed_scale=1.0) -> list[ForwardResult]:
+    """One :class:`ForwardResult` per row of ``batch``.  A row with a
+    degenerate pair has neither angles nor a vote; theta is None where
+    undefined."""
+    dims_pred, bin_out = forward_batch(model, batch, h1_feed_scale)
+    dec = decode_bins(bin_out, model.cfg)
+    rows = []
+    for dims, pairs, angles, include, theta, defined, bad in zip(
+            dims_pred, bin_out.reshape(len(batch), model.cfg.num_bins, 2),
             dec.angles.tolist(), dec.include.tolist(), dec.theta.tolist(),
             dec.defined.tolist(), dec.degenerate.tolist()):
         if any(bad):
-            yield None, set(), None, tuple(k for k, b in enumerate(bad) if b)
+            rows.append(ForwardResult(dims, pairs, None, set(), None,
+                                      tuple(k for k, b in enumerate(bad) if b)))
         else:
-            yield (angles, {k for k, kept in enumerate(include) if not kept},
-                   theta if defined else None, ())
-
-
-def _forward_rows(model: OrientationNet, batch: Batch, h1_feed_scale=1.0) -> list[ForwardResult]:
-    dims_pred, bin_out = forward_batch(model, batch, h1_feed_scale)
-    pairs = bin_out.reshape(len(batch), model.cfg.num_bins, 2)
-    return [ForwardResult(dims, row_pairs, angles, excluded, theta, bad)
-            for dims, row_pairs, (angles, excluded, theta, bad)
-            in zip(dims_pred, pairs, _decoded_rows(decode_bins(bin_out, model.cfg)))]
+            rows.append(ForwardResult(dims, pairs, angles,
+                                      {k for k, kept in enumerate(include) if not kept},
+                                      theta if defined else None))
+    return rows
 
 
 def forward(model: OrientationNet, sample: TrainingSample) -> ForwardResult:
@@ -734,44 +734,28 @@ def evaluate_model(model: OrientationNet, samples) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepPoint:
-    factor: float
-    theta_pred: float | None
-    per_bin_angles: list[float] | None
-    excluded: set[int]
-
-
-def _sweep_points(model: OrientationNet, batch: Batch, factors: np.ndarray,
-                  h1_feed_scale=1.0) -> list[SweepPoint]:
-    """One point per factor, from the matching row of ``batch``."""
-    _, bin_out = forward_batch(model, batch, h1_feed_scale)
-    return [SweepPoint(f, theta, angles, excluded)
-            for f, (angles, excluded, theta, _) in zip(
-                factors.tolist(), _decoded_rows(decode_bins(bin_out, model.cfg)))]
-
-
 def sweep_2d_width(model: OrientationNet, sample: TrainingSample,
-                   factors=None) -> list[SweepPoint]:
-    """Scale the sample's 2D box width by each factor and re-predict."""
+                   factors=None) -> list[ForwardResult]:
+    """Scale the sample's 2D box width by each factor and re-predict: one
+    result per factor, in factor order."""
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
     batch = make_batch([sample] * len(factors))
     batch.dims2d[:, 1] *= factors
     if not np.all(np.isfinite(batch.dims2d[:, 1]) & (batch.dims2d[:, 1] > 0)):
         raise ValueError(f"scaled 2D widths must be finite and > 0, got factors {factors}")
-    return _sweep_points(model, batch, factors)
+    return _forward_rows(model, batch)
 
 
 def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
-                    factors=None) -> list[SweepPoint]:
-    """Scale the 3D height flowing into the dimension feedforward link.
+                    factors=None) -> list[ForwardResult]:
+    """Scale the 3D height flowing into the dimension feedforward link:
+    one result per factor, in factor order.
 
     The scaling applies to the processor's input, the predicted height,
     not to the sample's ground truth.
     """
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
-    return _sweep_points(model, make_batch([sample] * len(factors)), factors,
-                         h1_feed_scale=factors)
+    return _forward_rows(model, make_batch([sample] * len(factors)), h1_feed_scale=factors)
 
 
 def analytic_selector_curve(sample: TrainingSample, factors=None,
@@ -817,15 +801,15 @@ def save_model(model: OrientationNet, path) -> None:
 
 def load_model(path) -> OrientationNet:
     """Load a checkpoint written by :func:`save_model`.  Raises ValueError,
-    naming the file, on a missing or non-object ``__meta__`` entry, an
-    unknown version, a config that does not name every ModelConfig field
-    exactly once, or a missing, unexpected, mis-shaped or non-finite
-    parameter array."""
-    with np.load(path, allow_pickle=False) as data:
-        try:
+    naming the file, on a file that is not an uncorrupted npz archive, a
+    missing or non-object ``__meta__`` entry, an unknown version, a config
+    that does not name every ModelConfig field exactly once, or a missing,
+    unexpected, mis-shaped or non-finite parameter array."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
             return _load_arrays(data)
-        except ValueError as e:
-            raise ValueError(f"checkpoint {path}: {e}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise ValueError(f"checkpoint {path}: {e}") from None
 
 
 def _load_arrays(data) -> OrientationNet:

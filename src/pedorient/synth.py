@@ -267,27 +267,30 @@ def read_dataset(path) -> list[TrainingSample]:
     samples: list[TrainingSample] = []
     width = -1
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) < 7:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected at least 7 columns, got {len(parts)}"
-                )
-            try:
-                h, w, h1, w1, l1, theta, *ctx = map(float, parts)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: non-numeric column") from None
-            if width < 0:
-                width = len(ctx)
-            elif len(ctx) != width:
-                raise ValueError(f"{path}: line {line_no}: context has {len(ctx)}"
-                                 f" values, the first row's has {width}")
-            try:
-                samples.append(TrainingSample(
-                    Dims2D(h, w), Dims3D(h1, w1, l1), theta, np.array(ctx),
-                ))
-            except ValueError as e:
-                raise ValueError(f"{path}: line {line_no}: {e}") from None
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                if len(parts) < 7:
+                    raise ValueError(
+                        f"{path}: line {line_no}: expected at least 7 columns, got {len(parts)}"
+                    )
+                try:
+                    h, w, h1, w1, l1, theta, *ctx = map(float, parts)
+                except ValueError:
+                    raise ValueError(f"{path}: line {line_no}: non-numeric column") from None
+                if width < 0:
+                    width = len(ctx)
+                elif len(ctx) != width:
+                    raise ValueError(f"{path}: line {line_no}: context has {len(ctx)}"
+                                     f" values, the first row's has {width}")
+                try:
+                    samples.append(TrainingSample(
+                        Dims2D(h, w), Dims3D(h1, w1, l1), theta, np.array(ctx),
+                    ))
+                except ValueError as e:
+                    raise ValueError(f"{path}: line {line_no}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     return samples

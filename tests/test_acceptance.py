@@ -220,26 +220,44 @@ def test_criterion_08_feedforward_beats_plain_on_holdout(capsys):
                 momentum=0.95,
                 lr_schedule=((12000, 1e-3), (8000, 1e-4), (4000, 1e-5)))
     start = time.perf_counter()
-    results = {"proposed": {"loss": [], "mae": []},
-               "plain": {"loss": [], "mae": []}}
+    runs = []
     for seed in (0, 1, 2):
         for name, cfg in (
             ("proposed", ModelConfig(seed=seed, use_feedforward=True, **base)),
             ("plain", ModelConfig(seed=seed, use_feedforward=False, **base)),
         ):
             stats = evaluate_model(train(train_s, cfg).model, val_s)
-            results[name]["loss"].append(stats["loss"])
-            results[name]["mae"].append(stats["mae_deg"])
-    elapsed = time.perf_counter() - start
+            runs.append((name, seed, stats["loss"], stats["mae_deg"]))
+    ok, detail = _holdout_gate(runs, time.perf_counter() - start)
+    _verdict(capsys, 8, "dimension feedforward beats plain on held-out data", ok, detail)
+
+
+def _holdout_gate(runs, elapsed):
+    """Criterion 8's verdict and detail from (variant, seed, loss, MAE) runs.
+    A run with a non-finite loss or MAE fails the gate by name: a NaN would
+    make a median depend on the order of the runs."""
+    bad = [f"{name} seed {seed}" for name, seed, loss, mae in runs
+           if not (math.isfinite(loss) and math.isfinite(mae))]
     med = statistics.median
-    prop_loss = med(results["proposed"]["loss"])
-    plain_loss = med(results["plain"]["loss"])
-    prop_mae = med(results["proposed"]["mae"])
-    ok = prop_loss < plain_loss and prop_mae <= 10.0 and elapsed <= 300.0
-    _verdict(capsys, 8, "dimension feedforward beats plain on held-out data",
-             ok,
-             f"median loss {prop_loss:.4f} vs {plain_loss:.4f}, "
-             f"median MAE {prop_mae:.2f} deg, {elapsed:.0f}s")
+    prop_loss = med([loss for name, _, loss, _ in runs if name == "proposed"])
+    plain_loss = med([loss for name, _, loss, _ in runs if name == "plain"])
+    prop_mae = med([mae for name, _, _, mae in runs if name == "proposed"])
+    ok = not bad and prop_loss < plain_loss and prop_mae <= 10.0 and elapsed <= 300.0
+    detail = (f"median loss {prop_loss:.4f} vs {plain_loss:.4f}, "
+              f"median MAE {prop_mae:.2f} deg, {elapsed:.0f}s")
+    if bad:
+        detail += f", non-finite loss or MAE: {'; '.join(bad)}"
+    return ok, detail
+
+
+def test_criterion_08_gate_fails_on_a_non_finite_run():
+    runs = [("proposed", 0, 0.10, 5.0), ("plain", 0, 0.20, 9.0),
+            ("proposed", 1, 0.11, math.nan), ("plain", 1, 0.21, 9.1),
+            ("proposed", 2, 0.12, 6.0), ("plain", 2, math.inf, 9.2)]
+    for order in (runs, runs[::-1]):
+        ok, detail = _holdout_gate(order, 1.0)
+        assert not ok and "proposed seed 1" in detail and "plain seed 2" in detail
+    assert _holdout_gate([r for r in runs if r[1] == 0], 1.0)[0]
 
 
 COMPARE_INI = """\

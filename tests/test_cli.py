@@ -232,6 +232,10 @@ class TestConfig:
         assert main(["compare", "--config", quick, "--data", "unread.txt",
                      "--out", str(tmp_path / "m"), "--seeds=0,-1"]) == 1
         assert capsys.readouterr().err == "error: --seeds 0,-1: seeds must be >= 0, got (0, -1)\n"
+        # An empty list does not fall back to the [compare] seeds.
+        assert main(["compare", "--config", quick, "--data", "unread.txt",
+                     "--out", str(tmp_path / "m"), "--seeds="]) == 1
+        assert capsys.readouterr().err == "error: --seeds : expected a non-empty list, got []\n"
         path = tmp_path / "bad.ini"
         path.write_text("[compare]\nseeds = 1, -1\n")
         assert main(["compare", "--config", str(path), "--data", "unread.txt",
@@ -355,6 +359,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: no samples left to train on:"
                               f" read {n}, held out {held_out}"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare", "sweep"])
+    def test_non_utf8_data_exits_1_naming_the_file(self, tmp_path, workspace, capsys,
+                                                   command):
+        data = tmp_path / "binary.txt"
+        data.write_bytes(b"90 40 1.7 0.6 0.5 0.3 \xd0\xff 0 0\n")
+        out = tmp_path / "out"
+        args = (["--checkpoint", str(workspace["model"]), "--which", "2d"]
+                if command == "sweep" else ["--config", str(workspace["ini"])])
+        assert main([command, *args, "--data", str(data), "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"error: {data}: 'utf-8' codec can't decode"), err
         assert not out.exists()
 
 
@@ -502,6 +519,18 @@ class TestEval:
             assert not (tmp_path / "eval").exists()
             self.write_labels(tmp_path)
 
+    @pytest.mark.parametrize("flag", ["--labels", "--detections"])
+    def test_non_utf8_label_file_names_the_file(self, tmp_path, capsys, flag):
+        gt, det = self.write_labels(tmp_path)
+        bad = gt if flag == "--labels" else det
+        bad.write_bytes(b"Pedestrian \xd0\xff 0 0.1 100 100 130 160 1.7 0.6 0.5 1 1 10 0.5\n")
+        rc = main(["eval", "--labels", str(gt), "--detections", str(det),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"error: {bad}: 'utf-8' codec can't decode"), err
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan", "inf"])
     def test_iou_outside_unit_interval_names_the_flag(self, tmp_path, capsys, iou):
         gt, det = self.write_labels(tmp_path)
@@ -563,6 +592,10 @@ class TestSweep:
                    "--data", str(workspace["data"]), "--out", str(tmp_path / "s"),
                    "--which", which, "--factors=0:1:3"])
         assert rc == (0 if which == "3d" else 1)
+        if which == "2d":
+            assert capsys.readouterr() == ("", "error: --factors '0:1:3': factor 0.0"
+                                               " is not > 0 for --which 2d\n")
+            assert not (tmp_path / "s").exists()
 
     def test_bad_checkpoint_exits_1(self, tmp_path, workspace, capsys):
         with np.load(workspace["model"], allow_pickle=False) as data:
@@ -574,14 +607,24 @@ class TestSweep:
             ({k: v for k, v in good.items() if k != "__meta__"}, "__meta__"),
             ({**good, "__meta__": np.array(json.dumps([1, 2]))}, "__meta__"),
         ]
+        raw = workspace["model"].read_bytes()
+        flipped = bytearray(raw)
+        for at in (len(raw) // 2, len(raw) // 2 + 1):
+            flipped[at] ^= 0xFF
+        unreadable = [(b"", "No data left in file"), (raw[:300], "File is not a zip file"),
+                      (bytes(flipped), "Bad CRC-32"), (b"not a checkpoint\n", "pickled")]
         bad = tmp_path / "bad.npz"
-        for payload, name in cases:
-            np.savez(bad, **payload)
+        for payload, name in cases + unreadable:
+            if isinstance(payload, bytes):
+                bad.write_bytes(payload)
+            else:
+                np.savez(bad, **payload)
             rc = main(["sweep", "--checkpoint", str(bad), "--data", str(workspace["data"]),
                        "--out", str(tmp_path / "s"), "--which", "2d"])
             assert rc == 1, name
-            err = capsys.readouterr().err
-            assert name in err and str(bad) in err
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: checkpoint {bad}: ") and name in err
+            assert not (tmp_path / "s").exists()
 
     def test_bad_index(self, tmp_path, workspace, capsys):
         for index in ("999", "60", "-1"):

@@ -357,6 +357,26 @@ class TestCandidatesForSpan:
                      * rng.choice([-1.0, 1.0], size=3)]
             assert merge(roots) == every_survivor(roots)
 
+    def test_seam_distances_straddle_the_tolerance_one_way_only(self):
+        # Across the seam, circ_abs_diff(th, first) and circ_abs_diff(first,
+        # th) can round to opposite sides of the tolerance.  Both depend only
+        # on the rounded y = th - first.  At every double y near 2 pi - tol
+        # the (th, first) order is within it whenever the other order is, so
+        # the merge loop's (th, first) test also drops every duplicate that
+        # the other order finds.
+        tol = geometry._DEDUP_TOL
+        y, straddles = 2 * math.pi - tol - 2e-12, 0
+        while y < 2 * math.pi - tol + 2e-12:
+            fwd, back = circ_abs_diff(y, 0.0), circ_abs_diff(0.0, y)
+            assert not back <= tol < fwd, y
+            straddles += fwd <= tol < back
+            y = math.nextafter(y, math.inf)
+        assert straddles
+        # A root pair at that straddle merges into its first root.
+        first, th = -3.1415926527169837, 3.1415926534626033
+        assert circ_abs_diff(th, first) <= tol < circ_abs_diff(first, th)
+        assert geometry._merge_roots([th, 0.5, first]) == [first, 0.5]
+
     def test_rejects_bad_target(self):
         dims = Dims3D(1.7, 0.6, 0.5)
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from pedorient.nn_core import Tape
 from pedorient.model import (
     DEFAULT_SWEEP_FACTORS,
     Batch,
+    ForwardResult,
     ModelConfig,
     TrainingDivergedError,
     analytic_selector_curve,
@@ -629,8 +630,8 @@ class TestSweeps:
     def test_width_sweep_runs(self):
         model = build_model(tiny_cfg())
         s = tiny_samples(1)[0]
-        points = sweep_2d_width(model, s, factors=(0.5, 1.0, 1.5))
-        assert [p.factor for p in points] == [0.5, 1.0, 1.5]
+        rows = sweep_2d_width(model, s, factors=(0.5, 1.0, 1.5))
+        assert len(rows) == 3 and all(isinstance(r, ForwardResult) for r in rows)
         with pytest.raises(ValueError):
             sweep_2d_width(model, s, factors=(0.0, 1.0))
 
@@ -650,11 +651,13 @@ class TestSweeps:
             model = train(tiny_samples(16), cfg).model
             for sweep, per_factor in ((sweep_2d_width, width_scaled),
                                       (sweep_3d_height, lambda f: (s, f))):
-                for p, f in zip(sweep(model, s, factors), factors):
+                rows = sweep(model, s, factors)
+                assert len(rows) == len(factors)
+                for p, f in zip(rows, factors):
                     sample, scale = per_factor(f)
                     _, out = forward_batch(model, make_batch([sample]), h1_feed_scale=scale)
                     angles, excluded, theta = scalar_decode(out.reshape(-1, 2), cfg)
-                    assert p.factor == f and p.excluded == excluded
+                    assert p.excluded == excluded
                     fired += len(excluded)
                     assert max_circ_gap(p.per_bin_angles, angles) <= 1e-12
                     assert (p.theta_pred is None) == (theta is None)
@@ -664,8 +667,8 @@ class TestSweeps:
 
     def test_points_match_forward_rows_on_undefined_rows(self, monkeypatch):
         # Row 1's bin 0 is exactly (0, 0); row 2's two bins point at global
-        # angles 0 and pi, which cancel.  Each point must carry its row's
-        # _forward_rows result, bit for bit.
+        # angles 0 and pi, which cancel.  Each sweep row must say why its
+        # orientation is undefined, as forward does.
         model = build_model(tiny_cfg(num_bins=2))
         s = tiny_samples(1)[0]
         factors = (0.5, 1.0, 1.5, 2.0)
@@ -678,20 +681,13 @@ class TestSweeps:
             return dims, out
 
         monkeypatch.setattr(model_module, "forward_batch", forced)
-        widened = make_batch([s] * len(factors))
-        widened.dims2d[:, 1] *= factors
-        for points, batch, scale in (
-                (sweep_2d_width(model, s, factors), widened, 1.0),
-                (sweep_3d_height(model, s, factors), make_batch([s] * len(factors)),
-                 np.array(factors))):
-            rows = model_module._forward_rows(model, batch, scale)
-            assert [p.factor for p in points] == list(factors)
-            assert ([(p.theta_pred, p.per_bin_angles, p.excluded) for p in points]
-                    == [(r.theta_pred, r.per_bin_angles, r.excluded) for r in rows])
-            assert (points[1].theta_pred, points[1].per_bin_angles) == (None, None)
-            assert rows[1].degenerate_bins == (0,)
-            assert points[2].theta_pred is None and len(points[2].per_bin_angles) == 2
-            assert points[0].theta_pred is not None and points[3].theta_pred is not None
+        for rows in (sweep_2d_width(model, s, factors), sweep_3d_height(model, s, factors)):
+            assert len(rows) == len(factors)
+            assert (rows[1].theta_pred, rows[1].per_bin_angles, rows[1].excluded,
+                    rows[1].degenerate_bins) == (None, None, set(), (0,))
+            assert rows[2].theta_pred is None and len(rows[2].per_bin_angles) == 2
+            assert rows[2].degenerate_bins == ()
+            assert rows[0].theta_pred is not None and rows[3].theta_pred is not None
 
     def test_height_sweep_inert_for_plain_model(self):
         model = build_model(tiny_cfg(use_feedforward=False))

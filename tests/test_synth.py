@@ -329,3 +329,7 @@ class TestDatasetFiles:
             with pytest.raises(ValueError, match=f"line 3: .*{field}") as info:
                 read_dataset(path)
             assert str(path) in str(info.value)
+        path.write_bytes(b"90 40 1.7 0.6 0.5 0.3 \xd0\xff 0 0\n")
+        with pytest.raises(ValueError) as info:
+            read_dataset(path)
+        assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xd0")
