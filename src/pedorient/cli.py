@@ -57,7 +57,7 @@ from .model import (
     sweep_3d_height,
     train,
 )
-from .nn_core import NonFiniteGradientError
+from .nn_core import GradCheckReport, NonFiniteGradientError
 from .synth import (_CLUSTER_TOL, SynthConfig, brute_force_orientation_oracle, gen_dataset,
                     read_dataset, write_dataset)
 
@@ -88,16 +88,12 @@ class GradcheckSettings:
     """The [gradcheck] section."""
 
     batch_size: int = 8
-    eps: float = 1e-5
     max_entries_per_param: int = 25
-    threshold: float = 1e-4
-    include_consistency: bool = True
 
     def __post_init__(self):
-        for key in ("batch_size", "eps", "max_entries_per_param", "threshold"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"[gradcheck] {key} = {value!r}: must be finite and > 0")
+        for key in ("batch_size", "max_entries_per_param"):
+            if (value := getattr(self, key)) < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
 
 
 def _load_ini(path) -> configparser.ConfigParser:
@@ -139,51 +135,38 @@ def _holdout_fraction(cp) -> float:
     return fraction
 
 
-def parse_lr_schedule(text: str) -> tuple[tuple[int, float], ...]:
-    """Parse "600:1e-3,1400:1e-4" into ((600, 1e-3), (1400, 1e-4))."""
-    return config.coerce(text, tuple[tuple[int, float], ...])
-
-
 def _ini_values(cls, cp, sections, **given) -> dict:
-    """Field values of ``cls`` set in the INI sections: each field by its
-    own name, a field ``X_range`` also by ``X_min`` and ``X_max``, and
-    ``exclusion_tau`` by ``exclusion_tau_deg``.  ``given`` values that are
-    not None override the file; unset fields keep the dataclass defaults."""
+    """Field values of ``cls`` set in the INI sections, each field at most
+    once: by its own name, or ``exclusion_tau`` by ``exclusion_tau_deg``.
+    ``given`` values that are not None override the file; unset fields
+    keep the dataclass defaults."""
     types = typing.get_type_hints(cls)
-    values, seen = {}, set()
+    values = {}
     for section in sections:
         for key, text in _sec(cp, section).items():
             if (section, key) == ("train", "holdout_fraction"):
                 continue  # read by _holdout_fraction
-            stem, end = key[:-4], key[-4:]
             try:
                 if key in types:
                     name, value = key, config.coerce(text, types[key])
                 elif key == "exclusion_tau_deg" and "exclusion_tau" in types:
                     name, value = "exclusion_tau", math.radians(config.coerce(text, float))
-                elif end in ("_min", "_max") and f"{stem}_range" in types:
-                    name = f"{stem}_range"
-                    lo, hi = values.get(name, getattr(cls, name))
-                    v = config.coerce(text, float)
-                    value = (v, hi) if end == "_min" else (lo, v)
                 else:
                     raise ValueError("unknown key")
             except ValueError as e:
                 raise ValueError(f"[{section}] {key} = {text!r}: {e}") from None
-            # One key per field, except a range's _min and _max pair.
-            if key in seen or (name in values and (key == name or name in seen)):
+            if name in values:
                 raise ValueError(f"[{section}] {key}: {name} is already set")
-            seen.add(key)
             values[name] = value
     return {**values, **{k: v for k, v in given.items() if v is not None}}
 
 
 def _ini_config(cls, cp, sections, **given):
-    """``cls`` from its :func:`_ini_values`.  A value that parses but that
-    ``cls`` rejects is named by where it came from: a command-line
-    override that ``cls`` rejects on its own by its flag ``--key``, else
-    the ``[section] key`` that set it, as written: the first key without
-    which the rest is accepted, else the first key rejected on its own."""
+    """``cls`` from its :func:`_ini_values`.  Each check of ``cls`` reads
+    one field, so a value that parses but that ``cls`` rejects is named by
+    where it came from: a command-line override that ``cls`` rejects on
+    its own by its flag ``--key``, else the first key, as written, that
+    ``cls`` rejects on its own."""
     values = _ini_values(cls, cp, sections, **given)
     try:
         return cls(**values)
@@ -195,20 +178,12 @@ def _ini_config(cls, cp, sections, **given):
                 cls(**{key: value})
             except ValueError as e:
                 raise ValueError(f"--{key} {value}: {e}") from None
-    written = [(s, key, text) for s in sections for key, text in _sec(cp, s).items()]
-
-    def accepted(entries) -> bool:
-        part = {s: {key: text for es, key, text in entries if es == s} for s in sections}
-        try:
-            cls(**_ini_values(cls, part, sections, **given))
-        except ValueError:
-            return False
-        return True
-
-    if accepted([]):
-        for section, key, text in ([w for w in written if accepted([x for x in written if x != w])]
-                                   + [w for w in written if not accepted([w])]):
-            raise ValueError(f"[{section}] {key} = {text!r}: {error}") from None
+    for section in sections:
+        for key, text in _sec(cp, section).items():
+            try:
+                cls(**_ini_values(cls, {section: {key: text}}, (section,)))
+            except ValueError as e:
+                raise ValueError(f"[{section}] {key} = {text!r}: {e}") from None
     raise error
 
 
@@ -446,6 +421,9 @@ def cmd_eval(args) -> int:
             gts.append(GroundTruth(lb.box2d, getattr(lb, args.orientation)))
         else:
             ignores.append(lb.box2d)
+    if not gts:
+        raise ValueError(f"{args.labels}: no {_PEDESTRIAN} label at difficulty {tier.value}"
+                         " or easier; evaluation undefined without ground truths")
 
     dets = []
     for line_no, lb in zip(det_lines, det_parsed.labels):
@@ -513,9 +491,16 @@ def cmd_sweep(args) -> int:
                          f" which holds {len(samples)} samples")
     sample = samples[args.index]
     factors = _parse_factors(args.factors)
-    if args.which == "2d" and factors[0] == 0:  # the smallest factor
-        raise ValueError(f"--factors {args.factors!r}: factor {float(factors[0])!r}"
-                         " is not > 0 for --which 2d")
+    if args.which == "2d":
+        # Every scaled width lies between those of the smallest and the largest factor.
+        w = sample.dims2d.w
+        for f in (float(factors[0]), float(factors[-1])):
+            if f == 0:
+                raise ValueError(f"--factors {args.factors!r}: factor {f!r} is not > 0"
+                                 " for --which 2d")
+            if not 0.0 < f * w < math.inf:
+                raise ValueError(f"--factors {args.factors!r}: factor {f!r} scales the width"
+                                 f" {w!r} of sample {args.index} to {f * w!r}, not finite and > 0")
 
     sweep_fn = sweep_2d_width if args.which == "2d" else sweep_3d_height
     rows = sweep_fn(model, sample, factors)
@@ -560,6 +545,10 @@ def cmd_invert(args) -> int:
     if not (math.isfinite(args.grid_step_deg) and args.grid_step_deg >= _MIN_GRID_STEP_DEG):
         raise ValueError(f"--grid-step-deg {args.grid_step_deg}: must be finite"
                          f" and >= {_MIN_GRID_STEP_DEG}")
+    for flag, value in (("--h2d", args.h2d), ("--w2d", args.w2d), ("--h1", args.h1),
+                        ("--w1", args.w1), ("--l1", args.l1)):
+        if not 0.0 < value < math.inf:  # as Dims2D and Dims3D check
+            raise ValueError(f"{flag} {value}: must be finite and > 0")
     d2 = Dims2D(args.h2d, args.w2d)
     dims = Dims3D(args.h1, args.w1, args.l1)
     implied = implied_width_span(d2, dims.h1)
@@ -591,24 +580,24 @@ def cmd_gradcheck(args) -> int:
     started = time.monotonic()
     cp = _load_ini(args.config)
     g = _settings(GradcheckSettings, cp, "gradcheck")
-    cfg = _model_config(cp, seed=args.seed)
-    if g.include_consistency:
-        cfg = dataclasses.replace(cfg, use_consistency_loss=True)
+    # The check covers the consistency term too, whatever the config trains with.
+    cfg = dataclasses.replace(_model_config(cp, seed=args.seed), use_consistency_loss=True)
 
     synth_cfg = SynthConfig(n=g.batch_size, seed=cfg.seed,
                             context_width=cfg.context_width)
     samples, _ = gen_dataset(synth_cfg)
     model = build_model(cfg)
-    report = model_gradient_check(model, make_batch(samples), eps=g.eps,
+    report = model_gradient_check(model, make_batch(samples),
                                   max_entries_per_param=g.max_entries_per_param,
                                   seed=cfg.seed)
 
     width = max(len(name) for name, _ in report.per_param)
     for name, err in report.per_param:
         print(f"  {name:<{width}s}  max rel err {err:.3e}")
-    passed = report.passed(g.threshold)
+    threshold, = GradCheckReport.passed.__defaults__  # the check's one threshold
+    passed = report.passed(threshold)
     print(f"overall max rel err {report.max_rel_error:.3e}"
-          f" vs threshold {g.threshold:.1e}: {'PASS' if passed else 'FAIL'}")
+          f" vs threshold {threshold:.1e}: {'PASS' if passed else 'FAIL'}")
 
     if args.out:
         out = _out_dir(args)
@@ -616,7 +605,7 @@ def cmd_gradcheck(args) -> int:
         path.write_text(json.dumps({
             "max_rel_error": float(report.max_rel_error),
             "per_param": {name: float(err) for name, err in report.per_param},
-            "threshold": g.threshold,
+            "threshold": threshold,
             "passed": bool(passed),
         }, sort_keys=True, indent=2) + "\n")
         _write_manifest(out, "gradcheck", config.snapshot(cfg), cfg.seed,

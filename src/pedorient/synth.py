@@ -30,12 +30,21 @@ _MIN_PIXELS = 0.5
 _CLUSTER_TOL = math.radians(0.01)  # grid hits closer than this are one root
 
 
+# The body-size prior: each 3D dimension is a normal draw (mean, sd)
+# clipped to (lo, hi) in meters, and the pixel scale is uniform on
+# (lo, hi) px per meter.
+_H1_PRIOR = (1.7, 0.1, 1.4, 2.0)
+_W1_PRIOR = (0.6, 0.1, 0.3, 0.9)
+_L1_PRIOR = (0.5, 0.15, 0.2, 0.9)
+_SCALE_RANGE = (30.0, 120.0)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the synthetic generator.
 
-    3D dimensions are normal draws clipped to a plausible range; the yaw is
-    uniform on (-pi, pi]; the pixel scale (px per meter) is uniform.
+    The 3D dimensions and the pixel scale come from a fixed prior (see
+    ``_H1_PRIOR`` and its neighbours); the yaw is uniform on (-pi, pi].
     ``box_noise_sd`` is additive pixel noise on the rendered 2D box, and
     ``context_noise`` in [0, 1] blends the context from fully informative
     (0) to pure noise (1).
@@ -43,16 +52,6 @@ class SynthConfig:
 
     n: int = 1000
     seed: int = 0
-    h1_mean: float = 1.7
-    h1_sd: float = 0.1
-    h1_range: tuple[float, float] = (1.4, 2.0)
-    w1_mean: float = 0.6
-    w1_sd: float = 0.1
-    w1_range: tuple[float, float] = (0.3, 0.9)
-    l1_mean: float = 0.5
-    l1_sd: float = 0.15
-    l1_range: tuple[float, float] = (0.2, 0.9)
-    scale_range: tuple[float, float] = (30.0, 120.0)
     box_noise_sd: float = 1.0
     context_noise: float = 0.5
     context_width: int = 16
@@ -66,21 +65,8 @@ class SynthConfig:
             raise ValueError(f"context_noise must be in [0, 1], got {self.context_noise}")
         if self.context_width < 3:
             raise ValueError(f"context_width must be >= 3, got {self.context_width}")
-        for name in ("h1_mean", "w1_mean", "l1_mean"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        for name in ("h1_sd", "w1_sd", "l1_sd", "box_noise_sd"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        # gen_dataset draws within a range without Generator.uniform's own
-        # checks, so a range is checked here, where it enters.
-        for name in ("h1_range", "w1_range", "l1_range", "scale_range"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo < hi < math.inf:
-                raise ValueError(f"{name} must have finite ends with 0 < lo < hi,"
-                                 f" got ({lo!r}, {hi!r})")
+        if not (math.isfinite(self.box_noise_sd) and self.box_noise_sd >= 0):
+            raise ValueError(f"box_noise_sd must be finite and >= 0, got {self.box_noise_sd!r}")
 
 
 @dataclass(frozen=True)
@@ -124,17 +110,16 @@ def gen_dataset(cfg: SynthConfig) -> tuple[list[TrainingSample], list[GenRecord]
     """Generate ``cfg.n`` samples and their generation records.
 
     Every draw is written as the arithmetic that ``Generator.normal`` and
-    ``Generator.uniform`` do after checking their arguments, which
-    :class:`SynthConfig` has checked once: ``normal(loc, sd)`` is
-    ``loc + sd * standard_normal()`` and ``uniform(lo, hi)`` is
-    ``lo + (hi - lo) * random()``.  The draws and their order are those
-    of the method calls, so the samples are the same bit for bit.
+    ``Generator.uniform`` do after checking their arguments:
+    ``normal(loc, sd)`` is ``loc + sd * standard_normal()`` and
+    ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``.  The draws and
+    their order are those of the method calls, so the samples are the same
+    bit for bit.
     """
-    # The doubles those methods would convert their arguments to.
-    h1_mean, h1_sd, h1_lo, h1_hi = map(float, (cfg.h1_mean, cfg.h1_sd, *cfg.h1_range))
-    w1_mean, w1_sd, w1_lo, w1_hi = map(float, (cfg.w1_mean, cfg.w1_sd, *cfg.w1_range))
-    l1_mean, l1_sd, l1_lo, l1_hi = map(float, (cfg.l1_mean, cfg.l1_sd, *cfg.l1_range))
-    s_lo, s_hi = map(float, cfg.scale_range)
+    mean_h1, sd_h1, lo_h1, hi_h1 = _H1_PRIOR
+    mean_w1, sd_w1, lo_w1, hi_w1 = _W1_PRIOR
+    mean_l1, sd_l1, lo_l1, hi_l1 = _L1_PRIOR
+    s_lo, s_hi = _SCALE_RANGE
     s_width = s_hi - s_lo
     box_sd = float(cfg.box_noise_sd)
     samples: list[TrainingSample] = []
@@ -143,9 +128,9 @@ def gen_dataset(cfg: SynthConfig) -> tuple[list[TrainingSample], list[GenRecord]
         rng = np.random.default_rng([cfg.seed, i])
         z_h1, z_w1, z_l1 = rng.standard_normal(3).tolist()
         # min(max(...)) is np.clip without its 0-d array round trip.
-        h1 = min(max(h1_mean + h1_sd * z_h1, h1_lo), h1_hi)
-        w1 = min(max(w1_mean + w1_sd * z_w1, w1_lo), w1_hi)
-        l1 = min(max(l1_mean + l1_sd * z_l1, l1_lo), l1_hi)
+        h1 = min(max(mean_h1 + sd_h1 * z_h1, lo_h1), hi_h1)
+        w1 = min(max(mean_w1 + sd_w1 * z_w1, lo_w1), hi_w1)
+        l1 = min(max(mean_l1 + sd_l1 * z_l1, lo_l1), hi_l1)
         dims3d = Dims3D(h1, w1, l1)
         theta = wrap_angle(-math.pi + TWO_PI * rng.random())
         scale = s_lo + s_width * rng.random()

@@ -4,12 +4,14 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pedorient import cli as cli_module
+from pedorient import config
 from pedorient.cli import (
     CompareSettings,
     GradcheckSettings,
@@ -18,7 +20,6 @@ from pedorient.cli import (
     _settings,
     _synth_config,
     main,
-    parse_lr_schedule,
 )
 from pedorient.model import ModelConfig
 from pedorient.synth import SynthConfig, read_dataset
@@ -50,9 +51,7 @@ seeds = 0
 
 [gradcheck]
 batch_size = 4
-eps = 1e-5
 max_entries_per_param = 4
-threshold = 1e-4
 """
 
 GT_LINES = """\
@@ -84,16 +83,19 @@ def workspace(tmp_path_factory):
             "model": root / "train" / "model.npz"}
 
 
+SCHEDULE = tuple[tuple[int, float], ...]
+
+
 class TestScheduleParsing:
     def test_parse(self):
-        assert parse_lr_schedule("600:1e-3,1400:1e-4") == ((600, 1e-3), (1400, 1e-4))
-        assert parse_lr_schedule("10:0.5") == ((10, 0.5),)
+        assert config.coerce("600:1e-3,1400:1e-4", SCHEDULE) == ((600, 1e-3), (1400, 1e-4))
+        assert config.coerce("10:0.5", SCHEDULE) == ((10, 0.5),)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            parse_lr_schedule("600")
+            config.coerce("600", SCHEDULE)
         with pytest.raises(ValueError):
-            parse_lr_schedule("")
+            config.coerce("", SCHEDULE)
 
 
 def ini_text(value) -> str:
@@ -105,18 +107,14 @@ def ini_text(value) -> str:
 
 
 class TestConfig:
-    SYNTH = dict(n=7, seed=3, h1_mean=1.6, h1_sd=0.2, h1_range=(1.3, 2.1),
-                 w1_mean=0.5, w1_sd=0.05, w1_range=(0.2, 0.8), l1_mean=0.4,
-                 l1_sd=0.1, l1_range=(0.1, 0.8), scale_range=(20.0, 100.0),
-                 box_noise_sd=0.5, context_noise=0.25, context_width=9)
+    SYNTH = dict(n=7, seed=3, box_noise_sd=0.5, context_noise=0.25, context_width=9)
     MODEL = dict(num_bins=3, context_width=9, encoder_hidden=(5, 6),
                  proc_hidden=(7, 8), head_hidden=9, use_feedforward=False,
                  use_consistency_loss=True, consistency_weight=0.02,
                  exclusion_tau=0.3, dims2d_scale=0.02)
     TRAIN = dict(seed=4, batch_size=5, momentum=0.8, lr_schedule=((3, 0.01), (4, 0.001)))
     COMPARE = dict(seeds=(4, 5))
-    GRADCHECK = dict(batch_size=3, eps=1e-6, max_entries_per_param=7, threshold=1e-3,
-                     include_consistency=False)
+    GRADCHECK = dict(batch_size=3, max_entries_per_param=7)
 
     def write(self, tmp_path, sections) -> str:
         path = tmp_path / "cfg.ini"
@@ -143,28 +141,30 @@ class TestConfig:
         assert _model_config(cp, seed=12).seed == 12
 
     def test_aliases_and_defaults(self, tmp_path):
-        cp = _load_ini(self.write(tmp_path, {
-            "synth": {"h1_min": 1.3, "scale_max": 100, "w1_min": 0.2, "w1_max": 0.8},
-            "model": {"exclusion_tau_deg": 10}}))
-        assert _synth_config(cp) == SynthConfig(
-            n=1000, h1_range=(1.3, 2.0), scale_range=(30.0, 100.0), w1_range=(0.2, 0.8))
+        cp = _load_ini(self.write(tmp_path, {"synth": {"seed": 2},
+                                             "model": {"exclusion_tau_deg": 10}}))
+        assert _synth_config(cp) == SynthConfig(n=1000, seed=2)
         assert _model_config(cp) == ModelConfig(exclusion_tau=math.radians(10))
+        assert _settings(GradcheckSettings, cp, "gradcheck") == GradcheckSettings()
 
     def test_bad_keys_exit_1_naming_file_section_and_key(self, tmp_path, capsys):
         cases = [
             ({"synth": {"sede": 3}}, "synth", "sede"),
             ({"model": {"use_feedfoward": False}}, "model", "use_feedfoward"),
             ({"train": {"batch_sise": 8}}, "train", "batch_sise"),
-            ({"synth": {"h1_range": (1.3, 2.0), "h1_min": 1.2}}, "synth", "h1_min"),
+            ({"synth": {"h1_min": 1.3}}, "synth", "h1_min"),
+            ({"model": {"exclusion_tau": 0.2, "exclusion_tau_deg": 10}},
+             "model", "exclusion_tau_deg"),
             ({"model": {"seed": 1}, "train": {"seed": 2}}, "train", "seed"),
             ({"model": {"use_feedforward": "maybe"}}, "model", "use_feedforward"),
             ({"model": {"encoder_hidden": (8, 8, 8)}}, "model", "encoder_hidden"),
             ({"compare": {"seed": 1}}, "compare", "seed"),
             ({"compare": {"seeds": "0, x"}}, "compare", "seeds"),
             ({"gradcheck": {"include_consistancy": False}}, "gradcheck", "include_consistancy"),
-            ({"gradcheck": {"eps": "small"}}, "gradcheck", "eps"),
+            ({"gradcheck": {"eps": 1e-5}}, "gradcheck", "eps"),
+            ({"gradcheck": {"max_entries_per_param": "small"}}, "gradcheck",
+             "max_entries_per_param"),
             ({"gradcheck": {"batch_size": 0}}, "gradcheck", "batch_size"),
-            ({"gradcheck": {"threshold": "nan"}}, "gradcheck", "threshold"),
             ({"model": {"use_consistency_loss": True, "consistency_weight": "nan"}},
              "model", "consistency_weight"),
             ({"model": {"consistency_weight": "inf"}}, "model", "consistency_weight"),
@@ -178,25 +178,32 @@ class TestConfig:
             assert path in err and f"[{section}]" in err and key in err, err
 
     def test_bad_synth_values_exit_1_naming_file_and_field(self, tmp_path, capsys):
-        # Values that parse as finite floats but that SynthConfig rejects:
-        # named by the file, the key as written and the dataclass field.
+        # Values that parse but that SynthConfig rejects: named by the
+        # file, the key and the dataclass field.
         quick = (Path(__file__).resolve().parents[1] / "configs" / "quick.ini").read_text()
-        for extra, key, field in (("h1_sd = -0.1", "h1_sd", "h1_sd"),
-                                  ("scale_min = -1e308\nscale_max = 1e308", "scale_min",
-                                   "scale_range"),
-                                  ("scale_min = -5\nscale_max = 20", "scale_min", "scale_range"),
-                                  ("w1_min = 0.9\nw1_max = 0.3", "w1_min", "w1_range"),
-                                  ("w1_max = 0.4\nw1_min = 0.5", "w1_max", "w1_range"),
-                                  ("scale_min = 130\nscale_max = 200\nh1_sd = -1", "h1_sd",
-                                   "h1_sd"),
-                                  ("box_noise_sd = -1", "box_noise_sd", "box_noise_sd")):
+        for key, old, new in (("box_noise_sd", "1.0", "-1"), ("context_noise", "0.5", "1.5"),
+                              ("context_width", "16", "2"), ("n", "4000", "-1")):
             path = tmp_path / "bad.ini"
-            path.write_text(quick.replace("box_noise_sd = 1.0\n", "")
-                            .replace("[synth]\n", f"[synth]\n{extra}\n"))
+            path.write_text(quick.replace(f"\n{key} = {old}\n", f"\n{key} = {new}\n", 1))
             assert main(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: [synth] {key} = "), err
-            assert f": {field} must" in err, err
+            assert err.startswith(f"error: {path}: [synth] {key} = '{new}': {key} must"), err
+        assert not (tmp_path / "g").exists()
+
+    def test_first_rejected_key_as_written_is_named(self, tmp_path, capsys):
+        # With two bad values the message names the one written first, and
+        # gives that key's reason, whatever order the dataclass checks in.
+        path = tmp_path / "bad.ini"
+        for text, named in (
+                ("[synth]\nbox_noise_sd = -1\ncontext_noise = 2\n",
+                 "[synth] box_noise_sd = '-1': box_noise_sd must be finite and >= 0, got -1.0"),
+                ("[synth]\ncontext_noise = 2\nbox_noise_sd = -1\n",
+                 "[synth] context_noise = '2': context_noise must be in [0, 1], got 2.0"),
+                ("[model]\nhead_hidden = 0\nnum_bins = 0\n",
+                 "[model] head_hidden = '0': widths and batch_size must be >= 1")):
+            path.write_text(text)
+            assert main(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
+            assert capsys.readouterr() == ("", f"error: {path}: {named}\n")
         assert not (tmp_path / "g").exists()
 
     def test_bad_model_values_exit_1_naming_section_and_key(self, tmp_path, capsys):
@@ -531,6 +538,23 @@ class TestEval:
         assert stdout == "" and err.startswith(f"error: {bad}: 'utf-8' codec can't decode"), err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("labels, difficulty", [
+        ("", "Hard"),
+        ("DontCare -1 -1 -10 500 100 560 160 -1 -1 -1 -1000 -1000 -1000 -10\n", "Hard"),
+        # Occlusion 2 puts this pedestrian in the Hard tier only.
+        ("Pedestrian 0.0 2 0.1 100 100 130 160 1.7 0.6 0.5 1 1 10 0.5\n", "Moderate")])
+    def test_no_ground_truth_names_the_file_and_tier(self, tmp_path, capsys, labels,
+                                                     difficulty):
+        gt, det = self.write_labels(tmp_path)
+        gt.write_text(labels)
+        rc = main(["eval", "--labels", str(gt), "--detections", str(det),
+                   "--out", str(tmp_path / "eval"), "--difficulty", difficulty])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {gt}: no Pedestrian label at difficulty"
+                                           f" {difficulty} or easier; evaluation undefined"
+                                           " without ground truths\n")
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan", "inf"])
     def test_iou_outside_unit_interval_names_the_flag(self, tmp_path, capsys, iou):
         gt, det = self.write_labels(tmp_path)
@@ -595,6 +619,18 @@ class TestSweep:
         if which == "2d":
             assert capsys.readouterr() == ("", "error: --factors '0:1:3': factor 0.0"
                                                " is not > 0 for --which 2d\n")
+            assert not (tmp_path / "s").exists()
+            # A factor whose scaled width overflows, named before NumPy warns.
+            width = read_dataset(workspace["data"])[0].dims2d.w
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["sweep", "--checkpoint", str(workspace["model"]),
+                           "--data", str(workspace["data"]), "--out", str(tmp_path / "s"),
+                           "--which", which, "--factors=1:1e308:2"])
+            assert rc == 1
+            assert capsys.readouterr() == ("", f"error: --factors '1:1e308:2': factor 1e+308"
+                                               f" scales the width {width!r} of sample 0"
+                                               " to inf, not finite and > 0\n")
             assert not (tmp_path / "s").exists()
 
     def test_bad_checkpoint_exits_1(self, tmp_path, workspace, capsys):
@@ -683,9 +719,13 @@ class TestInvert:
                                            " must be finite and >= 0.0001\n")
 
     def test_degenerate_box_rejected(self, capsys):
-        rc = main(["invert", "--h2d", "86", "--w2d", "0", "--h1", "1.7",
-                   "--w1", "0.6", "--l1", "0.5"])
-        assert rc == 1
+        # Each is rejected by its flag before anything is printed.
+        for flag, value in (("--h2d", "-1"), ("--h1", "nan"), ("--w2d", "0")):
+            argv = list(EXEMPLAR)
+            argv[argv.index(flag) + 1] = value
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {flag} {float(value)}:"
+                                               " must be finite and > 0\n")
 
 
 class TestGradcheck:
@@ -696,18 +736,14 @@ class TestGradcheck:
         assert rc == 0
         text = capsys.readouterr().out
         assert "PASS" in text
+        assert "vs threshold 1.0e-04: PASS" in text
         report = json.loads((out / "gradcheck.json").read_text())
-        assert report["passed"] is True
+        assert report["passed"] is True and report["threshold"] == 1e-4
         assert report["max_rel_error"] < 1e-4
         assert "encoder.0.weights" in report["per_param"]
-
-    def test_include_consistency_reaches_the_check(self, tmp_path):
-        ini, out = tmp_path / "gc.ini", tmp_path / "gc"
-        for value in (False, True):
-            ini.write_text(TINY_INI + f"include_consistency = {str(value).lower()}\n")
-            assert main(["gradcheck", "--config", str(ini), "--out", str(out)]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["config"]["use_consistency_loss"] is value
+        # The check covers the consistency term, which TINY_INI does not train with.
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["use_consistency_loss"] is True
 
     def test_seed_comes_from_the_file_unless_given(self, tmp_path):
         ini, out = tmp_path / "gc.ini", tmp_path / "gc"
@@ -717,13 +753,20 @@ class TestGradcheck:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["seed"] == seed and manifest["config"]["seed"] == seed
 
-    def test_impossible_threshold_fails(self, tmp_path, workspace, capsys):
-        strict = tmp_path / "strict.ini"
-        strict.write_text(TINY_INI.replace("threshold = 1e-4",
-                                           "threshold = 1e-18"))
-        rc = main(["gradcheck", "--config", str(strict)])
+    def test_failed_check_exits_1(self, tmp_path, workspace, capsys, monkeypatch):
+        real = cli_module.model_gradient_check
+
+        def off_by_a_tenth_percent(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, max_rel_error=1e-3)
+
+        monkeypatch.setattr(cli_module, "model_gradient_check", off_by_a_tenth_percent)
+        out = tmp_path / "gc"
+        rc = main(["gradcheck", "--config", str(workspace["ini"]), "--out", str(out)])
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert ("overall max rel err 1.000e-03 vs threshold 1.0e-04: FAIL\n"
+                in capsys.readouterr().out)
+        assert json.loads((out / "gradcheck.json").read_text())["passed"] is False
 
 
 class TestParser:
