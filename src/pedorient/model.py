@@ -67,13 +67,15 @@ class ModelConfig:
     head_hidden: int = 512
     use_feedforward: bool = True
     use_consistency_loss: bool = False
-    consistency_weight: float = 0.01
-    exclusion_tau: float = math.radians(15.0)
-    dims2d_scale: float = 0.01
     seed: int = 0
     batch_size: int = 32
     momentum: float = 0.9
     lr_schedule: tuple[tuple[int, float], ...] = ((600, 1e-3), (1400, 1e-4))
+
+    # Fixed by the method: not fields, so no argument, key or checkpoint sets them.
+    consistency_weight = 0.01           # weight of each consistency residual
+    dims2d_scale = 0.01                 # 2D box pixels to network input
+    exclusion_tau = math.radians(15.0)  # cross-bin vote threshold
 
     def __post_init__(self):
         if self.num_bins < 1:
@@ -87,11 +89,6 @@ class ModelConfig:
                   self.batch_size)
         if any(v < 1 for v in widths):
             raise ValueError("widths and batch_size must be >= 1")
-        if not (math.isfinite(self.consistency_weight) and self.consistency_weight >= 0):
-            raise ValueError(f"consistency_weight must be finite and >= 0, "
-                             f"got {self.consistency_weight!r}")
-        if not (math.isfinite(self.exclusion_tau) and self.exclusion_tau > 0):
-            raise ValueError("exclusion_tau must be finite and > 0")
         if not self.lr_schedule:
             raise ValueError("lr_schedule must have at least one segment")
         for steps, lr in self.lr_schedule:
@@ -103,8 +100,6 @@ class ModelConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.dims2d_scale) and self.dims2d_scale > 0):
-            raise ValueError(f"dims2d_scale must be finite and > 0, got {self.dims2d_scale!r}")
 
     def bin_config(self) -> BinConfig:
         return BinConfig.default(self.num_bins)
@@ -256,11 +251,6 @@ def _apply_stack(stack, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scaled_dims2d(dims2d: np.ndarray, cfg: ModelConfig, out=None) -> np.ndarray:
-    """The 2D box dimensions as the network reads them: times ``dims2d_scale``."""
-    return np.multiply(dims2d, cfg.dims2d_scale, out=out)
-
-
 def _wiring(cfg: ModelConfig, inputs: dict, apply: Callable, concat: Callable,
             feed: Callable):
     """The network's wiring, the one copy that both the value-only forward
@@ -302,7 +292,7 @@ def forward_batch(model: OrientationNet, batch: Batch,
 
     inputs = {"context": batch.context}
     if cfg.use_feedforward:
-        inputs["dims2d"] = _scaled_dims2d(batch.dims2d, cfg)
+        inputs["dims2d"] = batch.dims2d * cfg.dims2d_scale
     return _wiring(cfg, inputs, lambda name, x: _apply_stack(model.stacks[name], x),
                    lambda xs: np.concatenate(xs, axis=1), feed)
 
@@ -370,15 +360,15 @@ class ForwardResult:
     degenerate_bins: tuple[int, ...] = ()
 
 
-def _forward_rows(model: OrientationNet, batch: Batch, h1_feed_scale=1.0) -> list[ForwardResult]:
-    """One :class:`ForwardResult` per row of ``batch``.  A row with a
-    degenerate pair has neither angles nor a vote; theta is None where
-    undefined."""
-    dims_pred, bin_out = forward_batch(model, batch, h1_feed_scale)
+def _forward_rows(model: OrientationNet, dims_pred: np.ndarray,
+                  bin_out: np.ndarray) -> list[ForwardResult]:
+    """One :class:`ForwardResult` per row of :func:`forward_batch`'s
+    outputs.  A row with a degenerate pair has neither angles nor a vote;
+    theta is None where undefined."""
     dec = decode_bins(bin_out, model.cfg)
     rows = []
     for dims, pairs, angles, include, theta, defined, bad in zip(
-            dims_pred, bin_out.reshape(len(batch), model.cfg.num_bins, 2),
+            dims_pred, bin_out.reshape(len(bin_out), model.cfg.num_bins, 2),
             dec.angles.tolist(), dec.include.tolist(), dec.theta.tolist(),
             dec.defined.tolist(), dec.degenerate.tolist()):
         if any(bad):
@@ -393,7 +383,7 @@ def _forward_rows(model: OrientationNet, batch: Batch, h1_feed_scale=1.0) -> lis
 
 def forward(model: OrientationNet, sample: TrainingSample) -> ForwardResult:
     """Single-sample forward pass: predict dims, decode, vote, aggregate."""
-    return _forward_rows(model, make_batch([sample]))[0]
+    return _forward_rows(model, *forward_batch(model, make_batch([sample])))[0]
 
 
 def predict_orientation(model: OrientationNet,
@@ -507,7 +497,7 @@ def _graph_inputs(n: int, cfg: ModelConfig
         np.copyto(context, batch.context)
         np.copyto(dims3d, batch.dims3d)
         if dims2d is not None:
-            _scaled_dims2d(batch.dims2d, cfg, out=dims2d)
+            np.multiply(batch.dims2d, cfg.dims2d_scale, out=dims2d)
         theta = batch.theta
         np.subtract(theta[:, None], offsets, out=res)
         np.cos(res, out=cos_res)
@@ -740,10 +730,12 @@ def sweep_2d_width(model: OrientationNet, sample: TrainingSample,
     result per factor, in factor order."""
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
     batch = make_batch([sample] * len(factors))
-    batch.dims2d[:, 1] *= factors
-    if not np.all(np.isfinite(batch.dims2d[:, 1]) & (batch.dims2d[:, 1] > 0)):
-        raise ValueError(f"scaled 2D widths must be finite and > 0, got factors {factors}")
-    return _forward_rows(model, batch)
+    widths = batch.dims2d[:, 1]
+    with np.errstate(all="ignore"):
+        widths *= factors
+        outputs = forward_batch(model, batch)
+    _check_sweep("2D width", sample.dims2d.w, widths, factors, outputs[1], positive=True)
+    return _forward_rows(model, *outputs)
 
 
 def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
@@ -755,7 +747,30 @@ def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
     not to the sample's ground truth.
     """
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
-    return _forward_rows(model, make_batch([sample] * len(factors)), h1_feed_scale=factors)
+    with np.errstate(all="ignore"):
+        dims_pred, bin_out = forward_batch(model, make_batch([sample] * len(factors)),
+                                           h1_feed_scale=factors)
+        fed = dims_pred[:, 0] * factors
+    _check_sweep("fed 3D height", dims_pred[:, 0], fed, factors, bin_out)
+    return _forward_rows(model, dims_pred, bin_out)
+
+
+def _check_sweep(what: str, base, swept, factors, bin_out, positive: bool = False) -> None:
+    """Raise ValueError naming the first factor that scales ``what`` from
+    ``base`` to ``swept`` not finite (with ``positive``, not > 0 either), or
+    whose head outputs overflow; the sweeps compute these without warnings."""
+    # The common case in two reductions: a sum is finite only if every term is.
+    if math.isfinite(bin_out.sum() + swept.sum()) and not (positive and swept.min() <= 0):
+        return
+    ok = np.isfinite(swept) & ((swept > 0) | (not positive))
+    bad = np.flatnonzero(~(ok & np.isfinite(bin_out).all(axis=1)))
+    if bad.size:
+        i = bad[0]
+        why = ("where the network's outputs overflow" if ok[i]
+               else "not finite and > 0" if positive else "not finite")
+        raise ValueError(f"factor {float(factors[i])!r} scales the {what}"
+                         f" {float(np.broadcast_to(base, swept.shape)[i])!r}"
+                         f" to {float(swept[i])!r}, {why}")
 
 
 def analytic_selector_curve(sample: TrainingSample, factors=None,

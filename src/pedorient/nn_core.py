@@ -418,6 +418,10 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     param -= lr * velocity
 
 
+# A gradient check passes when its largest relative error is below this.
+GRADCHECK_THRESHOLD = 1e-4
+
+
 @dataclass
 class GradCheckReport:
     """Outcome of a finite-difference gradient check."""
@@ -425,7 +429,7 @@ class GradCheckReport:
     max_rel_error: float
     per_param: list[tuple[str, float]] = field(default_factory=list)
 
-    def passed(self, threshold: float = 1e-4) -> bool:
+    def passed(self, threshold: float = GRADCHECK_THRESHOLD) -> bool:
         return self.max_rel_error < threshold
 
 

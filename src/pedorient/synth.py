@@ -28,6 +28,7 @@ TWO_PI = 2.0 * math.pi
 # Pixel floor applied after box noise so 2D dimensions stay positive.
 _MIN_PIXELS = 0.5
 _CLUSTER_TOL = math.radians(0.01)  # grid hits closer than this are one root
+GRID_STEP = math.radians(1e-3)  # the oracle's step; coarser grids give false hits at kinks
 
 
 # The body-size prior: each 3D dimension is a normal draw (mean, sd)
@@ -167,7 +168,7 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def oracle_candidates_for_span(dims: Dims3D, target: float,
-                               grid_step: float = math.radians(1e-3)) -> list[float]:
+                               grid_step: float = GRID_STEP) -> list[float]:
     """Grid-scan solutions of span(theta) == target over (-pi, pi].
 
     Scans at ``grid_step`` resolution, keeps grid points where the absolute
@@ -211,7 +212,7 @@ def oracle_candidates_for_span(dims: Dims3D, target: float,
 
 
 def brute_force_orientation_oracle(d2, dims: Dims3D,
-                                   grid_step: float = math.radians(1e-3)) -> list[float]:
+                                   grid_step: float = GRID_STEP) -> list[float]:
     """Grid-scan counterpart of the analytic orientation inversion.
 
     Solves span(theta) == implied span of the 2D box; see

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import shutil
 import warnings
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from pedorient.cli import (
     _synth_config,
     main,
 )
-from pedorient.model import ModelConfig
-from pedorient.synth import SynthConfig, read_dataset
+from pedorient.model import ModelConfig, forward_batch, load_model, make_batch
+from pedorient.nn_core import Tape
+from pedorient.synth import SynthConfig, gen_dataset, read_dataset
 
 TINY_INI = """\
 [synth]
@@ -110,8 +112,7 @@ class TestConfig:
     SYNTH = dict(n=7, seed=3, box_noise_sd=0.5, context_noise=0.25, context_width=9)
     MODEL = dict(num_bins=3, context_width=9, encoder_hidden=(5, 6),
                  proc_hidden=(7, 8), head_hidden=9, use_feedforward=False,
-                 use_consistency_loss=True, consistency_weight=0.02,
-                 exclusion_tau=0.3, dims2d_scale=0.02)
+                 use_consistency_loss=True)
     TRAIN = dict(seed=4, batch_size=5, momentum=0.8, lr_schedule=((3, 0.01), (4, 0.001)))
     COMPARE = dict(seeds=(4, 5))
     GRADCHECK = dict(batch_size=3, max_entries_per_param=7)
@@ -140,11 +141,10 @@ class TestConfig:
         assert _synth_config(cp, seed=11, n=2) == SynthConfig(**{**self.SYNTH, "seed": 11, "n": 2})
         assert _model_config(cp, seed=12).seed == 12
 
-    def test_aliases_and_defaults(self, tmp_path):
-        cp = _load_ini(self.write(tmp_path, {"synth": {"seed": 2},
-                                             "model": {"exclusion_tau_deg": 10}}))
+    def test_defaults(self, tmp_path):
+        cp = _load_ini(self.write(tmp_path, {"synth": {"seed": 2}}))
         assert _synth_config(cp) == SynthConfig(n=1000, seed=2)
-        assert _model_config(cp) == ModelConfig(exclusion_tau=math.radians(10))
+        assert _model_config(cp) == ModelConfig()
         assert _settings(GradcheckSettings, cp, "gradcheck") == GradcheckSettings()
 
     def test_bad_keys_exit_1_naming_file_section_and_key(self, tmp_path, capsys):
@@ -153,8 +153,6 @@ class TestConfig:
             ({"model": {"use_feedfoward": False}}, "model", "use_feedfoward"),
             ({"train": {"batch_sise": 8}}, "train", "batch_sise"),
             ({"synth": {"h1_min": 1.3}}, "synth", "h1_min"),
-            ({"model": {"exclusion_tau": 0.2, "exclusion_tau_deg": 10}},
-             "model", "exclusion_tau_deg"),
             ({"model": {"seed": 1}, "train": {"seed": 2}}, "train", "seed"),
             ({"model": {"use_feedforward": "maybe"}}, "model", "use_feedforward"),
             ({"model": {"encoder_hidden": (8, 8, 8)}}, "model", "encoder_hidden"),
@@ -165,17 +163,18 @@ class TestConfig:
             ({"gradcheck": {"max_entries_per_param": "small"}}, "gradcheck",
              "max_entries_per_param"),
             ({"gradcheck": {"batch_size": 0}}, "gradcheck", "batch_size"),
-            ({"model": {"use_consistency_loss": True, "consistency_weight": "nan"}},
-             "model", "consistency_weight"),
-            ({"model": {"consistency_weight": "inf"}}, "model", "consistency_weight"),
-            ({"model": {"dims2d_scale": "nan"}}, "model", "dims2d_scale"),
-            ({"model": {"dims2d_scale": "inf"}}, "model", "dims2d_scale"),
+            # Fixed by the method, in any unit: the vote threshold, the
+            # consistency weight and the input scaling.
+            ({"model": {"exclusion_tau_deg": 15}}, "model", "exclusion_tau_deg"),
+            ({"model": {"exclusion_tau": 0.2618}}, "model", "exclusion_tau"),
+            ({"model": {"consistency_weight": 0.01}}, "model", "consistency_weight"),
+            ({"model": {"dims2d_scale": 0.01}}, "model", "dims2d_scale"),
         ]
         for sections, section, key in cases:
             path = self.write(tmp_path, sections)
             assert main(["gen", "--config", path, "--out", str(tmp_path / "g")]) == 1
             err = capsys.readouterr().err
-            assert path in err and f"[{section}]" in err and key in err, err
+            assert path in err and f"[{section}] {key}" in err, err
 
     def test_bad_synth_values_exit_1_naming_file_and_field(self, tmp_path, capsys):
         # Values that parse but that SynthConfig rejects: named by the
@@ -208,10 +207,10 @@ class TestConfig:
 
     def test_bad_model_values_exit_1_naming_section_and_key(self, tmp_path, capsys):
         # Values that parse but that ModelConfig rejects, in [model] and
-        # [train]; a key is named as written, also where it is an alias.
+        # [train]; a key is named as written.
         quick = (Path(__file__).resolve().parents[1] / "configs" / "quick.ini").read_text()
         for section, key, old, new in (("model", "head_hidden", "64", "0"),
-                                       ("model", "exclusion_tau_deg", "15", "-1"),
+                                       ("model", "num_bins", "4", "0"),
                                        ("train", "momentum", "0.9", "1.5"),
                                        ("train", "lr_schedule", "400:1e-3,400:1e-4", "0:1e-3")):
             path = tmp_path / "bad.ini"
@@ -466,6 +465,8 @@ class TestEval:
         assert report["ap"] == pytest.approx(1.0)
         assert report["mean_abs_angular_error_deg"] == pytest.approx(0.0)
         assert report["n_ignore_regions"] == 2
+        # KITTI's match threshold, which no flag changes.
+        assert report["iou_threshold"] == 0.5
         with open(out / "os_recall.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["recall", "orientation_similarity"]
@@ -557,11 +558,15 @@ class TestEval:
 
     @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan", "inf"])
     def test_iou_outside_unit_interval_names_the_flag(self, tmp_path, capsys, iou):
+        # The match threshold is KITTI's 0.5, with no flag: the parser
+        # refuses any --iou by name before anything is written.
         gt, det = self.write_labels(tmp_path)
-        rc = main(["eval", "--labels", str(gt), "--detections", str(det),
-                   "--out", str(tmp_path / "eval"), f"--iou={iou}"])
-        assert rc == 1
-        assert capsys.readouterr() == ("", f"error: --iou {float(iou)}: must be in (0, 1]\n")
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--labels", str(gt), "--detections", str(det),
+                  "--out", str(tmp_path / "eval"), f"--iou={iou}"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: --iou={iou}\n" in err
         assert not (tmp_path / "eval").exists()
 
 
@@ -616,22 +621,33 @@ class TestSweep:
                    "--data", str(workspace["data"]), "--out", str(tmp_path / "s"),
                    "--which", which, "--factors=0:1:3"])
         assert rc == (0 if which == "3d" else 1)
+        sample = read_dataset(workspace["data"])[0]
+        width = sample.dims2d.w
         if which == "2d":
-            assert capsys.readouterr() == ("", "error: --factors '0:1:3': factor 0.0"
-                                               " is not > 0 for --which 2d\n")
+            assert capsys.readouterr() == ("", f"error: --factors '0:1:3': factor 0.0 scales"
+                                               f" the 2D width {width!r} to 0.0, not finite"
+                                               " and > 0\n")
             assert not (tmp_path / "s").exists()
-            # A factor whose scaled width overflows, named before NumPy warns.
-            width = read_dataset(workspace["data"])[0].dims2d.w
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rc = main(["sweep", "--checkpoint", str(workspace["model"]),
-                           "--data", str(workspace["data"]), "--out", str(tmp_path / "s"),
-                           "--which", which, "--factors=1:1e308:2"])
-            assert rc == 1
-            assert capsys.readouterr() == ("", f"error: --factors '1:1e308:2': factor 1e+308"
-                                               f" scales the width {width!r} of sample 0"
-                                               " to inf, not finite and > 0\n")
-            assert not (tmp_path / "s").exists()
+        else:
+            capsys.readouterr()
+            shutil.rmtree(tmp_path / "s")
+        # A factor whose swept input overflows is named, and NumPy does not warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--checkpoint", str(workspace["model"]),
+                       "--data", str(workspace["data"]), "--out", str(tmp_path / "s"),
+                       "--which", which, "--factors=1:1e308:2"])
+        assert rc == 1
+        if which == "2d":
+            what = f"2D width {width!r} to inf, not finite and > 0"
+        else:
+            batch = make_batch([sample, sample])  # the sweep's two rows
+            h1 = float(forward_batch(load_model(workspace["model"]), batch)[0][0, 0])
+            what = f"fed 3D height {h1!r} to {h1 * 1e308!r}, " + (
+                "not finite" if math.isinf(h1 * 1e308) else "where the network's outputs overflow")
+        assert capsys.readouterr() == ("", f"error: --factors '1:1e308:2': factor 1e+308"
+                                           f" scales the {what}\n")
+        assert not (tmp_path / "s").exists()
 
     def test_bad_checkpoint_exits_1(self, tmp_path, workspace, capsys):
         with np.load(workspace["model"], allow_pickle=False) as data:
@@ -662,6 +678,19 @@ class TestSweep:
             assert out == "" and err.startswith(f"error: checkpoint {bad}: ") and name in err
             assert not (tmp_path / "s").exists()
 
+    def test_context_width_mismatch_names_both_files(self, tmp_path, workspace, capsys):
+        # Not a --factors error, though the sweep would meet it first.
+        quick = Path(__file__).resolve().parents[1] / "configs" / "quick.ini"
+        assert main(["gen", "--config", str(quick), "--n", "3", "--out", str(tmp_path / "g")]) == 0
+        capsys.readouterr()
+        data = tmp_path / "g" / "dataset.txt"
+        rc = main(["sweep", "--checkpoint", str(workspace["model"]), "--data", str(data),
+                   "--out", str(tmp_path / "s"), "--which", "3d", "--factors=1:2:2"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {data}: context width 16, but checkpoint"
+                                           f" {workspace['model']} reads 8\n")
+        assert not (tmp_path / "s").exists()
+
     def test_bad_index(self, tmp_path, workspace, capsys):
         for index in ("999", "60", "-1"):
             rc = main(["sweep", "--checkpoint", str(workspace["model"]),
@@ -686,11 +715,24 @@ class TestInvert:
         assert "agrees" in text
 
     @pytest.mark.parametrize("step", ["0.05", "0.2", "0.5", "5"])
-    def test_cross_check_tolerance_follows_the_grid_step(self, capsys, step):
+    def test_cross_check_tolerance_follows_the_grid_step(self, capsys, monkeypatch, step):
         # The grid's hits sit up to half a step from the analytic roots.
-        rc = main([*EXEMPLAR, "--grid-step-deg", step])
+        monkeypatch.setattr(cli_module, "GRID_STEP", math.radians(float(step)))
+        rc = main(EXEMPLAR)
         assert rc == 0
         assert "agrees with the analytic set" in capsys.readouterr().out
+
+    def test_cross_check_agrees_on_every_feasible_sample(self, capsys):
+        # At the fixed 1e-3 degree step no kink of the span function gives
+        # the grid a false hit.
+        samples, _ = gen_dataset(SynthConfig(n=400, seed=11))
+        agreed = 0
+        for s in samples:
+            d2, d3 = s.dims2d, s.dims3d
+            assert main(["invert", "--h2d", repr(d2.h), "--w2d", repr(d2.w), "--h1", repr(d3.h1),
+                         "--w1", repr(d3.w1), "--l1", repr(d3.l1)]) == 0
+            agreed += "agrees with the analytic set" in capsys.readouterr().out
+        assert agreed == 349
 
     def test_disagreement_exits_1(self, capsys, monkeypatch):
         real = cli_module.invert_orientation_candidates
@@ -700,7 +742,7 @@ class TestInvert:
             return dataclasses.replace(res, candidates=tuple(c + 0.01 for c in res.candidates))
 
         monkeypatch.setattr(cli_module, "invert_orientation_candidates", shifted)
-        assert main([*EXEMPLAR, "--grid-step-deg", "0.2"]) == 1
+        assert main(EXEMPLAR) == 1
         assert "DISAGREES with the analytic set" in capsys.readouterr().out
 
     def test_infeasible(self, capsys):
@@ -711,12 +753,13 @@ class TestInvert:
 
     @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "9e-05"])
     def test_bad_grid_step_names_the_flag_before_any_output(self, capsys, step):
-        # Each is rejected before anything is printed or the grid is built.
-        rc = main(["invert", "--h2d", "86", "--w2d", "33", "--h1", "1.68",
-                   "--w1", "0.50", "--l1", "0.42", f"--grid-step-deg={step}"])
-        assert rc == 1
-        assert capsys.readouterr() == ("", f"error: --grid-step-deg {float(step)}:"
-                                           " must be finite and >= 0.0001\n")
+        # The cross-check's step is fixed at 1e-3 degrees, with no flag: the
+        # parser refuses any --grid-step-deg by name before anything is printed.
+        with pytest.raises(SystemExit) as info:
+            main([*EXEMPLAR, f"--grid-step-deg={step}"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: --grid-step-deg={step}\n" in err
 
     def test_degenerate_box_rejected(self, capsys):
         # Each is rejected by its flag before anything is printed.
@@ -739,6 +782,7 @@ class TestGradcheck:
         assert "vs threshold 1.0e-04: PASS" in text
         report = json.loads((out / "gradcheck.json").read_text())
         assert report["passed"] is True and report["threshold"] == 1e-4
+        assert report["remeasured"] is None
         assert report["max_rel_error"] < 1e-4
         assert "encoder.0.weights" in report["per_param"]
         # The check covers the consistency term, which TINY_INI does not train with.
@@ -767,6 +811,47 @@ class TestGradcheck:
         assert ("overall max rel err 1.000e-03 vs threshold 1.0e-04: FAIL\n"
                 in capsys.readouterr().out)
         assert json.loads((out / "gradcheck.json").read_text())["passed"] is False
+
+    @pytest.mark.parametrize("errors, verdict", [((1e-3, 1e-5), "PASS"), ((2e-4, 5e-5), "FAIL")])
+    def test_error_at_the_threshold_is_measured_again(self, tmp_path, workspace, capsys,
+                                                      monkeypatch, errors, verdict):
+        # A kink's error falls with the step; it passes at a tenth of the
+        # step only if it falls below the threshold and tenfold.
+        real = cli_module.model_gradient_check
+        by_step = dict(zip((1e-5, 1e-6), errors))
+
+        def kinked(*args, eps, **kwargs):
+            return dataclasses.replace(real(*args, eps=eps, **kwargs), max_rel_error=by_step[eps])
+
+        monkeypatch.setattr(cli_module, "model_gradient_check", kinked)
+        out = tmp_path / "gc"
+        rc = main(["gradcheck", "--config", str(workspace["ini"]), "--out", str(out)])
+        assert rc == (0 if verdict == "PASS" else 1)
+        text = capsys.readouterr().out
+        assert (f"overall max rel err {errors[0]:.3e} vs threshold 1.0e-04:"
+                " measuring again at step 1e-06\n") in text
+        assert text.endswith(f"overall max rel err {errors[1]:.3e} vs threshold 1.0e-04:"
+                             f" {verdict}\n")
+        report = json.loads((out / "gradcheck.json").read_text())
+        assert report["passed"] is (rc == 0) and report["max_rel_error"] == errors[0]
+        assert report["remeasured"]["eps"] == 1e-6
+        assert report["remeasured"]["max_rel_error"] == errors[1]
+        assert report["remeasured"]["per_param"].keys() == report["per_param"].keys()
+
+    def test_wrong_gradient_fails_at_both_steps(self, tmp_path, workspace, capsys, monkeypatch):
+        real = Tape.backward
+
+        def one_percent_high(self, output):
+            return {nid: 1.01 * grad for nid, grad in real(self, output).items()}
+
+        monkeypatch.setattr(Tape, "backward", one_percent_high)
+        out = tmp_path / "gc"
+        rc = main(["gradcheck", "--config", str(workspace["ini"]), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().out.endswith(": FAIL\n")
+        report = json.loads((out / "gradcheck.json").read_text())
+        assert report["passed"] is False
+        assert report["max_rel_error"] > 1e-3 and report["remeasured"]["max_rel_error"] > 1e-3
 
 
 class TestParser:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,15 +130,21 @@ class TestModelConfig:
             with pytest.raises(ValueError, match="lr_schedule must total at least one step"):
                 tiny_cfg(lr_schedule=steps)
         assert tiny_cfg(lr_schedule=((0, 1e-3), (1, 1e-4))).total_steps() == 1
-        with pytest.raises(ValueError):
-            tiny_cfg(exclusion_tau=0.0)
         for widths in (dict(encoder_hidden=(0, 8)), dict(proc_hidden=(8, 0)), dict(head_hidden=0)):
             with pytest.raises(ValueError, match="widths"):
                 tiny_cfg(**widths)
-        for key in ("consistency_weight", "dims2d_scale"):
-            for bad in (math.nan, math.inf, -math.inf):
-                with pytest.raises(ValueError, match=key):
-                    tiny_cfg(**{key: bad})
+
+    def test_method_constants_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "num_bins", "context_width", "encoder_hidden", "proc_hidden", "head_hidden",
+            "use_feedforward", "use_consistency_loss", "seed", "batch_size", "momentum",
+            "lr_schedule"]
+        cfg = tiny_cfg()
+        assert cfg.exclusion_tau == math.radians(15.0)
+        assert cfg.consistency_weight == 0.01 and cfg.dims2d_scale == 0.01
+        for key in ("exclusion_tau", "consistency_weight", "dims2d_scale"):
+            with pytest.raises(TypeError, match=key):
+                tiny_cfg(**{key: 0.02})
 
     def test_schedule_helpers(self):
         cfg = tiny_cfg(lr_schedule=((10, 1e-2), (5, 1e-3)))
@@ -635,7 +642,29 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_2d_width(model, s, factors=(0.0, 1.0))
 
-    def test_batched_sweeps_match_per_factor_forward(self):
+    def test_overflowing_factor_is_named_without_warnings(self):
+        model = build_model(tiny_cfg())
+        s = tiny_samples(1)[0]
+        # The height as the two-row sweep predicts it, to the last bit.
+        h1 = float(forward_batch(model, make_batch([s, s]))[0][0, 0])
+        w = s.dims2d.w
+        cases = [(sweep_2d_width, 1e308, f"2D width {w!r} to inf, not finite and > 0"),
+                 (sweep_2d_width, math.nan, f"2D width {w!r} to nan, not finite and > 0"),
+                 (sweep_3d_height, math.inf, f"fed 3D height {h1!r} to {h1 * math.inf!r},"
+                                             " not finite"),
+                 (sweep_3d_height, math.nan, f"fed 3D height {h1!r} to nan, not finite")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sweep, factor, what in cases:
+                with pytest.raises(ValueError) as info:
+                    sweep(model, s, factors=(1.0, factor))
+                assert str(info.value) == f"factor {factor!r} scales the {what}"
+            # A finite fed height whose processor outputs overflow.
+            model.stacks["proc3d"][0].weights[:, 0] = 1e308
+            with pytest.raises(ValueError, match="where the network's outputs overflow$"):
+                sweep_3d_height(model, s, factors=(1.0, -10.0))
+
+    def test_batched_sweeps_match_per_factor_forward(self, monkeypatch):
         s = tiny_samples(1)[0]
         factors = tuple(np.linspace(0.2, 2.0, 7))
 
@@ -643,11 +672,11 @@ class TestSweeps:
             return TrainingSample(Dims2D(s.dims2d.h, s.dims2d.w * f),
                                   s.dims3d, s.theta, s.context), 1.0
 
+        # Three bins and a wide tau, so the vote fires on these models.
+        monkeypatch.setattr(ModelConfig, "exclusion_tau", 1.0)
         fired = 0
         for kw in WIRINGS.values():
-            # Three bins and a wide tau, so the vote fires on these models.
-            cfg = tiny_cfg(seed=2, num_bins=3, exclusion_tau=1.0,
-                           lr_schedule=((40, 1e-3),), **kw)
+            cfg = tiny_cfg(seed=2, num_bins=3, lr_schedule=((40, 1e-3),), **kw)
             model = train(tiny_samples(16), cfg).model
             for sweep, per_factor in ((sweep_2d_width, width_scaled),
                                       (sweep_3d_height, lambda f: (s, f))):
@@ -768,8 +797,10 @@ class TestCheckpoint:
             (with_config(drop="momentum"), "momentum"),
             (with_config(num_bins=4.0), "num_bins"),
             (with_config(encoder_hidden=[8]), "encoder_hidden"),
-            (with_config(consistency_weight=math.nan), "consistency_weight"),
-            (with_config(dims2d_scale=math.inf), "dims2d_scale"),
+            # Written when the method's constants were fields.
+            (with_config(consistency_weight=0.01, exclusion_tau=math.radians(15.0),
+                         dims2d_scale=0.01),
+             "unknown keys ['consistency_weight', 'dims2d_scale', 'exclusion_tau']"),
             ({**good, "head__1__bias": np.zeros(1)}, "head.1.bias"),
             ({**good, "head__1__bias": np.full(8, np.nan)}, "head.1.bias"),
             ({k: v for k, v in good.items() if k != "encoder__0__weights"},
