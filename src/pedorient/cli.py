@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config
-from .evaluation import Detection, GroundTruth, evaluate_detections
+from .evaluation import MIN_IOU, Detection, GroundTruth, evaluate_detections
 from .geometry import (Dims2D, Dims3D, circ_abs_diff, implied_width_span,
                        invert_orientation_candidates)
 from .kitti_io import DONT_CARE, Difficulty, classify_difficulty, parse_label_file
@@ -57,7 +57,8 @@ from .model import (
     sweep_3d_height,
     train,
 )
-from .nn_core import GRADCHECK_THRESHOLD, NonFiniteGradientError
+from .nn_core import (GRADCHECK_STEPS, GRADCHECK_THRESHOLD, NonFiniteGradientError,
+                      check_at_steps)
 from .synth import (_CLUSTER_TOL, GRID_STEP, SynthConfig, brute_force_orientation_oracle,
                     gen_dataset, read_dataset, write_dataset)
 
@@ -289,9 +290,8 @@ def cmd_train(args) -> int:
 
     eval_set = val_s if val_s else train_s
     metrics = evaluate_model(result.model, eval_set)
-    metrics["evaluated_on"] = "validation" if val_s else "train"
-    metrics["n_train"] = len(train_s)
-    metrics["n_val"] = len(val_s)
+    metrics.update(evaluated_on="validation" if val_s else "train",
+                   n_train=len(train_s), n_val=len(val_s))
     metrics_path = out / "metrics.json"
     metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
 
@@ -328,6 +328,7 @@ def cmd_compare(args) -> int:
     samples = read_dataset(args.data)
     holdout = _holdout_fraction(cp)
 
+    keys = ("val_loss", "dims_loss", "orientation_loss", "mae_deg")
     runs = []
     for name, use_ff, use_cons in _COMPARE_VARIANTS:
         for seed in seeds:
@@ -336,18 +337,12 @@ def cmd_compare(args) -> int:
             train_s, val_s = _training_split(args.data, samples, holdout, seed)
             result = train(train_s, cfg)
             metrics = evaluate_model(result.model, val_s if val_s else train_s)
-            runs.append({
-                "variant": name, "seed": seed,
-                "val_loss": metrics["loss"],
-                "dims_loss": metrics["dims_loss"],
-                "orientation_loss": metrics["orientation_loss"],
-                "mae_deg": metrics["mae_deg"],
-            })
+            runs.append({"variant": name, "seed": seed, "val_loss": metrics["loss"],
+                         **{key: metrics[key] for key in keys[1:]}})
             print(f"  {name:<22s} seed {seed}: val loss {metrics['loss']:.4f},"
                   f" MAE {metrics['mae_deg']:.2f} deg")
 
     # A NaN metric is named and left out of its median, which it would make order-dependent.
-    keys = ("val_loss", "dims_loss", "orientation_loss", "mae_deg")
     nan_runs = [{"variant": r["variant"], "seed": r["seed"],
                  "metrics": [key for key in keys if math.isnan(r[key])]}
                 for r in runs if any(math.isnan(r[key]) for key in keys)]
@@ -383,8 +378,6 @@ def cmd_compare(args) -> int:
 
 
 _TIER_ORDER = (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD)
-# The least box overlap that matches a detection to a ground truth, as in KITTI.
-_IOU_THRESHOLD = 0.5
 
 
 def _read_labels(path):
@@ -430,18 +423,13 @@ def cmd_eval(args) -> int:
                              " detection has no confidence score")
         dets.append(Detection(lb.box2d, lb.score, getattr(lb, args.orientation)))
 
-    report = evaluate_detections(dets, gts, iou_threshold=_IOU_THRESHOLD,
-                                 ignore_boxes=ignores)
+    report = evaluate_detections(dets, gts, ignore_boxes=ignores)
     out = _out_dir(args)
-    payload = report.to_dict()
-    payload.update({
-        "difficulty": tier.value,
-        "iou_threshold": _IOU_THRESHOLD,
-        "orientation_field": args.orientation,
-        "n_ignore_regions": len(ignores),
-        "gt_angle_warnings": gt_parsed.angle_warnings,
-        "det_angle_warnings": det_parsed.angle_warnings,
-    })
+    settings = {"difficulty": tier.value, "iou_threshold": MIN_IOU,
+                "orientation_field": args.orientation}
+    payload = {**report.to_dict(), **settings, "n_ignore_regions": len(ignores),
+               "gt_angle_warnings": gt_parsed.angle_warnings,
+               "det_angle_warnings": det_parsed.angle_warnings}
     report_path = out / "report.json"
     report_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     curve_path = out / "os_recall.csv"
@@ -453,8 +441,6 @@ def cmd_eval(args) -> int:
     print(f"AOS {report.aos:.4f}  AP {report.ap:.4f}"
           f"  yaw MAE {report.mean_abs_angular_error_deg:.2f} deg"
           f"  ({report.n_matched}/{report.n_gt} matched, {len(dets)} detections)")
-    settings = {"difficulty": tier.value, "iou_threshold": _IOU_THRESHOLD,
-                "orientation_field": args.orientation}
     _write_manifest(out, "eval", settings, None,
                     inputs=[args.labels, args.detections],
                     outputs=[report_path, curve_path], started=started)
@@ -511,10 +497,8 @@ def cmd_sweep(args) -> int:
         for f, p, a in zip(factors, rows, analytic):
             model_deg = "" if p.theta_pred is None else f"{math.degrees(p.theta_pred):.4f}"
             analytic_deg = "" if math.isnan(a) else f"{math.degrees(a):.4f}"
-            if p.per_bin_angles is None:
-                bins = "".join("," for _ in range(num_bins))
-            else:
-                bins = "".join(f",{math.degrees(b):.4f}" for b in p.per_bin_angles)
+            bins = ("," * num_bins if p.per_bin_angles is None
+                    else "".join(f",{math.degrees(b):.4f}" for b in p.per_bin_angles))
             fh.write(f"{f:.6f},{model_deg},{analytic_deg},{len(p.excluded)}{bins}\n")
 
     print(f"swept {len(rows)} factors over sample {args.index}"
@@ -559,12 +543,6 @@ def cmd_invert(args) -> int:
     return 0 if covered else 1
 
 
-# A central difference across a ReLU kink errs by an amount that shrinks with
-# the step, a wrong gradient at every step: so an error at the threshold or above
-# passes only if, at a tenth of the step, it falls below the threshold and tenfold.
-_GRADCHECK_STEPS = (1e-5, 1e-6)
-
-
 def cmd_gradcheck(args) -> int:
     started = time.monotonic()
     cp = _load_ini(args.config)
@@ -576,41 +554,27 @@ def cmd_gradcheck(args) -> int:
                             context_width=cfg.context_width)
     samples, _ = gen_dataset(synth_cfg)
     model = build_model(cfg)
-    batch = make_batch(samples)
-
-    def check(eps):
-        report = model_gradient_check(model, batch, eps=eps, seed=cfg.seed,
-                                      max_entries_per_param=g.max_entries_per_param)
-        width = max(len(name) for name, _ in report.per_param)
+    reports, passed = check_at_steps(lambda eps: model_gradient_check(
+        model, make_batch(samples), eps=eps, seed=cfg.seed,
+        max_entries_per_param=g.max_entries_per_param))
+    width = max(len(name) for name, _ in reports[0].per_param)
+    for eps, report in zip(GRADCHECK_STEPS, reports):
         for name, err in report.per_param:
-            print(f"  {name:<{width}s}  max rel err {err:.3e}")
-        return report
-
-    def overall(report, verdict):
-        print(f"overall max rel err {report.max_rel_error:.3e}"
-              f" vs threshold {GRADCHECK_THRESHOLD:.1e}: {verdict}")
-
-    step, retry_step = _GRADCHECK_STEPS
-    first = final = check(step)
-    passed = first.passed()
-    remeasured = None
-    if not passed:
-        overall(first, f"measuring again at step {retry_step:.0e}")
-        final = check(retry_step)
-        passed = final.passed() and final.max_rel_error <= first.max_rel_error / 10
-        remeasured = {"eps": retry_step, "max_rel_error": final.max_rel_error,
-                      "per_param": dict(final.per_param)}
-    overall(final, "PASS" if passed else "FAIL")
+            print(f"  {name:<{width}s}  max rel err {err:.3e} at step {eps:.0e}")
+    print(f"overall max rel err {reports[-1].max_rel_error:.3e}"
+          f" vs threshold {GRADCHECK_THRESHOLD:.1e}: {'PASS' if passed else 'FAIL'}")
 
     if args.out:
         out = _out_dir(args)
         path = out / "gradcheck.json"
         path.write_text(json.dumps({
-            "max_rel_error": first.max_rel_error,
-            "per_param": dict(first.per_param),
+            "max_rel_error": reports[0].max_rel_error,
+            "per_param": dict(reports[0].per_param),
             "threshold": GRADCHECK_THRESHOLD,
             "passed": bool(passed),
-            "remeasured": remeasured,
+            "remeasured": None if len(reports) == 1 else {
+                "eps": GRADCHECK_STEPS[1], "max_rel_error": reports[1].max_rel_error,
+                "per_param": dict(reports[1].per_param)},
         }, sort_keys=True, indent=2) + "\n")
         _write_manifest(out, "gradcheck", config.snapshot(cfg), cfg.seed,
                         inputs=[args.config] if args.config else [],

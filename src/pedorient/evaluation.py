@@ -21,6 +21,7 @@ import numpy as np
 from .geometry import circ_abs_diff, wrap_angle
 
 RECALL_ANCHORS = tuple(np.linspace(0.0, 1.0, 11))
+MIN_IOU = 0.5  # the least box overlap that matches, as in KITTI
 # A point reaches an anchor at a recall of at least the anchor less 1e-12.
 _ANCHOR_FLOORS = tuple(float(a) - 1e-12 for a in RECALL_ANCHORS)
 
@@ -132,7 +133,7 @@ def _score_order(dets) -> list[int]:
     return sorted(range(len(dets)), key=neg.__getitem__)
 
 
-def match_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> MatchResult:
+def match_detections(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()) -> MatchResult:
     """Greedily match detections to ground truths by descending score.
 
     Each detection claims the highest-IoU still-unclaimed ground truth if
@@ -210,7 +211,7 @@ def _eleven_point(recalls: list[float], values: list[float]) -> float:
     return total / len(_ANCHOR_FLOORS)
 
 
-def aos(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()):
+def aos(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()):
     """Average orientation similarity with 11-point recall interpolation.
 
     Returns:
@@ -224,7 +225,7 @@ def aos(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()):
     return report.aos, report.os_recall_curve
 
 
-def average_precision(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> float:
+def average_precision(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()) -> float:
     """11-point interpolated average precision over the same matching."""
     return evaluate_detections(dets, gts, iou_threshold, ignore_boxes).ap
 
@@ -274,7 +275,7 @@ class EvalReport:
         }
 
 
-def evaluate_detections(dets, gts, iou_threshold: float = 0.5, ignore_boxes=()) -> EvalReport:
+def evaluate_detections(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()) -> EvalReport:
     """Full evaluation: AOS, AP, error histogram, and mean angular error."""
     if not gts:
         raise ValueError("evaluation undefined without ground truths")

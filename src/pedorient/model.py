@@ -360,8 +360,7 @@ class ForwardResult:
     degenerate_bins: tuple[int, ...] = ()
 
 
-def _forward_rows(model: OrientationNet, dims_pred: np.ndarray,
-                  bin_out: np.ndarray) -> list[ForwardResult]:
+def _forward_rows(model: OrientationNet, dims_pred, bin_out) -> list[ForwardResult]:
     """One :class:`ForwardResult` per row of :func:`forward_batch`'s
     outputs.  A row with a degenerate pair has neither angles nor a vote;
     theta is None where undefined."""
@@ -759,9 +758,6 @@ def _check_sweep(what: str, base, swept, factors, bin_out, positive: bool = Fals
     """Raise ValueError naming the first factor that scales ``what`` from
     ``base`` to ``swept`` not finite (with ``positive``, not > 0 either), or
     whose head outputs overflow; the sweeps compute these without warnings."""
-    # The common case in two reductions: a sum is finite only if every term is.
-    if math.isfinite(bin_out.sum() + swept.sum()) and not (positive and swept.min() <= 0):
-        return
     ok = np.isfinite(swept) & ((swept > 0) | (not positive))
     bad = np.flatnonzero(~(ok & np.isfinite(bin_out).all(axis=1)))
     if bad.size:

@@ -420,6 +420,10 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
 
 # A gradient check passes when its largest relative error is below this.
 GRADCHECK_THRESHOLD = 1e-4
+# A central difference across a ReLU kink errs less at a smaller step, a wrong
+# gradient does not: an error at the threshold or above is measured again at a
+# tenth of the step, and must then fall below the threshold and tenfold.
+GRADCHECK_STEPS = (1e-5, 1e-6)
 
 
 @dataclass
@@ -431,6 +435,18 @@ class GradCheckReport:
 
     def passed(self, threshold: float = GRADCHECK_THRESHOLD) -> bool:
         return self.max_rel_error < threshold
+
+
+def check_at_steps(check) -> tuple[list[GradCheckReport], bool]:
+    """The reports of ``check(eps)`` at GRADCHECK_STEPS up to the first that
+    passes, and whether the check passes by the rule above."""
+    reports = []
+    for eps in GRADCHECK_STEPS:
+        reports.append(check(eps))
+        if reports[-1].passed():
+            break
+    first, last = reports[0].max_rel_error, reports[-1].max_rel_error
+    return reports, last < GRADCHECK_THRESHOLD and last <= first / 10 ** (len(reports) - 1)
 
 
 def finite_diff_check(

@@ -781,6 +781,8 @@ class TestGradcheck:
         assert "PASS" in text
         assert "vs threshold 1.0e-04: PASS" in text
         report = json.loads((out / "gradcheck.json").read_text())
+        assert text.count(" at step 1e-05\n") == len(report["per_param"])
+        assert " at step 1e-06" not in text
         assert report["passed"] is True and report["threshold"] == 1e-4
         assert report["remeasured"] is None
         assert report["max_rel_error"] < 1e-4
@@ -828,11 +830,12 @@ class TestGradcheck:
         rc = main(["gradcheck", "--config", str(workspace["ini"]), "--out", str(out)])
         assert rc == (0 if verdict == "PASS" else 1)
         text = capsys.readouterr().out
-        assert (f"overall max rel err {errors[0]:.3e} vs threshold 1.0e-04:"
-                " measuring again at step 1e-06\n") in text
         assert text.endswith(f"overall max rel err {errors[1]:.3e} vs threshold 1.0e-04:"
                              f" {verdict}\n")
         report = json.loads((out / "gradcheck.json").read_text())
+        # One line per parameter array at each step.
+        for step in ("1e-05", "1e-06"):
+            assert text.count(f" at step {step}\n") == len(report["per_param"])
         assert report["passed"] is (rc == 0) and report["max_rel_error"] == errors[0]
         assert report["remeasured"]["eps"] == 1e-6
         assert report["remeasured"]["max_rel_error"] == errors[1]

@@ -659,6 +659,10 @@ class TestSweeps:
                 with pytest.raises(ValueError) as info:
                     sweep(model, s, factors=(1.0, factor))
                 assert str(info.value) == f"factor {factor!r} scales the {what}"
+            # Widths each finite, though their sum overflows, are swept.
+            big = 0.9e308 / w
+            assert all(r.theta_pred is not None
+                       for r in sweep_2d_width(model, s, factors=(big, big)))
             # A finite fed height whose processor outputs overflow.
             model.stacks["proc3d"][0].weights[:, 0] = 1e308
             with pytest.raises(ValueError, match="where the network's outputs overflow$"):

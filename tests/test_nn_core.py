@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from pedorient.nn_core import (
+    GRADCHECK_STEPS,
     GradCheckReport,
     NonFiniteGradientError,
     Tape,
+    check_at_steps,
     finite_diff_check,
     sgd_step,
 )
@@ -328,3 +330,20 @@ class TestFiniteDiffCheck:
     def test_report_threshold(self):
         assert GradCheckReport(5e-5).passed(1e-4)
         assert not GradCheckReport(2e-4).passed(1e-4)
+
+    @pytest.mark.parametrize("errors, steps_run, passed", [
+        ((5e-5, None), 1, True),    # passes at the first step
+        ((1e-3, 1e-5), 2, True),    # a kink: below the threshold and tenfold
+        ((2e-4, 5e-5), 2, False),   # below the threshold, but not tenfold
+        ((1e-3, 1e-3), 2, False),   # wrong at every step
+    ])
+    def test_check_at_steps_measures_again_at_a_tenth(self, errors, steps_run, passed):
+        asked = []
+
+        def check(eps):
+            asked.append(eps)
+            return GradCheckReport(dict(zip(GRADCHECK_STEPS, errors))[eps])
+
+        reports, ok = check_at_steps(check)
+        assert asked == list(GRADCHECK_STEPS[:steps_run]) == [1e-5, 1e-6][:steps_run]
+        assert [r.max_rel_error for r in reports] == list(errors[:steps_run]) and ok is passed
