@@ -59,7 +59,6 @@ from .kitti_io import (
     classify_difficulty,
     parse_label_file,
     serialize_labels,
-    to_sample,
 )
 from .model import (
     DEFAULT_SWEEP_FACTORS,

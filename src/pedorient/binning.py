@@ -194,14 +194,16 @@ def exclusion_mask_batch(angles: np.ndarray, tau: float) -> np.ndarray:
     """Vectorized vote over a batch: rows of angles -> boolean include mask.
 
     Equivalent to running :func:`exclusion_vote` per row (True = kept).
-    With fewer than three bins, or no distance above tau, no bin can be
-    voted out.  Otherwise each distance of the (n, b, b) matrix counts +1
-    when above tau, -1 when below and 0 when equal; bin j is excluded iff
-    its score reaches the maximum b (b - 1) / 2: far from all b - 1
-    others, with every pair k < m that avoids j close.  At most one bin per
-    row can score that.  A NaN angle makes a NaN distance, which makes
-    every score of its row NaN, so that row keeps every bin, as the
-    scalar vote does.
+    With fewer than three bins no bin can be voted out.  Otherwise each
+    distance of the (n, b, b) matrix counts +1 when above tau, -1 when
+    below and 0 when equal; bin j is excluded iff its score reaches the
+    maximum b (b - 1) / 2: far from all b - 1 others, with every pair
+    k < m that avoids j close.  At most one bin per row can score that, and
+    none when no distance is above tau.  A NaN angle makes a NaN distance,
+    which makes every score of its row NaN, so that row keeps every bin, as
+    the scalar vote does.  There is no early exit for a batch with no
+    distance above tau: the vote fires on most rows, so the test costs more
+    than it saves.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
@@ -213,8 +215,6 @@ def exclusion_mask_batch(angles: np.ndarray, tau: float) -> np.ndarray:
         return np.ones((n, b), dtype=bool)
     diff = wrap_angle(a[:, :, None] - a[:, None, :])  # (n, b, b), a new array
     np.abs(diff, out=diff)
-    if not (diff > tau).any():
-        return np.ones((n, b), dtype=bool)
     np.subtract(diff, tau, out=diff)
     score = np.sign(diff, out=diff).reshape(n, b * b) @ _vote_weights(b)
     return score != b * (b - 1) // 2

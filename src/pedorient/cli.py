@@ -533,7 +533,7 @@ def cmd_invert(args) -> int:
     degs = ", ".join(f"{math.degrees(c):+.3f}" for c in result.candidates)
     print(f"{len(result.candidates)} yaw candidate(s) [deg]: {degs}")
 
-    oracle = brute_force_orientation_oracle(d2, dims, grid_step=GRID_STEP)
+    oracle = brute_force_orientation_oracle(d2, dims)
     # A hit lies within half a step of its root; hits within _CLUSTER_TOL merge.
     tol = GRID_STEP + _CLUSTER_TOL
     covered = (all(any(circ_abs_diff(c, o) <= tol for c in result.candidates) for o in oracle)

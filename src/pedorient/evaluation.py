@@ -27,7 +27,7 @@ _ANCHOR_FLOORS = tuple(float(a) - 1e-12 for a in RECALL_ANCHORS)
 
 
 def _check_box(box) -> tuple[float, float, float, float]:
-    left, top, right, bottom = (float(v) for v in box)
+    left, top, right, bottom = map(float, box)
     if not (-math.inf < left < right < math.inf and -math.inf < top < bottom < math.inf):
         raise ValueError(f"degenerate or non-finite box {box}")
     return left, top, right, bottom
@@ -78,13 +78,8 @@ class GroundTruth:
 
 def box_iou(a, b) -> float:
     """Intersection over union of two (left, top, right, bottom) boxes."""
-    return _iou(_check_box(a), _check_box(b))
-
-
-def _iou(a, b) -> float:
-    """:func:`box_iou` of two boxes already checked by :func:`_check_box`."""
-    al, at, ar, ab = a
-    bl, bt, br, bb = b
+    al, at, ar, ab = _check_box(a)
+    bl, bt, br, bb = _check_box(b)
     iw = min(ar, br) - max(al, bl)
     ih = min(ab, bb) - max(at, bt)
     if iw <= 0 or ih <= 0:
@@ -151,20 +146,31 @@ def _match_in_order(dets, gts, iou_threshold, ignore_boxes, order) -> MatchResul
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     result = MatchResult()
     ignore_boxes = [_check_box(b) for b in ignore_boxes]
+    # box_iou's arithmetic in its order, inline, with each ground truth's
+    # area taken once; a pair that does not overlap (IoU 0) never wins.
+    gt_boxes = [(*box, (box[2] - box[0]) * (box[3] - box[1]))
+                for box in (gt.box2d for gt in gts)]
     taken = set()
     for di in order:
-        det = dets[di]
+        det_box = dets[di].box2d
+        al, at, ar, ab = det_box
+        area = (ar - al) * (ab - at)
         best_gi, best_iou = -1, 0.0
-        for gi, gt in enumerate(gts):
+        for gi, (bl, bt, br, bb, gt_area) in enumerate(gt_boxes):
             if gi in taken:
                 continue
-            iou = _iou(det.box2d, gt.box2d)
+            iw = min(ar, br) - max(al, bl)
+            ih = min(ab, bb) - max(at, bt)
+            if iw <= 0 or ih <= 0:
+                continue
+            inter = iw * ih
+            iou = inter / (area + gt_area - inter)
             if iou > best_iou:
                 best_gi, best_iou = gi, iou
         if best_gi >= 0 and best_iou >= iou_threshold:
             taken.add(best_gi)
             result.matches.append((di, best_gi, best_iou))
-        elif any(_ignore_overlap(det.box2d, ib) >= iou_threshold for ib in ignore_boxes):
+        elif any(_ignore_overlap(det_box, ib) >= iou_threshold for ib in ignore_boxes):
             result.ignored_dets.append(di)
         else:
             result.unmatched_dets.append(di)
@@ -196,19 +202,24 @@ def _score_walk(dets, gts, match: MatchResult, order):
     return recalls, precisions, os_precisions
 
 
-def _eleven_point(recalls: list[float], values: list[float]) -> float:
-    """Mean over the 11 recall anchors of the best value at a recall of at
-    least the anchor (less 1e-12), 0.0 where no point reaches it.
+def _eleven_point(recalls: list[float], *series: list[float]) -> list[float]:
+    """For each series of values, the mean over the 11 recall anchors of
+    its best value at a recall of at least the anchor (less 1e-12), 0.0
+    where no point reaches it.
 
     Recall never falls along the score walk, so the points that reach an
-    anchor are a suffix of the walk, found by bisection; ``best[i]`` is the
-    largest of ``values[i:]``.
+    anchor are a suffix of the walk, found by bisection once for all the
+    series; ``best[i]`` is the largest of ``values[i:]``.
     """
-    best = [*itertools.accumulate(reversed(values), max)][::-1] + [0.0]
-    total = 0.0
-    for floor in _ANCHOR_FLOORS:
-        total += best[bisect.bisect_left(recalls, floor)]
-    return total / len(_ANCHOR_FLOORS)
+    starts = [bisect.bisect_left(recalls, floor) for floor in _ANCHOR_FLOORS]
+    means = []
+    for values in series:
+        best = [*itertools.accumulate(reversed(values), max)][::-1] + [0.0]
+        total = 0.0
+        for i in starts:
+            total += best[i]
+        means.append(total / len(starts))
+    return means
 
 
 def aos(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()):
@@ -239,11 +250,15 @@ def error_histogram(angle_pairs) -> np.ndarray:
     Args:
         angle_pairs: iterable of (theta_pred, theta_true) in radians.
     """
-    counts = np.zeros(18, dtype=int)
-    for tp, tt in angle_pairs:
-        err = math.degrees(circ_abs_diff(tp, tt))
+    return _degree_histogram([math.degrees(circ_abs_diff(tp, tt)) for tp, tt in angle_pairs])
+
+
+def _degree_histogram(errs_deg) -> np.ndarray:
+    """:func:`error_histogram` of errors already in degrees."""
+    counts = [0] * 18
+    for err in errs_deg:
         counts[min(int(err / 10.0), 17)] += 1
-    return counts
+    return np.array(counts)
 
 
 @dataclass
@@ -282,18 +297,15 @@ def evaluate_detections(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=
     order = _score_order(dets)
     match = _match_in_order(dets, gts, iou_threshold, ignore_boxes, order)
     recalls, precisions, os_precisions = _score_walk(dets, gts, match, order)
-    pairs = [(dets[di].theta, gts[gi].theta) for di, gi, _ in match.matches]
-    hist = error_histogram(pairs)
-    if pairs:
-        mae = float(np.mean([math.degrees(circ_abs_diff(a, b)) for a, b in pairs]))
-    else:
-        mae = float("nan")
+    errs = [math.degrees(circ_abs_diff(dets[di].theta, gts[gi].theta))
+            for di, gi, _ in match.matches]
+    aos_value, ap_value = _eleven_point(recalls, os_precisions, precisions)
     return EvalReport(
-        aos=_eleven_point(recalls, os_precisions),
-        ap=_eleven_point(recalls, precisions),
+        aos=aos_value,
+        ap=ap_value,
         os_recall_curve=list(zip(recalls, os_precisions)),
-        histogram=hist,
-        mean_abs_angular_error_deg=mae,
+        histogram=_degree_histogram(errs),
+        mean_abs_angular_error_deg=float(np.mean(errs)) if errs else float("nan"),
         n_gt=len(gts),
         n_det=len(dets),
         n_matched=len(match.matches),

@@ -84,10 +84,12 @@ class ObjectLabel:
             raise ValueError(f"truncation {self.truncation} outside [0, 1]")
         if self.occlusion not in (0, 1, 2, 3):
             raise ValueError(f"occlusion {self.occlusion} not in {{0, 1, 2, 3}}")
-        for name, v in zip(("bbox_left", "bbox_top", "bbox_right", "bbox_bottom", "x", "y", "z"),
-                           (*self.box2d, *self.location)):
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        coords = (*self.box2d, *self.location)
+        if not all(map(math.isfinite, coords)):
+            for name, v in zip(("bbox_left", "bbox_top", "bbox_right", "bbox_bottom",
+                                "x", "y", "z"), coords):
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v}")
         if self.score is not None and not math.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score}")
         left, top, right, bottom = self.box2d
@@ -122,22 +124,18 @@ def _parse_line(line_no: int, parts: list[str]) -> tuple[ObjectLabel, int]:
             line_no, f"expected 15 or 16 fields, got {len(parts)}"
         )
     class_name = parts[0]
-    values = []
-    for name, raw in zip(_NUMERIC_FIELDS, parts[1:15]):
-        try:
-            values.append(float(raw))
-        except ValueError:
-            raise KittiParseError(
-                line_no, f"field {name!r} is not numeric: {raw!r}"
-            ) from None
-    score = None
-    if len(parts) == 16:
-        try:
-            score = float(parts[15])
-        except ValueError:
-            raise KittiParseError(
-                line_no, f"field 'score' is not numeric: {parts[15]!r}"
-            ) from None
+    try:
+        values = [float(raw) for raw in parts[1:]]
+    except ValueError:
+        for name, raw in zip((*_NUMERIC_FIELDS, "score"), parts[1:]):
+            try:
+                float(raw)
+            except ValueError:
+                raise KittiParseError(
+                    line_no, f"field {name!r} is not numeric: {raw!r}"
+                ) from None
+        raise
+    score = values.pop() if len(values) == 15 else None
 
     (trunc, occ_f, alpha, left, top, right, bottom,
      h3, w3, l3, x, y, z, rot) = values
@@ -179,7 +177,7 @@ def parse_label_file(text) -> ParseResult:
     labels: list[ObjectLabel] = []
     warnings = 0
     for line_no, line in enumerate(lines, start=1):
-        parts = line.strip().split()
+        parts = line.split()
         if not parts:
             continue
         label, w = _parse_line(line_no, parts)
@@ -262,32 +260,3 @@ class TrainingSample:
         if not all(map(math.isfinite, self.context.tolist())):
             raise ValueError("context must be finite")
 
-
-def to_sample(
-    label: ObjectLabel,
-    orientation_source: str = "rotation_y",
-    context_width: int = 16,
-) -> TrainingSample:
-    """Convert a pedestrian label into a TrainingSample.
-
-    Args:
-        label: a parsed, non-DontCare ``Pedestrian`` label.
-        orientation_source: which label angle supplies theta,
-            "rotation_y" (default, the global yaw) or "alpha" (the
-            observation angle).
-        context_width: width of the zero-filled context vector; a synthetic
-            generator or an upstream feature extractor fills it otherwise.
-
-    Raises:
-        ValueError: for non-pedestrian classes or degenerate boxes.
-    """
-    if label.class_name != "Pedestrian":
-        raise ValueError(f"expected a Pedestrian label, got {label.class_name!r}")
-    if orientation_source not in ("rotation_y", "alpha"):
-        raise ValueError(f"unknown orientation source {orientation_source!r}")
-    left, top, right, bottom = label.box2d
-    dims2d = Dims2D(bottom - top, right - left)
-    h3, w3, l3 = label.dims3d
-    dims3d = Dims3D(h3, w3, l3)
-    theta = label.rotation_y if orientation_source == "rotation_y" else label.alpha
-    return TrainingSample(dims2d, dims3d, theta, np.zeros(context_width))

@@ -286,6 +286,8 @@ def forward_batch(model: OrientationNet, batch: Batch,
         )
 
     def feed(x: np.ndarray) -> np.ndarray:
+        if type(h1_feed_scale) is float and h1_feed_scale == 1.0:
+            return x  # scaling by 1.0 is the identity; x is not written
         x = x.copy()
         x[:, 0] *= h1_feed_scale
         return x
@@ -329,17 +331,17 @@ def decode_bins(bin_outputs: np.ndarray, cfg: ModelConfig) -> DecodedBins:
     of the kept angles: undefined when a pair is degenerate or they cancel.
     """
     pairs = np.asarray(bin_outputs, dtype=float).reshape(-1, cfg.num_bins, 2)
-    valid = np.isfinite(pairs).all(axis=2) & pairs.any(axis=2)
+    # Both components finite, and not both zero; elementwise over the pair
+    # axis, which costs less than two reductions over it.
+    finite = np.isfinite(pairs)
+    valid = np.logical_and(finite[..., 0], finite[..., 1])
+    valid &= np.logical_or(pairs[..., 0], pairs[..., 1])
     angles = _bin_angles(pairs, cfg.num_bins)
     include = exclusion_mask_batch(angles, cfg.exclusion_tau)
-    trig = np.empty((2, *angles.shape))
-    np.sin(angles, out=trig[0])
-    np.cos(angles, out=trig[1])
-    trig *= include
-    sin_sum, cos_sum = trig.sum(axis=2)
+    sin_sum = (np.sin(angles) * include).sum(axis=1)
+    cos_sum = (np.cos(angles) * include).sum(axis=1)
     defined = valid.all(axis=1) & (np.hypot(sin_sum, cos_sum) >= 1e-9)
-    theta = wrap_angle(np.arctan2(sin_sum, cos_sum))
-    theta[~defined] = np.nan
+    theta = np.where(defined, wrap_angle(np.arctan2(sin_sum, cos_sum)), np.nan)
     return DecodedBins(angles, include, theta, defined, ~valid)
 
 
@@ -728,7 +730,7 @@ def sweep_2d_width(model: OrientationNet, sample: TrainingSample,
     """Scale the sample's 2D box width by each factor and re-predict: one
     result per factor, in factor order."""
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
-    batch = make_batch([sample] * len(factors))
+    batch = make_batch([sample]).take(np.zeros(len(factors), dtype=int))
     widths = batch.dims2d[:, 1]
     with np.errstate(all="ignore"):
         widths *= factors
@@ -746,9 +748,9 @@ def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
     not to the sample's ground truth.
     """
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
+    batch = make_batch([sample]).take(np.zeros(len(factors), dtype=int))
     with np.errstate(all="ignore"):
-        dims_pred, bin_out = forward_batch(model, make_batch([sample] * len(factors)),
-                                           h1_feed_scale=factors)
+        dims_pred, bin_out = forward_batch(model, batch, h1_feed_scale=factors)
         fed = dims_pred[:, 0] * factors
     _check_sweep("fed 3D height", dims_pred[:, 0], fed, factors, bin_out)
     return _forward_rows(model, dims_pred, bin_out)

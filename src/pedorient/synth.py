@@ -15,6 +15,7 @@ results do not depend on generation order or chunking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,32 +155,24 @@ def gen_dataset(cfg: SynthConfig) -> tuple[list[TrainingSample], list[GenRecord]
 # Brute-force orientation oracle
 # ---------------------------------------------------------------------------
 
-# |sin|/|cos| grids are fixed per grid size; cache them across calls.
-_GRID_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cached = _GRID_CACHE.get(n)
-    if cached is None:
-        th = -math.pi + (np.arange(n, dtype=float) + 1.0) * (TWO_PI / n)
-        cached = (th, np.abs(np.sin(th)), np.abs(np.cos(th)))
-        _GRID_CACHE[n] = cached
-    return cached
+    """The n-point grid over (-pi, pi], its |sin| and its |cos|."""
+    th = -math.pi + (np.arange(n, dtype=float) + 1.0) * (TWO_PI / n)
+    return th, np.abs(np.sin(th)), np.abs(np.cos(th))
 
 
-def oracle_candidates_for_span(dims: Dims3D, target: float,
-                               grid_step: float = GRID_STEP) -> list[float]:
+def oracle_candidates_for_span(dims: Dims3D, target: float) -> list[float]:
     """Grid-scan solutions of span(theta) == target over (-pi, pi].
 
-    Scans at ``grid_step`` resolution, keeps grid points where the absolute
-    span error is a local minimum below amplitude * grid_step (the slope
-    bound guarantees every true root produces such a dip), then merges
-    hits closer than 0.01 degrees circularly and returns each cluster's best
-    point, sorted ascending.
+    Scans at the fixed ``GRID_STEP`` resolution, keeps grid points where the
+    absolute span error is a local minimum below amplitude * step (the
+    slope bound guarantees every true root produces such a dip), then
+    merges hits closer than 0.01 degrees circularly and returns each
+    cluster's best point, sorted ascending.
     """
-    if not grid_step > 0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
-    n = max(int(round(TWO_PI / grid_step)), 8)
+    n = round(TWO_PI / GRID_STEP)
     th, abs_sin, abs_cos = _grid(n)
     f = np.abs(dims.w1 * abs_sin + dims.l1 * abs_cos - target)
     tol = math.hypot(dims.w1, dims.l1) * (TWO_PI / n)
@@ -211,15 +204,13 @@ def oracle_candidates_for_span(dims: Dims3D, target: float,
     return centers
 
 
-def brute_force_orientation_oracle(d2, dims: Dims3D,
-                                   grid_step: float = GRID_STEP) -> list[float]:
+def brute_force_orientation_oracle(d2: Dims2D, dims: Dims3D) -> list[float]:
     """Grid-scan counterpart of the analytic orientation inversion.
 
     Solves span(theta) == implied span of the 2D box; see
     :func:`oracle_candidates_for_span`.
     """
-    target = implied_width_span(d2, dims.h1)
-    return oracle_candidates_for_span(dims, target, grid_step)
+    return oracle_candidates_for_span(dims, implied_width_span(d2, dims.h1))
 
 
 # ---------------------------------------------------------------------------

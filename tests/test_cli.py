@@ -13,6 +13,7 @@ import pytest
 
 from pedorient import cli as cli_module
 from pedorient import config
+from pedorient import synth as synth_module
 from pedorient.cli import (
     CompareSettings,
     GradcheckSettings,
@@ -556,19 +557,6 @@ class TestEval:
                                            " without ground truths\n")
         assert not (tmp_path / "eval").exists()
 
-    @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan", "inf"])
-    def test_iou_outside_unit_interval_names_the_flag(self, tmp_path, capsys, iou):
-        # The match threshold is KITTI's 0.5, with no flag: the parser
-        # refuses any --iou by name before anything is written.
-        gt, det = self.write_labels(tmp_path)
-        with pytest.raises(SystemExit) as info:
-            main(["eval", "--labels", str(gt), "--detections", str(det),
-                  "--out", str(tmp_path / "eval"), f"--iou={iou}"])
-        assert info.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and f"unrecognized arguments: --iou={iou}\n" in err
-        assert not (tmp_path / "eval").exists()
-
 
 class TestSweep:
     def test_width_sweep_csv(self, tmp_path, workspace):
@@ -716,8 +704,10 @@ class TestInvert:
 
     @pytest.mark.parametrize("step", ["0.05", "0.2", "0.5", "5"])
     def test_cross_check_tolerance_follows_the_grid_step(self, capsys, monkeypatch, step):
-        # The grid's hits sit up to half a step from the analytic roots.
-        monkeypatch.setattr(cli_module, "GRID_STEP", math.radians(float(step)))
+        # The oracle scans at synth.GRID_STEP, and its hits sit up to half a
+        # step from the analytic roots; invert's tolerance must widen with it.
+        monkeypatch.setattr(synth_module, "GRID_STEP", math.radians(float(step)))
+        monkeypatch.setattr(cli_module, "GRID_STEP", synth_module.GRID_STEP)
         rc = main(EXEMPLAR)
         assert rc == 0
         assert "agrees with the analytic set" in capsys.readouterr().out
@@ -750,16 +740,6 @@ class TestInvert:
                    "--w1", "0.6", "--l1", "0.5"])
         assert rc == 0
         assert "infeasible" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "9e-05"])
-    def test_bad_grid_step_names_the_flag_before_any_output(self, capsys, step):
-        # The cross-check's step is fixed at 1e-3 degrees, with no flag: the
-        # parser refuses any --grid-step-deg by name before anything is printed.
-        with pytest.raises(SystemExit) as info:
-            main([*EXEMPLAR, f"--grid-step-deg={step}"])
-        assert info.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and f"unrecognized arguments: --grid-step-deg={step}\n" in err
 
     def test_degenerate_box_rejected(self, capsys):
         # Each is rejected by its flag before anything is printed.
@@ -867,3 +847,19 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--iou=0.7", "--grid-step-deg=0.5"],
+                             ids=["eval-iou", "invert-grid-step-deg"])
+    def test_deleted_flag_is_refused_by_name_before_any_output(self, tmp_path, capsys, flag):
+        # KITTI's 0.5 IoU and the oracle's 1e-3 degree step are constants:
+        # the parser names the flag, exits 2 and nothing is written.
+        out_dir = tmp_path / "eval"
+        argv = (["eval", "--labels", str(tmp_path / "gt.txt"), "--detections",
+                 str(tmp_path / "det.txt"), "--out", str(out_dir)]
+                if flag.startswith("--iou") else EXEMPLAR)
+        with pytest.raises(SystemExit) as info:
+            main([*argv, flag])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag}\n" in err
+        assert not out_dir.exists()

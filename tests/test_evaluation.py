@@ -105,6 +105,55 @@ class TestMatching:
         assert m.unmatched_dets == [0]
         assert m.unmatched_gts == []
 
+    def test_match_iou_is_box_iou_and_follows_a_greedy_reference(self):
+        # Corners on a coarse grid of inexact floats (sums round), so pairs
+        # of boxes touch, nest, coincide or are disjoint.  The reference takes, in descending
+        # score order, the lowest-index unclaimed ground truth of highest
+        # box_iou, if that IoU is > 0 and reaches the threshold.
+        def reference(dets, gts, threshold):
+            order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+            taken, matches = set(), []
+            for di in order:
+                ious = {gi: box_iou(dets[di].box2d, g.box2d)
+                        for gi, g in enumerate(gts) if gi not in taken}
+                best = max(ious.values(), default=0.0)
+                if best > 0.0 and best >= threshold:
+                    gi = min(k for k, v in ious.items() if v == best)
+                    taken.add(gi)
+                    matches.append((di, gi, best))
+            return matches
+
+        grid = [0.1 + 0.7 * i for i in range(10)]
+
+        def boxes(k):
+            x0, y0 = rng.integers(0, 6, (2, k))
+            w, h = rng.integers(1, 5, (2, k))
+            return [(grid[a], grid[b], grid[a + c], grid[b + d])
+                    for a, b, c, d in zip(x0, y0, w, h)]
+
+        rng = np.random.default_rng(3)
+        kinds = set()
+        for _ in range(300):
+            dets = [Detection(b, float(sc), 0.0)
+                    for b, sc in zip(boxes(6), rng.integers(0, 4, 6))]
+            gts = [GroundTruth(b, 0.0) for b in boxes(5)]
+            for d in dets:
+                for g in gts:
+                    a, b = d.box2d, g.box2d
+                    lo = (max(a[0], b[0]), max(a[1], b[1]))
+                    hi = (min(a[2], b[2]), min(a[3], b[3]))
+                    kinds.add("coincide" if a == b
+                              else "nest" if hi == a[2:] and lo == a[:2] or hi == b[2:] and lo == b[:2]
+                              else "disjoint" if hi[0] < lo[0] or hi[1] < lo[1]
+                              else "touch" if hi[0] == lo[0] or hi[1] == lo[1]
+                              else "overlap")
+            for threshold in (0.1, 0.5, 1.0):
+                m = match_detections(dets, gts, threshold)
+                assert m.matches == reference(dets, gts, threshold)
+                for di, gi, iou in m.matches:
+                    assert iou.hex() == box_iou(dets[di].box2d, gts[gi].box2d).hex()
+        assert kinds == {"coincide", "nest", "disjoint", "touch", "overlap"}
+
     def test_iou_gate(self):
         gts = [gt(0.0)]
         m = match_detections([det(8.0)], gts)  # IoU 2/18 < 0.5

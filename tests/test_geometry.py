@@ -229,13 +229,12 @@ class TestWidthSpan:
 class TestImpliedSpanAndResidual:
     def test_implied_span_formula(self):
         assert implied_width_span(Dims2D(100.0, 40.0), 1.7) == pytest.approx(0.68)
-        assert implied_width_span((100.0, 0.0), 1.7) == 0.0
 
     def test_implied_span_validates(self):
         with pytest.raises(ValueError):
             implied_width_span(Dims2D(100.0, 40.0), -1.0)
         with pytest.raises(ValueError):
-            implied_width_span((0.0, 40.0), 1.7)
+            implied_width_span(Dims2D(0.0, 40.0), 1.7)
 
     def test_residual_zero_on_consistent_boxes(self):
         rng = np.random.default_rng(42)
@@ -244,7 +243,7 @@ class TestImpliedSpanAndResidual:
             theta = rng.uniform(-math.pi, math.pi)
             h = rng.uniform(40.0, 200.0)
             w = h * width_span_abs(dims, theta) / dims.h1
-            resid = consistency_residual((h, w), dims, theta)
+            resid = consistency_residual(Dims2D(h, w), dims, theta)
             assert abs(resid) < 1e-9
 
     def test_residual_sign_tracks_width(self):
@@ -252,8 +251,8 @@ class TestImpliedSpanAndResidual:
         theta = 0.8
         h = 100.0
         w_consistent = h * width_span_abs(dims, theta) / dims.h1
-        assert consistency_residual((h, w_consistent + 5.0), dims, theta) < 0
-        assert consistency_residual((h, w_consistent - 5.0), dims, theta) > 0
+        assert consistency_residual(Dims2D(h, w_consistent + 5.0), dims, theta) < 0
+        assert consistency_residual(Dims2D(h, w_consistent - 5.0), dims, theta) > 0
 
 
 class TestCandidatesForSpan:
@@ -393,7 +392,7 @@ class TestInvertFromBoxes:
             theta = rng.uniform(-math.pi, math.pi)
             h = rng.uniform(40.0, 200.0)
             w = h * width_span_abs(dims, theta) / dims.h1
-            res = invert_orientation_candidates((h, w), dims)
+            res = invert_orientation_candidates(Dims2D(h, w), dims)
             assert min(circ_abs_diff(theta, c) for c in res.candidates) < 1e-7
 
     def test_wide_box_is_infeasible(self):
@@ -401,8 +400,9 @@ class TestInvertFromBoxes:
         res = invert_orientation_candidates(Dims2D(50.0, 200.0), dims)
         assert res.infeasible
 
-    def test_zero_width_box_has_no_solutions(self):
+    def test_box_below_the_smallest_span_has_no_solutions(self):
+        # The implied span, 1.7 * 1 / 80 m, is below min(w1, l1) = 0.5 m.
         dims = Dims3D(1.7, 0.6, 0.5)
-        res = invert_orientation_candidates((80.0, 0.0), dims)
+        res = invert_orientation_candidates(Dims2D(80.0, 1.0), dims)
         assert not res.infeasible
         assert res.candidates == ()

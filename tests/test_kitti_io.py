@@ -13,7 +13,6 @@ from pedorient.kitti_io import (
     classify_difficulty,
     parse_label_file,
     serialize_labels,
-    to_sample,
 )
 from pedorient.geometry import Dims2D, Dims3D
 from pedorient.synth import SynthConfig, gen_dataset, read_dataset, write_dataset
@@ -324,27 +323,6 @@ class TestDifficulty:
 
 
 class TestTrainingSample:
-    def test_to_sample_fields(self):
-        lab = parse_label_file(PED_LINE).labels[0]
-        s = to_sample(lab, context_width=8)
-        assert s.dims2d == Dims2D(255.80 - 145.20, 458.10 - 423.50)
-        assert s.dims3d == Dims3D(1.78, 0.60, 0.45)
-        assert s.theta == -1.15
-        assert s.context.shape == (8,)
-        assert np.all(s.context == 0.0)
-
-    def test_orientation_source_alpha(self):
-        lab = parse_label_file(PED_LINE).labels[0]
-        assert to_sample(lab, orientation_source="alpha").theta == -1.2
-        with pytest.raises(ValueError):
-            to_sample(lab, orientation_source="yaw")
-
-    def test_non_pedestrian_rejected(self):
-        line = PED_LINE.replace("Pedestrian", "Car", 1)
-        lab = parse_label_file(line).labels[0]
-        with pytest.raises(ValueError, match="Pedestrian"):
-            to_sample(lab)
-
     def test_sample_wraps_theta(self):
         s = TrainingSample(Dims2D(100.0, 40.0), Dims3D(1.7, 0.6, 0.5),
                            4.0, np.zeros(4))

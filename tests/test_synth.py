@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pedorient.geometry import (
+    Dims2D,
     Dims3D,
     candidates_for_span,
     circ_abs_diff,
@@ -218,12 +219,8 @@ class TestGridOracle:
         theta = 2.4
         h = 120.0
         w = h * width_span_abs(dims, theta) / dims.h1
-        got = brute_force_orientation_oracle((h, w), dims)
+        got = brute_force_orientation_oracle(Dims2D(h, w), dims)
         assert any(circ_abs_diff(g, theta) < math.radians(0.01) for g in got)
-
-    def test_grid_step_validation(self):
-        with pytest.raises(ValueError):
-            oracle_candidates_for_span(Dims3D(1.7, 0.6, 0.5), 0.5, grid_step=0.0)
 
 
 class TestDatasetFiles:
