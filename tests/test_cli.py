@@ -86,6 +86,15 @@ def workspace(tmp_path_factory):
             "model": root / "train" / "model.npz"}
 
 
+def assert_refused_by_name(argv, flag, capsys):
+    """A deleted flag: the parser names it, exits 2 and prints nothing."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, flag])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag}\n" in err
+
+
 SCHEDULE = tuple[tuple[int, float], ...]
 
 
@@ -557,6 +566,15 @@ class TestEval:
                                            " without ground truths\n")
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan", "inf"])
+    def test_iou_outside_unit_interval_names_the_flag(self, tmp_path, capsys, iou):
+        # The match threshold is KITTI's 0.5, with no flag.
+        gt, det = self.write_labels(tmp_path)
+        argv = ["eval", "--labels", str(gt), "--detections", str(det),
+                "--out", str(tmp_path / "eval")]
+        assert_refused_by_name(argv, f"--iou={iou}", capsys)
+        assert not (tmp_path / "eval").exists()
+
 
 class TestSweep:
     def test_width_sweep_csv(self, tmp_path, workspace):
@@ -741,6 +759,11 @@ class TestInvert:
         assert rc == 0
         assert "infeasible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "9e-05"])
+    def test_bad_grid_step_names_the_flag_before_any_output(self, capsys, step):
+        # The cross-check's step is fixed at 1e-3 degrees, with no flag.
+        assert_refused_by_name(EXEMPLAR, f"--grid-step-deg={step}", capsys)
+
     def test_degenerate_box_rejected(self, capsys):
         # Each is rejected by its flag before anything is printed.
         for flag, value in (("--h2d", "-1"), ("--h1", "nan"), ("--w2d", "0")):
@@ -847,19 +870,3 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])
         assert exc_info.value.code == 2
-
-    @pytest.mark.parametrize("flag", ["--iou=0.7", "--grid-step-deg=0.5"],
-                             ids=["eval-iou", "invert-grid-step-deg"])
-    def test_deleted_flag_is_refused_by_name_before_any_output(self, tmp_path, capsys, flag):
-        # KITTI's 0.5 IoU and the oracle's 1e-3 degree step are constants:
-        # the parser names the flag, exits 2 and nothing is written.
-        out_dir = tmp_path / "eval"
-        argv = (["eval", "--labels", str(tmp_path / "gt.txt"), "--detections",
-                 str(tmp_path / "det.txt"), "--out", str(out_dir)]
-                if flag.startswith("--iou") else EXEMPLAR)
-        with pytest.raises(SystemExit) as info:
-            main([*argv, flag])
-        assert info.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and f"unrecognized arguments: {flag}\n" in err
-        assert not out_dir.exists()
