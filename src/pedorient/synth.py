@@ -11,11 +11,14 @@ carry the information needed to refine the angle.
 
 Each sample is drawn from its own RNG stream seeded by (seed, index), so
 results do not depend on generation order or chunking.
+
+The grid oracle scans in two passes: the span error at each block's middle
+point, then every point of the blocks that the span's slope bound cannot
+rule out, so it finds the hits of a dense scan without whole-grid arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +33,7 @@ TWO_PI = 2.0 * math.pi
 _MIN_PIXELS = 0.5
 _CLUSTER_TOL = math.radians(0.01)  # grid hits closer than this are one root
 GRID_STEP = math.radians(1e-3)  # the oracle's step; coarser grids give false hits at kinks
+_BLOCK = 100  # grid points per block of the oracle's coarse pass
 
 
 # The body-size prior: each 3D dimension is a normal draw (mean, sd)
@@ -156,33 +160,43 @@ def gen_dataset(cfg: SynthConfig) -> tuple[list[TrainingSample], list[GenRecord]
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-point grid over (-pi, pi], its |sin| and its |cos|."""
-    th = -math.pi + (np.arange(n, dtype=float) + 1.0) * (TWO_PI / n)
-    return th, np.abs(np.sin(th)), np.abs(np.cos(th))
+def _span_error(dims: Dims3D, target: float, i: np.ndarray, n: int):
+    """The n-point grid over (-pi, pi] at indices i (mod n), and |span - target| there."""
+    th = -math.pi + (i % n + 1.0) * (TWO_PI / n)
+    return th, np.abs(dims.w1 * np.abs(np.sin(th)) + dims.l1 * np.abs(np.cos(th)) - target)
 
 
 def oracle_candidates_for_span(dims: Dims3D, target: float) -> list[float]:
     """Grid-scan solutions of span(theta) == target over (-pi, pi].
 
     Scans at the fixed ``GRID_STEP`` resolution, keeps grid points where the
-    absolute span error is a local minimum below amplitude * step (the
+    absolute span error is a local minimum below tol = amplitude * step (the
     slope bound guarantees every true root produces such a dip), then
     merges hits closer than 0.01 degrees circularly and returns each
     cluster's best point, sorted ascending.
+
+    Two passes over blocks of ``_BLOCK`` grid points: the error at each
+    block's middle point, then at every point of the blocks it cannot rule
+    out, with a one-point halo each side that wraps at +/-pi.  Since
+    |d span/d theta| <= amplitude, a block whose middle error is at least
+    tol * (half + 2) holds no point below tol.  Each grid index is tested
+    once, so the hits are those of a dense scan of the whole grid.
     """
     n = round(TWO_PI / GRID_STEP)
-    th, abs_sin, abs_cos = _grid(n)
-    f = np.abs(dims.w1 * abs_sin + dims.l1 * abs_cos - target)
     tol = math.hypot(dims.w1, dims.l1) * (TWO_PI / n)
-    is_min = (f <= np.roll(f, 1)) & (f <= np.roll(f, -1)) & (f < tol)
-    idx = np.flatnonzero(is_min)
-    if idx.size == 0:
+    half = _BLOCK // 2
+    starts = np.arange(0, n, _BLOCK)
+    _, f_mid = _span_error(dims, target, np.minimum(starts + half, n - 1), n)
+    i = starts[f_mid < tol * (half + 2), None] + np.arange(-1, _BLOCK + 1)
+    th, f = _span_error(dims, target, i, n)
+    # Columns 1.._BLOCK hold each block's points; those at or past n are padding.
+    f_c = f[:, 1:-1]
+    is_min = (f_c <= f[:, :-2]) & (f_c <= f[:, 2:]) & (f_c < tol) & (i[:, 1:-1] < n)
+    if not is_min.any():
         return []
 
-    hits = th[idx]
-    errs = f[idx]
+    hits = th[:, 1:-1][is_min]
+    errs = f_c[is_min]
     # Cluster consecutive hits (hits are sorted in angle); join across the
     # +/-pi seam at the end.
     clusters: list[list[int]] = [[0]]

@@ -717,8 +717,8 @@ class TestInvert:
         rc = main(EXEMPLAR)
         assert rc == 0
         text = capsys.readouterr().out
-        assert "yaw candidate(s)" in text
-        assert "agrees" in text
+        assert "8 yaw candidate(s)" in text
+        assert "grid-search cross-check: 8 hit(s), agrees with the analytic set\n" in text
 
     @pytest.mark.parametrize("step", ["0.05", "0.2", "0.5", "5"])
     def test_cross_check_tolerance_follows_the_grid_step(self, capsys, monkeypatch, step):

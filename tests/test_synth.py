@@ -1,10 +1,12 @@
 """Tests for the synthetic generator, the grid oracle, and dataset files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pedorient import synth as synth_module
 from pedorient.geometry import (
     Dims2D,
     Dims3D,
@@ -16,6 +18,7 @@ from pedorient.geometry import (
     wrap_angle,
 )
 from pedorient.synth import (
+    _CLUSTER_TOL,
     SynthConfig,
     brute_force_orientation_oracle,
     gen_dataset,
@@ -180,6 +183,103 @@ class TestGenDataset:
         assert samples == [] and records == []
 
 
+TWO_PI = 2.0 * math.pi
+GRID_N = round(TWO_PI / synth_module.GRID_STEP)
+
+
+def _cluster_centers(hits, errs) -> list[float]:
+    """The oracle's clustering of sorted grid hits, its seam join and best-member choice."""
+    clusters: list[list[int]] = [[0]]
+    for k in range(1, len(hits)):
+        if hits[k] - hits[k - 1] <= _CLUSTER_TOL:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    if len(clusters) > 1:
+        seam = (hits[0] + TWO_PI) - hits[-1]
+        if seam <= _CLUSTER_TOL:
+            clusters[0] = clusters.pop() + clusters[0]
+    return sorted(float(hits[min(members, key=lambda k: errs[k])]) for members in clusters)
+
+
+def dense_oracle(dims: Dims3D, target: float, n: int) -> list[float]:
+    """The two-pass oracle's reference: one dense scan, the error at all n grid points at once."""
+    th = -math.pi + (np.arange(n, dtype=float) + 1.0) * (TWO_PI / n)
+    f = np.abs(dims.w1 * np.abs(np.sin(th)) + dims.l1 * np.abs(np.cos(th)) - target)
+    tol = math.hypot(dims.w1, dims.l1) * (TWO_PI / n)
+    is_min = (f <= np.roll(f, 1)) & (f <= np.roll(f, -1)) & (f < tol)
+    idx = np.flatnonzero(is_min)
+    return _cluster_centers(th[idx], f[idx]) if idx.size else []
+
+
+class DenseGrid:
+    """:func:`dense_oracle` for many targets on one box, each in microseconds.
+
+    The span is computed once at all n grid points, with the dense scan's
+    expression.  A point can pass ``f < tol`` only if its span lies within
+    2 * tol of the target, so sorting the spans finds every such point; each
+    is then put to the dense scan's test, with its error and its two
+    neighbours' errors computed exactly as that scan computes them.  The
+    hits, and so the list, are the dense scan's.
+    """
+
+    def __init__(self, dims: Dims3D, n: int = GRID_N):
+        self.n = n
+        self.th = -math.pi + (np.arange(n, dtype=float) + 1.0) * (TWO_PI / n)
+        self.span = dims.w1 * np.abs(np.sin(self.th)) + dims.l1 * np.abs(np.cos(self.th))
+        self.order = np.argsort(self.span, kind="stable")
+        self.sorted_span = self.span[self.order]
+        self.tol = math.hypot(dims.w1, dims.l1) * (TWO_PI / n)
+
+    def candidates(self, target: float) -> list[float]:
+        lo, hi = np.searchsorted(self.sorted_span, [target - 2 * self.tol, target + 2 * self.tol])
+        idx = np.sort(self.order[lo:hi])
+        f = np.abs(self.span[idx] - target)
+        is_min = ((f <= np.abs(self.span[(idx - 1) % self.n] - target))
+                  & (f <= np.abs(self.span[(idx + 1) % self.n] - target)) & (f < self.tol))
+        idx = idx[is_min]
+        return _cluster_centers(self.th[idx], f[is_min]) if idx.size else []
+
+
+def _stress_targets(rng, dims: Dims3D, count: int) -> list[float]:
+    """``count`` seeded targets for one box, of every kind that strains the scan.
+
+    Uniform ones; ones within 1e-14 to 1e-3 of the span's maximum
+    hypot(w1, l1), of its minimum min(w1, l1) and of its values at the kinks
+    (0, +/-90 and 180 degrees), and those values exactly; infeasible ones
+    above the maximum and below the minimum; the rest are spans at uniform
+    yaws.
+    """
+    amp, low = math.hypot(dims.w1, dims.l1), min(dims.w1, dims.l1)
+    kinks = width_span_abs(dims, np.array([0.0, math.pi / 2, -math.pi / 2, math.pi])).tolist()
+    k = count // 10
+
+    def near(x):
+        return (x + rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-14, -3, k)).tolist()
+
+    out = rng.uniform(0.0, amp, 2 * k).tolist()
+    out += near(amp) + [amp] + near(low) + [low]
+    out += near(np.resize(kinks, k)) + kinks
+    out += rng.uniform(amp * (1.0 + 1e-3), 2.0 * amp, k).tolist()
+    out += rng.uniform(0.0, low * (1.0 - 1e-3), k).tolist()
+    return out + width_span_abs(dims, rng.uniform(-math.pi, math.pi, count - len(out))).tolist()
+
+
+def _stress_boxes(rng, count: int) -> list[Dims3D]:
+    """Boxes with w1 == l1, with far from equal sides, and from the prior's range."""
+    boxes = [Dims3D(1.68, 0.50, 0.42)]  # invert's exemplar
+    while len(boxes) < count:
+        kind = len(boxes) % 4
+        if kind == 0:
+            w1 = l1 = rng.uniform(0.2, 0.9)
+        elif kind == 1:
+            w1, l1 = 10.0 ** rng.uniform(-2.0, 0.3, 2)
+        else:
+            w1, l1 = rng.uniform(0.2, 0.9, 2)
+        boxes.append(Dims3D(1.7, float(w1), float(l1)))
+    return boxes
+
+
 class TestGridOracle:
     def test_matches_analytic_candidates(self):
         rng = np.random.default_rng(42)
@@ -213,6 +313,55 @@ class TestGridOracle:
     def test_unreachable_target_empty(self):
         dims = Dims3D(1.7, 0.6, 0.5)
         assert oracle_candidates_for_span(dims, 2.0) == []
+
+    def test_dense_grid_is_the_dense_scan(self):
+        rng = np.random.default_rng(5)
+        for dims in _stress_boxes(rng, 4):
+            grid = DenseGrid(dims)
+            for target in _stress_targets(rng, dims, 1000)[::50]:
+                assert grid.candidates(target) == dense_oracle(dims, target, GRID_N), (dims, target)
+
+    def test_two_passes_give_the_dense_scan_list_bit_for_bit(self):
+        # 100 boxes x 1000 targets; == on the lists compares every float.
+        rng = np.random.default_rng(27)
+        cases, wrong = 0, []
+        for dims in _stress_boxes(rng, 100):
+            grid = DenseGrid(dims)
+            for target in _stress_targets(rng, dims, 1000):
+                cases += 1
+                if oracle_candidates_for_span(dims, target) != grid.candidates(target):
+                    wrong.append((dims, target))
+        assert cases >= 100_000
+        assert wrong == [], f"{len(wrong)} of {cases} differ, first {wrong[:3]}"
+
+    @pytest.mark.parametrize("n", [72, 720, 1800, 7200, 7193, 37])
+    def test_every_grid_index_once_at_any_grid_size(self, monkeypatch, n):
+        # 72 to 7200 are invert's cross-check steps of 5 to 0.05 degrees;
+        # 7193 is prime and 37 is less than half a block.  A point scanned
+        # twice lands out of angle order and joins the wrong cluster.
+        monkeypatch.setattr(synth_module, "GRID_STEP", TWO_PI / n)
+        rng = np.random.default_rng(n)
+        for dims in _stress_boxes(rng, 20):
+            for target in _stress_targets(rng, dims, 100):
+                assert oracle_candidates_for_span(dims, target) == dense_oracle(dims, target, n), \
+                    (dims, target)
+
+    def test_one_call_allocates_under_a_megabyte(self):
+        # One array over the whole grid is 2.9 MB; at the span's maximum the
+        # fine pass keeps the most blocks.
+        dims = Dims3D(1.7, 0.9, 0.2)
+        for target in (0.7, math.hypot(0.9, 0.2), 0.2, 2.0):
+            oracle_candidates_for_span(dims, target)
+            tracemalloc.start()
+            try:
+                oracle_candidates_for_span(dims, target)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (target, peak)
+        cached = [name for name, v in vars(synth_module).items()
+                  if isinstance(v, np.ndarray) or hasattr(v, "cache_info")]
+        assert cached == []
 
     def test_from_boxes_wrapper(self):
         dims = Dims3D(1.7, 0.6, 0.5)
