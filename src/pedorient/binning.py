@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,27 +44,13 @@ def default_offsets(num_bins: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class BinConfig:
-    """Bin layout: number of bins and their center offsets in (-pi, pi]."""
+    """Bin layout: the number of bins and their :func:`default_offsets`."""
 
     num_bins: int
-    offsets: tuple[float, ...]
+    offsets: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.num_bins < 1:
-            raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
-        if len(self.offsets) != self.num_bins:
-            raise ValueError(
-                f"got {len(self.offsets)} offsets for {self.num_bins} bins"
-            )
-        for o in self.offsets:
-            if not (-math.pi < o <= math.pi):
-                raise ValueError(f"offset {o} outside (-pi, pi]")
-        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
-            raise ValueError("offsets must be strictly increasing")
-
-    @classmethod
-    def default(cls, num_bins: int = 4) -> "BinConfig":
-        return cls(num_bins, default_offsets(num_bins))
+        object.__setattr__(self, "offsets", default_offsets(self.num_bins))
 
 
 def decode_angle(sin_val: float, cos_val: float) -> float:

@@ -472,9 +472,9 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--index {args.index}: outside {args.data},"
                          f" which holds {len(samples)} samples")
     sample = samples[args.index]
-    if len(sample.context) != model.cfg.context_width:
+    if len(sample.context) != model.context_width:
         raise ValueError(f"{args.data}: context width {len(sample.context)}, but checkpoint"
-                         f" {args.checkpoint} reads {model.cfg.context_width}")
+                         f" {args.checkpoint} reads {model.context_width}")
     factors = _parse_factors(args.factors)
     sweep_fn = sweep_2d_width if args.which == "2d" else sweep_3d_height
     try:
@@ -550,12 +550,10 @@ def cmd_gradcheck(args) -> int:
     # The check covers the consistency term too, whatever the config trains with.
     cfg = dataclasses.replace(_model_config(cp, seed=args.seed), use_consistency_loss=True)
 
-    synth_cfg = SynthConfig(n=g.batch_size, seed=cfg.seed,
-                            context_width=cfg.context_width)
-    samples, _ = gen_dataset(synth_cfg)
-    model = build_model(cfg)
+    batch = make_batch(gen_dataset(_synth_config(cp, seed=cfg.seed, n=g.batch_size))[0])
+    model = build_model(cfg, batch.context.shape[1])
     reports, passed = check_at_steps(lambda eps: model_gradient_check(
-        model, make_batch(samples), eps=eps, seed=cfg.seed,
+        model, batch, eps=eps, seed=cfg.seed,
         max_entries_per_param=g.max_entries_per_param))
     width = max(len(name) for name, _ in reports[0].per_param)
     for eps, report in zip(GRADCHECK_STEPS, reports):

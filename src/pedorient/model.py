@@ -61,7 +61,6 @@ class ModelConfig:
     """
 
     num_bins: int = 4
-    context_width: int = 16
     encoder_hidden: tuple[int, int] = (64, 64)
     proc_hidden: tuple[int, int] = (512, 2048)
     head_hidden: int = 512
@@ -80,8 +79,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_bins < 1:
             raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
-        if self.context_width < 3:
-            raise ValueError(f"context_width must be >= 3, got {self.context_width}")
         if len(self.encoder_hidden) != 2 or len(self.proc_hidden) != 2:
             raise ValueError("encoder_hidden and proc_hidden must each name "
                              "exactly two layer widths")
@@ -102,7 +99,7 @@ class ModelConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def bin_config(self) -> BinConfig:
-        return BinConfig.default(self.num_bins)
+        return BinConfig(self.num_bins)
 
     def total_steps(self) -> int:
         return sum(steps for steps, _ in self.lr_schedule)
@@ -116,12 +113,12 @@ class ModelConfig:
         return self.lr_schedule[-1][1]
 
 
-def _stack_specs(cfg: ModelConfig) -> dict[str, list[tuple[int, int, bool]]]:
+def _stack_specs(cfg: ModelConfig, context_width: int) -> dict[str, list[tuple[int, int, bool]]]:
     """(in width, out width, ReLU follows) of each layer, by stack in
-    forward order."""
+    forward order, for contexts of ``context_width`` columns."""
     e0, e1 = cfg.encoder_hidden
     p0, p1 = cfg.proc_hidden
-    specs = {"encoder": [(cfg.context_width, e0, True), (e0, e1, True)],
+    specs = {"encoder": [(context_width, e0, True), (e0, e1, True)],
              "dims3d_regressor": [(e1, 3, False)]}
     head_in = e1
     if cfg.use_feedforward:
@@ -143,12 +140,12 @@ class Layer:
     relu: bool
 
 
-def _carve(flat: np.ndarray, cfg: ModelConfig) -> dict[str, list[Layer]]:
+def _carve(flat: np.ndarray, cfg: ModelConfig, context_width: int) -> dict[str, list[Layer]]:
     """Lay the layers of ``cfg`` out in ``flat``: each layer's weights then
     its bias, stack by stack in forward order (:func:`named_parameters`
     order)."""
     stacks, pos = {}, 0
-    for name, specs in _stack_specs(cfg).items():
+    for name, specs in _stack_specs(cfg, context_width).items():
         stacks[name] = []
         for n_in, n_out, relu in specs:
             weights = flat[pos:pos + n_out * n_in].reshape(n_out, n_in)
@@ -170,9 +167,15 @@ class OrientationNet:
     stacks: dict[str, list[Layer]]
     params: np.ndarray
 
+    @property
+    def context_width(self) -> int:
+        """The context columns the network reads: its first layer's inputs."""
+        return self.stacks["encoder"][0].weights.shape[1]
 
-def build_model(cfg: ModelConfig) -> OrientationNet:
-    """Seeded construction; identical configs yield identical parameters.
+
+def build_model(cfg: ModelConfig, context_width: int) -> OrientationNet:
+    """Seeded construction of a network reading ``context_width`` context
+    columns; identical arguments yield identical parameters.
 
     Layer ``li`` of stack ``si`` (both counted in forward order) draws its
     weights from ``default_rng([cfg.seed, si, li]).uniform(-limit, limit)``,
@@ -182,10 +185,12 @@ def build_model(cfg: ModelConfig) -> OrientationNet:
     (undamped, they swamp the encoder, which alone carries the yaw's sign,
     and some seeds stall; at 0 their ReLU would pass no gradient).
     """
-    size = sum((n_in + 1) * n_out for specs in _stack_specs(cfg).values()
+    if context_width < 1:
+        raise ValueError(f"context_width must be >= 1, got {context_width}")
+    size = sum((n_in + 1) * n_out for specs in _stack_specs(cfg, context_width).values()
                for n_in, n_out, _ in specs)
     params = np.zeros(size)
-    stacks = _carve(params, cfg)
+    stacks = _carve(params, cfg, context_width)
     for si, stack in enumerate(stacks.values()):
         for li, layer in enumerate(stack):
             n_out, n_in = layer.weights.shape
@@ -217,7 +222,7 @@ def named_parameters(model: OrientationNet) -> list[tuple[str, np.ndarray]]:
 class Batch:
     """Column-major view of a list of samples."""
 
-    context: np.ndarray  # (n, context_width)
+    context: np.ndarray  # (n, context width)
     dims2d: np.ndarray   # (n, 2) as (h, w)
     dims3d: np.ndarray   # (n, 3) as (h1, w1, l1)
     theta: np.ndarray    # (n,)
@@ -280,9 +285,9 @@ def forward_batch(model: OrientationNet, batch: Batch,
         (dims3d_pred (n, 3), bin_outputs (n, 2 * num_bins)).
     """
     cfg = model.cfg
-    if batch.context.shape[1] != cfg.context_width:
+    if batch.context.shape[1] != model.context_width:
         raise ValueError(
-            f"context width {batch.context.shape[1]} != config {cfg.context_width}"
+            f"context width {batch.context.shape[1]} != model {model.context_width}"
         )
 
     def feed(x: np.ndarray) -> np.ndarray:
@@ -313,7 +318,7 @@ class DecodedBins:
 @functools.cache
 def _bin_offsets(num_bins: int) -> np.ndarray:
     """The default bin offsets as a read-only array, built once per count."""
-    offsets = np.array(BinConfig.default(num_bins).offsets)
+    offsets = np.array(BinConfig(num_bins).offsets)
     offsets.setflags(write=False)
     return offsets
 
@@ -467,15 +472,17 @@ _H1_COLUMN = np.array([1.0, 0.0, 0.0])
 _H1_COLUMN.setflags(write=False)
 
 
-def _graph_inputs(n: int, cfg: ModelConfig
+def _graph_inputs(n: int, model: OrientationNet
                   ) -> tuple[dict[str, np.ndarray], Callable[[Batch], None]]:
-    """The arrays the loss graph takes from a batch of ``n`` rows (the
-    network's inputs and the batch-derived constants of its ``cmul`` /
-    ``cadd`` nodes), and ``write(batch)``, which writes a batch into them
-    with ``out=``.  A new graph and every replay write their batch with it.
-    ``w1_l1`` is a view of ``dims3d``, and column 0 of ``abs_trig`` stays 0.
+    """The arrays the loss graph of ``model`` takes from a batch of ``n``
+    rows (the network's inputs and the batch-derived constants of its
+    ``cmul`` / ``cadd`` nodes), and ``write(batch)``, which writes a batch
+    into them with ``out=``.  A new graph and every replay write their
+    batch with it.  ``w1_l1`` is a view of ``dims3d``, and column 0 of
+    ``abs_trig`` stays 0.
     """
-    shapes = {"context": (n, cfg.context_width), "dims3d": (n, 3),
+    cfg = model.cfg
+    shapes = {"context": (n, model.context_width), "dims3d": (n, 3),
               "target": (n, 2 * cfg.num_bins)}
     if cfg.use_feedforward:
         shapes["dims2d"] = (n, 2)
@@ -544,7 +551,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         replay.tape.replay()
         return replay
     bcfg = cfg.bin_config()
-    inputs, write_inputs = _graph_inputs(len(batch), cfg)
+    inputs, write_inputs = _graph_inputs(len(batch), model)
     write_inputs(batch)
     t = Tape()
     param_nodes = [(name, t.leaf(arr), arr) for name, arr in named_parameters(model)]
@@ -635,7 +642,8 @@ class TrainResult:
 
 
 def train(samples, cfg: ModelConfig) -> TrainResult:
-    """Train a freshly initialized model on the given samples.
+    """Train a freshly initialized model on the given samples, at their
+    context width.
 
     Fully deterministic for a fixed config and sample order: parameter
     initialization, batch sampling, and every update derive from
@@ -651,7 +659,7 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
         TrainingDivergedError: as soon as any loss term goes non-finite.
     """
     data = make_batch(samples)
-    model = build_model(cfg)
+    model = build_model(cfg, data.context.shape[1])
     grad = np.zeros_like(model.params)
     velocity = np.zeros_like(model.params)
     rng = np.random.default_rng([cfg.seed, 1])
@@ -664,7 +672,7 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
                                                     cfg.batch_size))
         lg = build_loss_graph(model, data.take(block[step % _INDEX_BLOCK]), replay=lg)
         if step == 0:
-            grad_views = dict(_named_arrays(_carve(grad, cfg)))
+            grad_views = dict(_named_arrays(_carve(grad, cfg, model.context_width)))
             lg.tape.keep_gradients(lg.loss, {nid: grad_views[name]
                                              for name, nid, _ in lg.param_nodes})
         vals = lg.term_values()
@@ -817,7 +825,8 @@ def load_model(path) -> OrientationNet:
     naming the file, on a file that is not an uncorrupted npz archive, a
     missing or non-object ``__meta__`` entry, an unknown version, a config
     that does not name every ModelConfig field exactly once, or a missing,
-    unexpected, mis-shaped or non-finite parameter array."""
+    unexpected, mis-shaped or non-finite parameter array.  The context
+    width is the column count of the stored ``encoder__0__weights``."""
     try:
         with np.load(path, allow_pickle=False) as data:
             return _load_arrays(data)
@@ -833,7 +842,13 @@ def _load_arrays(data) -> OrientationNet:
         raise ValueError(f"__meta__ is not a JSON object: {meta!r}")
     if meta.get("format_version") != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
-    model = build_model(config.from_mapping(ModelConfig, meta.get("config")))
+    cfg = config.from_mapping(ModelConfig, meta.get("config"))
+    if "encoder__0__weights" not in data.files:
+        raise ValueError("missing array encoder.0.weights, which sets the context width")
+    shape = data["encoder__0__weights"].shape
+    if len(shape) != 2:
+        raise ValueError(f"array encoder.0.weights has shape {shape}, not (out, in)")
+    model = build_model(cfg, shape[1])
     params = dict(named_parameters(model))
     stored = {key.replace("__", "."): key for key in data.files if key != "__meta__"}
     if stored.keys() != params.keys():

@@ -126,7 +126,7 @@ def test_criterion_03_inversion_matches_grid_oracle(capsys):
 
 
 def test_criterion_04_decode_roundtrip(capsys):
-    cfg = BinConfig.default(4)
+    cfg = BinConfig(4)
     n = 3600
     angles = -math.pi + (np.arange(n) + 1.0) * (2.0 * math.pi / n)
     worst = 0.0
@@ -148,7 +148,7 @@ def test_criterion_04_decode_roundtrip(capsys):
 
 
 def test_criterion_05_loss_identities(capsys):
-    cfg = BinConfig.default(4)
+    cfg = BinConfig(4)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(2000):
@@ -161,7 +161,7 @@ def test_criterion_05_loss_identities(capsys):
             target = wrap_angle(th - cfg.offsets[i])
             expected += 1.0 - math.cos(pred - target)
         worst = max(worst, abs(loss - expected))
-    single = BinConfig.default(1)
+    single = BinConfig(1)
     exact_zero = orientation_loss([[0.0, 1.0]], 0.0, single)
     exact_two = orientation_loss([[0.0, -1.0]], 0.0, single)
     ok = worst < 1e-9 and exact_zero == 0.0 and exact_two == 2.0
@@ -182,11 +182,11 @@ def test_criterion_06_exclusion_voting_cases(capsys):
 
 
 def test_criterion_07_gradients_match_finite_differences(capsys):
-    cfg = ModelConfig(context_width=8, encoder_hidden=(16, 16),
+    cfg = ModelConfig(encoder_hidden=(16, 16),
                       proc_hidden=(16, 32), head_hidden=16, batch_size=8,
                       use_consistency_loss=True, seed=3)
     samples, _ = gen_dataset(SynthConfig(n=8, seed=3, context_width=8))
-    model = build_model(cfg)
+    model = build_model(cfg, 8)
     batch = make_batch(samples)
     report = model_gradient_check(model, batch, eps=1e-5,
                                   max_entries_per_param=25, seed=3)
@@ -215,7 +215,7 @@ def test_criterion_08_feedforward_beats_plain_on_holdout(capsys):
                         context_width=16)
     samples, _ = gen_dataset(synth)
     train_s, val_s = _split_holdout(samples, 0.1, seed=0)
-    base = dict(context_width=16, encoder_hidden=(64, 64),
+    base = dict(encoder_hidden=(64, 64),
                 proc_hidden=(64, 128), head_hidden=128, batch_size=32,
                 momentum=0.95,
                 lr_schedule=((12000, 1e-3), (8000, 1e-4), (4000, 1e-5)))
@@ -269,7 +269,6 @@ box_noise_sd = 1.0
 context_noise = 0.5
 
 [model]
-context_width = 8
 encoder_hidden = 16, 16
 proc_hidden = 16, 32
 head_hidden = 16
@@ -361,7 +360,6 @@ box_noise_sd = 1.0
 context_noise = 0.5
 
 [model]
-context_width = 8
 encoder_hidden = 8, 8
 proc_hidden = 8, 12
 head_hidden = 8

@@ -41,12 +41,14 @@ class TestOffsetsAndConfig:
             np.testing.assert_allclose(gaps, 2 * math.pi / b)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BinConfig(2, (0.0,))
-        with pytest.raises(ValueError):
-            BinConfig(2, (0.5, 0.1))
-        with pytest.raises(ValueError):
-            BinConfig(1, (4.0,))
+        # The offsets follow from the bin count; no caller sets them.
+        for b in range(1, 9):
+            assert BinConfig(b).offsets == default_offsets(b)
+        with pytest.raises(TypeError):
+            BinConfig(2, (0.0, 1.0))
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="num_bins must be >= 1"):
+                BinConfig(bad)
         with pytest.raises(ValueError):
             default_offsets(0)
 
@@ -76,13 +78,13 @@ class TestDecodeAngle:
 
 class TestEncodeDecodeRoundtrip:
     def test_targets_are_unit_rows(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         t = encode_targets(1.234, cfg)
         assert t.shape == (4, 2)
         np.testing.assert_allclose(np.hypot(t[:, 0], t[:, 1]), 1.0, atol=1e-12)
 
     def test_roundtrip_all_bins(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         rng = np.random.default_rng(42)
         for _ in range(300):
             th = rng.uniform(-math.pi, math.pi)
@@ -94,19 +96,19 @@ class TestEncodeDecodeRoundtrip:
 
 class TestPerBinGlobalAngles:
     def test_consistent_outputs_agree(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         th = -2.0
         angles = per_bin_global_angles(encode_targets(th, cfg), cfg)
         for a in angles:
             assert circ_abs_diff(a, th) < 1e-12
 
     def test_shape_check(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         with pytest.raises(ValueError):
             per_bin_global_angles(np.zeros((3, 2)), cfg)
 
     def test_degenerate_row_names_bin(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         out = encode_targets(0.3, cfg)
         out[2] = 0.0
         with pytest.raises(DegenerateBinError, match="bin 2"):
@@ -115,7 +117,7 @@ class TestPerBinGlobalAngles:
 
 class TestOrientationLoss:
     def test_zero_at_truth(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         rng = np.random.default_rng(42)
         for _ in range(100):
             th = rng.uniform(-math.pi, math.pi)
@@ -124,7 +126,7 @@ class TestOrientationLoss:
             assert orientation_loss(encode_targets(th, cfg), th, cfg) < 1e-12
 
     def test_equals_cosine_gap_sum(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         rng = np.random.default_rng(42)
         for _ in range(200):
             th = rng.uniform(-math.pi, math.pi)
@@ -138,12 +140,12 @@ class TestOrientationLoss:
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_exact_extremes_single_bin(self):
-        cfg = BinConfig.default(1)
+        cfg = BinConfig(1)
         assert orientation_loss([[0.0, 1.0]], 0.0, cfg) == 0.0
         assert orientation_loss([[0.0, -1.0]], 0.0, cfg) == 2.0
 
     def test_scale_invariance(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         rng = np.random.default_rng(42)
         out = rng.normal(size=(4, 2))
         a = orientation_loss(out, 0.7, cfg)
@@ -151,7 +153,7 @@ class TestOrientationLoss:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_excluded_bins_skipped(self):
-        cfg = BinConfig.default(4)
+        cfg = BinConfig(4)
         out = encode_targets(1.0, cfg)
         out[3] = (0.0, -1.0)  # wreck one bin, then exclude it
         assert orientation_loss(out, 1.0, cfg, excluded={3}) == pytest.approx(
@@ -160,12 +162,12 @@ class TestOrientationLoss:
         assert orientation_loss(out, 1.0, cfg) > 1.0
 
     def test_all_excluded_rejected(self):
-        cfg = BinConfig.default(2)
+        cfg = BinConfig(2)
         with pytest.raises(ValueError):
             orientation_loss(np.ones((2, 2)), 0.0, cfg, excluded={0, 1})
 
     def test_degenerate_pair_rejected_unless_excluded(self):
-        cfg = BinConfig.default(2)
+        cfg = BinConfig(2)
         out = encode_targets(0.5, cfg)
         out[0] = 0.0
         with pytest.raises(DegenerateBinError):

@@ -37,7 +37,6 @@ context_noise = 0.5
 
 [model]
 num_bins = 4
-context_width = 8
 encoder_hidden = 8, 8
 proc_hidden = 8, 12
 head_hidden = 8
@@ -120,7 +119,7 @@ def ini_text(value) -> str:
 
 class TestConfig:
     SYNTH = dict(n=7, seed=3, box_noise_sd=0.5, context_noise=0.25, context_width=9)
-    MODEL = dict(num_bins=3, context_width=9, encoder_hidden=(5, 6),
+    MODEL = dict(num_bins=3, encoder_hidden=(5, 6),
                  proc_hidden=(7, 8), head_hidden=9, use_feedforward=False,
                  use_consistency_loss=True)
     TRAIN = dict(seed=4, batch_size=5, momentum=0.8, lr_schedule=((3, 0.01), (4, 0.001)))
@@ -293,6 +292,16 @@ class TestConfig:
                                            " = 'true': unknown key\n")
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("section", ["model", "train"])
+    def test_context_width_is_not_a_model_key(self, tmp_path, capsys, section):
+        # The network reads the data's width: [synth] context_width sets it.
+        path = tmp_path / "cw.ini"
+        path.write_text(f"[{section}]\ncontext_width = 8\n")
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: [{section}] context_width"
+                                           " = '8': unknown key\n")
+        assert not (tmp_path / "g").exists()
+
 
 class TestGen:
     def test_outputs(self, workspace):
@@ -338,6 +347,22 @@ class TestTrain:
             str(out / "model.npz"), str(out / "loss_log.csv"),
             str(out / "metrics.json"),
         }
+
+    def test_width_comes_from_the_data(self, tmp_path, capsys):
+        # Only [synth] sets the width; gen, train and sweep all run at it.
+        ini = tmp_path / "w5.ini"
+        ini.write_text(TINY_INI.replace("context_width = 8", "context_width = 5")
+                       .replace("lr_schedule = 60:1e-3", "lr_schedule = 4:1e-3"))
+        data, model = tmp_path / "g" / "dataset.txt", tmp_path / "t" / "model.npz"
+        assert main(["gen", "--config", str(ini), "--out", str(tmp_path / "g")]) == 0
+        assert main(["train", "--config", str(ini), "--data", str(data),
+                     "--out", str(tmp_path / "t")]) == 0
+        assert main(["sweep", "--checkpoint", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "s"), "--which", "2d"]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert load_model(model).context_width == 5
+        assert "context_width" not in json.loads(
+            (tmp_path / "t" / "manifest.json").read_text())["config"]
 
     def test_missing_data_fails(self, tmp_path, workspace, capsys):
         rc = main(["train", "--config", str(workspace["ini"]),
@@ -664,6 +689,10 @@ class TestSweep:
             ({**good, "__meta__": np.array(json.dumps(meta))}, "use_feedfoward"),
             ({k: v for k, v in good.items() if k != "__meta__"}, "__meta__"),
             ({**good, "__meta__": np.array(json.dumps([1, 2]))}, "__meta__"),
+            # The width is read from encoder.0.weights: missing or 1-D, it is named.
+            ({k: v for k, v in good.items() if k != "encoder__0__weights"},
+             "missing array encoder.0.weights"),
+            ({**good, "encoder__0__weights": np.zeros(8)}, "array encoder.0.weights"),
         ]
         raw = workspace["model"].read_bytes()
         flipped = bytearray(raw)
@@ -793,6 +822,29 @@ class TestGradcheck:
         # The check covers the consistency term, which TINY_INI does not train with.
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["use_consistency_loss"] is True
+
+    def test_probe_batch_is_the_synth_data(self, tmp_path, monkeypatch):
+        # The probe is [synth]'s generator at the [gradcheck] batch size and
+        # the model seed, whatever its noise settings and width.
+        ini = tmp_path / "gc.ini"
+        ini.write_text(TINY_INI.replace("context_width = 8", "context_width = 6")
+                       .replace("box_noise_sd = 1.0", "box_noise_sd = 0.25")
+                       .replace("context_noise = 0.5", "context_noise = 0.75"))
+        seen = []
+        real = cli_module.model_gradient_check
+
+        def recording(model, batch, **kwargs):
+            seen.append(batch)
+            return real(model, batch, **kwargs)
+
+        monkeypatch.setattr(cli_module, "model_gradient_check", recording)
+        assert main(["gradcheck", "--config", str(ini), "--seed", "2"]) == 0
+        want = make_batch(gen_dataset(SynthConfig(n=4, seed=2, context_width=6,
+                                                  box_noise_sd=0.25, context_noise=0.75))[0])
+        assert seen
+        for batch in seen:
+            for key in ("context", "dims2d", "dims3d", "theta"):
+                assert getattr(batch, key).tobytes() == getattr(want, key).tobytes(), key
 
     def test_seed_comes_from_the_file_unless_given(self, tmp_path):
         ini, out = tmp_path / "gc.ini", tmp_path / "gc"

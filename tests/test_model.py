@@ -53,7 +53,8 @@ from pedorient.model import (
 )
 from pedorient.synth import SynthConfig, gen_dataset
 
-TINY = dict(context_width=8, encoder_hidden=(8, 8), proc_hidden=(8, 12),
+WIDTH = 8  # context columns of tiny_samples
+TINY = dict(encoder_hidden=(8, 8), proc_hidden=(8, 12),
             head_hidden=8, batch_size=8)
 
 
@@ -62,7 +63,7 @@ def tiny_cfg(**kw):
 
 
 def tiny_samples(n=24, seed=0, **kw):
-    samples, _ = gen_dataset(SynthConfig(n=n, seed=seed, context_width=8, **kw))
+    samples, _ = gen_dataset(SynthConfig(n=n, seed=seed, context_width=WIDTH, **kw))
     return samples
 
 
@@ -85,7 +86,7 @@ def reference_train(samples, cfg):
     per parameter array at every step, on batch indices drawn one step at
     a time.  Returns (the model, the logged totals, the number of batch
     rows where the vote dropped a bin)."""
-    ref = model_module.build_model(cfg)
+    ref = model_module.build_model(cfg, WIDTH)
     velocities = [np.zeros_like(arr) for _, arr in named_parameters(ref)]
     data = make_batch(samples)
     rng = np.random.default_rng([cfg.seed, 1])
@@ -136,7 +137,7 @@ class TestModelConfig:
 
     def test_method_constants_are_not_fields(self):
         assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-            "num_bins", "context_width", "encoder_hidden", "proc_hidden", "head_hidden",
+            "num_bins", "encoder_hidden", "proc_hidden", "head_hidden",
             "use_feedforward", "use_consistency_loss", "seed", "batch_size", "momentum",
             "lr_schedule"]
         cfg = tiny_cfg()
@@ -160,27 +161,27 @@ class TestModelConfig:
 
 class TestBuildModel:
     def test_seeded_and_distinct(self):
-        a = build_model(tiny_cfg(seed=1))
-        b = build_model(tiny_cfg(seed=1))
-        c = build_model(tiny_cfg(seed=2))
+        a = build_model(tiny_cfg(seed=1), WIDTH)
+        b = build_model(tiny_cfg(seed=1), WIDTH)
+        c = build_model(tiny_cfg(seed=2), WIDTH)
         for (na, pa), (nb, pb) in zip(named_parameters(a), named_parameters(b)):
             assert na == nb and np.array_equal(pa, pb)
         assert any(not np.array_equal(pa, pc)
                    for (_, pa), (_, pc) in zip(named_parameters(a), named_parameters(c)))
 
     def test_stack_layout(self):
-        full = build_model(tiny_cfg())
+        full = build_model(tiny_cfg(), WIDTH)
         assert list(full.stacks) == [
             "encoder", "dims3d_regressor", "proc2d", "proc3d", "head",
         ]
-        plain = build_model(tiny_cfg(use_feedforward=False))
+        plain = build_model(tiny_cfg(use_feedforward=False), WIDTH)
         assert list(plain.stacks) == ["encoder", "dims3d_regressor", "head"]
 
     @pytest.mark.parametrize("source", ["build_model", "train", "load_model"])
     @pytest.mark.parametrize("feedforward", [False, True])
     def test_parameters_are_views_of_one_array(self, tmp_path, source, feedforward):
         cfg = tiny_cfg(use_feedforward=feedforward, lr_schedule=((5, 1e-3),))
-        model = build_model(cfg)
+        model = build_model(cfg, WIDTH)
         if source == "train":
             model = train(tiny_samples(10), cfg).model
         elif source == "load_model":
@@ -201,13 +202,13 @@ class TestBuildModel:
         assert all(not a.any() for _, a in named_parameters(model))
 
     def test_named_parameters(self):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         names = [n for n, _ in named_parameters(model)]
         assert "encoder.0.weights" in names
         assert "head.1.bias" in names
         # 9 layers, each with weights and bias.
         assert len(names) == 18
-        plain = build_model(tiny_cfg(use_feedforward=False))
+        plain = build_model(tiny_cfg(use_feedforward=False), WIDTH)
         assert len(named_parameters(plain)) == 10
 
     def test_init_matches_independent_reference(self):
@@ -218,7 +219,7 @@ class TestBuildModel:
         # then multiplied by 0.1.
         for (wiring, kw), bins, seed in itertools.product(WIRINGS.items(), (1, 4), (0, 7)):
             cfg = tiny_cfg(num_bins=bins, seed=seed, **kw)
-            c, (e0, e1), (p0, p1), hh = (cfg.context_width, cfg.encoder_hidden,
+            c, (e0, e1), (p0, p1), hh = (WIDTH, cfg.encoder_hidden,
                                          cfg.proc_hidden, cfg.head_hidden)
             stacks = [("encoder", [(c, e0, True, 1), (e0, e1, True, 1)]),
                       ("dims3d_regressor", [(e1, 3, False, 1)])]
@@ -235,7 +236,7 @@ class TestBuildModel:
                         -limit, limit, size=(n_out, n_in))
                     names += [f"{name}.{li}.weights", f"{name}.{li}.bias"]
                     arrays += [w, np.zeros(n_out)]
-            model = build_model(cfg)
+            model = build_model(cfg, WIDTH)
             assert [(n, a.shape) for n, a in named_parameters(model)] == \
                 [(n, a.shape) for n, a in zip(names, arrays)], wiring
             want = np.concatenate([a.ravel() for a in arrays])
@@ -243,9 +244,20 @@ class TestBuildModel:
             assert [layer.relu for stack in model.stacks.values() for layer in stack] == \
                 [relu for _, layers in stacks for _, _, relu, _ in layers]
 
+    def test_context_width_is_an_argument(self):
+        for width in (1, 3, 9):
+            model = build_model(tiny_cfg(), width)
+            assert model.context_width == width
+            assert model.stacks["encoder"][0].weights.shape == (8, width)
+        for width in (0, -1):
+            with pytest.raises(ValueError, match="context_width must be >= 1"):
+                build_model(tiny_cfg(), width)
+        with pytest.raises(TypeError):
+            build_model(tiny_cfg())
+
     def test_head_width_scales_with_bins(self):
         for bins in (2, 4, 5):
-            model = build_model(tiny_cfg(num_bins=bins))
+            model = build_model(tiny_cfg(num_bins=bins), WIDTH)
             head_out = dict(named_parameters(model))["head.1.weights"]
             assert head_out.shape[0] == 2 * bins
 
@@ -272,28 +284,28 @@ class TestBatch:
 class TestForward:
     def test_shapes(self):
         cfg = tiny_cfg(num_bins=4)
-        model = build_model(cfg)
+        model = build_model(cfg, WIDTH)
         batch = make_batch(tiny_samples(6))
         dims_pred, bin_out = forward_batch(model, batch)
         assert dims_pred.shape == (6, 3)
         assert bin_out.shape == (6, 8)
 
     def test_h1_scale_inert_without_feedforward(self):
-        model = build_model(tiny_cfg(use_feedforward=False))
+        model = build_model(tiny_cfg(use_feedforward=False), WIDTH)
         batch = make_batch(tiny_samples(4))
         _, a = forward_batch(model, batch)
         _, b = forward_batch(model, batch, h1_feed_scale=3.0)
         assert np.array_equal(a, b)
 
     def test_h1_scale_alters_feedforward_model(self):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         batch = make_batch(tiny_samples(4))
         _, a = forward_batch(model, batch)
         _, b = forward_batch(model, batch, h1_feed_scale=3.0)
         assert not np.array_equal(a, b)
 
     def test_single_sample_result_consistent(self):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         sample = tiny_samples(3)[1]
         r = forward(model, sample)
         assert r.bin_outputs.shape == (4, 2)
@@ -304,7 +316,7 @@ class TestForward:
         assert theta == r.theta_pred
 
     def test_degenerate_head_reported(self):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         for layer in model.stacks["head"]:
             layer.weights[...] = 0.0
         samples = tiny_samples(2)
@@ -326,7 +338,7 @@ class TestForward:
         # The value-only forward is x @ W.T + b, then max(., 0) on ReLU
         # layers, bit for bit, and leaves its input alone.
         rng = np.random.default_rng(42)
-        relu, linear = build_model(tiny_cfg()).stacks["head"]
+        relu, linear = build_model(tiny_cfg(), WIDTH).stacks["head"]
         assert relu.relu and not linear.relu
         for layer in (relu, linear):
             layer.bias[...] = rng.normal(size=layer.bias.shape)
@@ -386,7 +398,7 @@ class TestLossGraph:
             cfg = tiny_cfg(**kw)
             # Bin 0 half a turn from the others: the vote drops it where the
             # others stay within tau of each other.
-            model = set_bin0_apart(build_model(cfg), math.pi)
+            model = set_bin0_apart(build_model(cfg, WIDTH), math.pi)
 
             lg = build_loss_graph(model, make_batch(samples))
             if cfg.num_bins >= 3:
@@ -404,7 +416,7 @@ class TestLossGraph:
 
     def test_batch_loss_is_mean_of_samples(self):
         cfg = tiny_cfg()
-        model = build_model(cfg)
+        model = build_model(cfg, WIDTH)
         samples = tiny_samples(6)
         whole = build_loss_graph(model, make_batch(samples)).loss_value()
         singles = [build_loss_graph(model, make_batch([s])).loss_value()
@@ -413,7 +425,7 @@ class TestLossGraph:
 
     def test_orientation_only_stops_dims_gradient(self):
         cfg = tiny_cfg()
-        model = build_model(cfg)
+        model = build_model(cfg, WIDTH)
         batch = make_batch(tiny_samples(4))
         lg = build_loss_graph(model, batch)
         grads = lg.tape.backward(lg.terms["orientation"])
@@ -425,7 +437,7 @@ class TestLossGraph:
 
     def test_dims_term_reaches_regressor(self):
         cfg = tiny_cfg()
-        model = build_model(cfg)
+        model = build_model(cfg, WIDTH)
         batch = make_batch(tiny_samples(4))
         lg = build_loss_graph(model, batch)
         grads = lg.tape.backward(lg.terms["dims"])
@@ -438,7 +450,7 @@ class TestLossGraph:
         # scaled 2D dims, true 3D dims): backward computes no gradient for
         # them, and the parameter gradients are those of the same graph
         # with ordinary leaves in their place.
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         batch = make_batch(tiny_samples(6))
         lg = build_loss_graph(model, batch)
         grads = lg.tape.backward(lg.loss)
@@ -455,7 +467,7 @@ class TestLossGraph:
             assert np.array_equal(grads[nid], ref_grads[nid]), name
 
     def test_each_call_returns_a_new_graph(self):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         first = build_loss_graph(model, make_batch(tiny_samples(4, seed=1)))
         loss, mask = first.loss_value(), first.include_mask.copy()
         second = build_loss_graph(model, make_batch(tiny_samples(4, seed=2)))
@@ -469,7 +481,8 @@ class TestLossGraph:
         # regressor and head values are forward_batch's outputs, bit for bit.
         # Its value-only nodes are the vote on the head output and, on the
         # fed wiring only, the stop-gradient copy of the regressor output.
-        model = build_model(tiny_cfg(num_bins=bins, use_consistency_loss=True, **WIRINGS[wiring]))
+        cfg = tiny_cfg(num_bins=bins, use_consistency_loss=True, **WIRINGS[wiring])
+        model = build_model(cfg, WIDTH)
         batch = make_batch(tiny_samples(6))
         dims_pred, head_out = forward_batch(model, batch)
         lg = build_loss_graph(model, batch)
@@ -492,7 +505,7 @@ class TestLossGraph:
         # Bin 0 just over tau from the others: the vote differs between
         # rows and between the two batches.
         turn = (1.15 if cfg.use_feedforward else 1.05) * cfg.exclusion_tau
-        model = set_bin0_apart(build_model(cfg), turn)
+        model = set_bin0_apart(build_model(cfg, WIDTH), turn)
         lg = build_loss_graph(model, make_batch(tiny_samples(8, seed=1)))
         lg.tape.backward(lg.loss)
         first_mask = lg.include_mask.copy()
@@ -551,7 +564,7 @@ class TestTraining:
         # at every step, bit for bit.  Bin 0 starts just over tau from the
         # other bins, so the vote drops it on some rows and keeps it on others.
         monkeypatch.setattr(model_module, "build_model",
-                            lambda c: set_bin0_apart(build_model(c), 1.05 * c.exclusion_tau))
+                            lambda c, w: set_bin0_apart(build_model(c, w), 1.05 * c.exclusion_tau))
         samples = tiny_samples(40)
         for kw, cons, bins in itertools.product(WIRINGS.values(), (False, True), (1, 4, 6)):
             kw = dict(kw, use_consistency_loss=cons, num_bins=bins)
@@ -601,6 +614,19 @@ class TestTraining:
             train(samples, cfg)
         assert isinstance(exc_info.value.step, int)
 
+    def test_trains_at_the_width_of_its_data(self):
+        # No config names the width: a 9-wide dataset gives a 9-wide encoder.
+        samples = gen_dataset(SynthConfig(n=12, seed=1, context_width=9))[0]
+        model = train(samples, tiny_cfg(lr_schedule=((4, 1e-3),))).model
+        assert model.context_width == 9
+        assert model.stacks["encoder"][0].weights.shape == (8, 9)
+        with pytest.raises(ValueError, match="context width 8 != model 9"):
+            forward_batch(model, make_batch(tiny_samples(2)))
+
+    def test_empty_sample_list_is_rejected_before_building(self):
+        with pytest.raises(ValueError, match="empty sample list"):
+            train([], tiny_cfg())
+
 
 class TestEvaluate:
     def test_metrics_keys_and_composition(self):
@@ -635,7 +661,7 @@ class TestSweeps:
         assert DEFAULT_SWEEP_FACTORS[-1] == pytest.approx(2.0)
 
     def test_width_sweep_runs(self):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         s = tiny_samples(1)[0]
         rows = sweep_2d_width(model, s, factors=(0.5, 1.0, 1.5))
         assert len(rows) == 3 and all(isinstance(r, ForwardResult) for r in rows)
@@ -643,7 +669,7 @@ class TestSweeps:
             sweep_2d_width(model, s, factors=(0.0, 1.0))
 
     def test_overflowing_factor_is_named_without_warnings(self):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         s = tiny_samples(1)[0]
         # The height as the two-row sweep predicts it, to the last bit.
         h1 = float(forward_batch(model, make_batch([s, s]))[0][0, 0])
@@ -702,7 +728,7 @@ class TestSweeps:
         # Row 1's bin 0 is exactly (0, 0); row 2's two bins point at global
         # angles 0 and pi, which cancel.  Each sweep row must say why its
         # orientation is undefined, as forward does.
-        model = build_model(tiny_cfg(num_bins=2))
+        model = build_model(tiny_cfg(num_bins=2), WIDTH)
         s = tiny_samples(1)[0]
         factors = (0.5, 1.0, 1.5, 2.0)
         real_forward = model_module.forward_batch
@@ -723,14 +749,14 @@ class TestSweeps:
             assert rows[0].theta_pred is not None and rows[3].theta_pred is not None
 
     def test_height_sweep_inert_for_plain_model(self):
-        model = build_model(tiny_cfg(use_feedforward=False))
+        model = build_model(tiny_cfg(use_feedforward=False), WIDTH)
         s = tiny_samples(1)[0]
         points = sweep_3d_height(model, s, factors=(0.5, 1.0, 2.0))
         thetas = {p.theta_pred for p in points}
         assert len(thetas) == 1
 
     def test_height_sweep_moves_feedforward_model(self):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         s = tiny_samples(1)[0]
         points = sweep_3d_height(model, s, factors=tuple(np.linspace(0.2, 2.0, 10)))
         thetas = {p.theta_pred for p in points if p.theta_pred is not None}
@@ -771,8 +797,20 @@ class TestCheckpoint:
         _, b = forward_batch(loaded, batch)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("width", [3, 9])
+    def test_roundtrip_bit_exact_at_each_width(self, tmp_path, width):
+        samples = gen_dataset(SynthConfig(n=8, seed=2, context_width=width))[0]
+        model = train(samples, tiny_cfg(lr_schedule=((3, 1e-3),))).model
+        save_model(model, tmp_path / "model.npz")
+        loaded = load_model(tmp_path / "model.npz")
+        assert loaded.context_width == width
+        assert loaded.params.tobytes() == model.params.tobytes()
+        batch = make_batch(samples)
+        for a, b in zip(forward_batch(model, batch), forward_batch(loaded, batch)):
+            assert a.tobytes() == b.tobytes()
+
     def test_version_gate(self, tmp_path):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         path = tmp_path / "model.npz"
         save_model(model, path)
         with np.load(path, allow_pickle=False) as data:
@@ -785,7 +823,7 @@ class TestCheckpoint:
             load_model(path)
 
     def test_rejects_bad_checkpoints(self, tmp_path):
-        model = build_model(tiny_cfg())
+        model = build_model(tiny_cfg(), WIDTH)
         path = tmp_path / "model.npz"
         save_model(model, path)
         with np.load(path, allow_pickle=False) as data:
@@ -819,27 +857,35 @@ class TestCheckpoint:
                 load_model(path)
             assert str(path) in str(info.value)
 
-    @pytest.mark.parametrize("value", [False, True])
-    def test_rejects_a_config_naming_teacher_forcing(self, tmp_path, value):
-        # The fed wiring is the only one; a config that names the deleted
-        # teacher_force_dims3d field is rejected by name.
-        path = tmp_path / "model.npz"
-        save_model(build_model(tiny_cfg()), path)
+    @staticmethod
+    def assert_config_key_rejected(path, key, value):
+        """A checkpoint whose config also names ``key`` is rejected by it."""
+        save_model(build_model(tiny_cfg(), WIDTH), path)
         with np.load(path, allow_pickle=False) as data:
             payload = {k: data[k] for k in data.files}
         meta = json.loads(str(payload["__meta__"][()]))
-        meta["config"]["teacher_force_dims3d"] = value
+        meta["config"][key] = value
         np.savez(path, **{**payload, "__meta__": np.array(json.dumps(meta))})
         with pytest.raises(ValueError) as info:
             load_model(path)
         assert str(info.value) == (f"checkpoint {path}: ModelConfig: unknown keys"
-                                   " ['teacher_force_dims3d'], missing keys []")
+                                   f" [{key!r}], missing keys []")
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_rejects_a_config_naming_teacher_forcing(self, tmp_path, value):
+        # The fed wiring is the only one; a config that names the deleted
+        # teacher_force_dims3d field is rejected by name.
+        self.assert_config_key_rejected(tmp_path / "model.npz", "teacher_force_dims3d", value)
+
+    def test_rejects_a_config_naming_context_width(self, tmp_path):
+        # Written when the width was a field; the encoder's array holds it now.
+        self.assert_config_key_rejected(tmp_path / "model.npz", "context_width", WIDTH)
 
 
 class TestGradientCheck:
     def test_full_graph_passes(self):
         cfg = tiny_cfg(seed=0, use_consistency_loss=True)
-        model = build_model(cfg)
+        model = build_model(cfg, WIDTH)
         batch = make_batch(tiny_samples(6))
         report = model_gradient_check(model, batch, max_entries_per_param=6)
         assert report.max_rel_error < 1e-4
@@ -852,14 +898,14 @@ class TestGradientCheck:
         # orientation term only through the fed dimensions: rerun, the feed
         # would add that path to the regressor's quotients.
         batch = make_batch(tiny_samples(6))
-        model = build_model(tiny_cfg(seed=0))
+        model = build_model(tiny_cfg(seed=0), WIDTH)
         report = model_gradient_check(model, batch, max_entries_per_param=6)
         assert dict(report.per_param)["dims3d_regressor.0.weights"] < 1e-4
         # Every row puts bin 0 just over tau from three coinciding bins, so
         # a step of eps on the head moves it inside tau on one side: a rerun
         # vote would make the loss jump.
         cfg = tiny_cfg(seed=0, use_feedforward=False)
-        model = set_bin0_apart(build_model(cfg), cfg.exclusion_tau + 1e-7)
+        model = set_bin0_apart(build_model(cfg, WIDTH), cfg.exclusion_tau + 1e-7)
         model.stacks["head"][-1].weights[:] = 0.0
         mask = build_loss_graph(model, batch).include_mask
         assert not mask[:, 0].any() and mask[:, 1:].all()
@@ -868,7 +914,7 @@ class TestGradientCheck:
 
     def test_plain_variant_passes(self):
         cfg = tiny_cfg(seed=1, use_feedforward=False)
-        model = build_model(cfg)
+        model = build_model(cfg, WIDTH)
         batch = make_batch(tiny_samples(6))
         report = model_gradient_check(model, batch, max_entries_per_param=6)
         assert report.max_rel_error < 1e-4

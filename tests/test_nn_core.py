@@ -37,12 +37,12 @@ def fd_grad(fn, arr, eps=1e-6):
 class TestLayerBasics:
     # Dense layers are drawn by build_model; these pin the per-layer init.
     @staticmethod
-    def layer(stack, index, **kw):
+    def layer(stack, index, width=16, **kw):
         cfg = ModelConfig(**{"encoder_hidden": (16, 8), "use_feedforward": False, **kw})
-        return build_model(cfg).stacks[stack][index]
+        return build_model(cfg, width).stacks[stack][index]
 
     def test_init_is_seeded_and_bounded(self):
-        kw = dict(context_width=8)
+        kw = dict(width=8)
         a = self.layer("encoder", 0, seed=1, **kw)
         b = self.layer("encoder", 0, seed=1, **kw)
         c = self.layer("encoder", 0, seed=2, **kw)
