@@ -136,52 +136,38 @@ def _holdout_fraction(cp) -> float:
     return fraction
 
 
-def _ini_values(cls, cp, sections, **given) -> dict:
-    """Field values of ``cls`` set in the INI sections, each field at most
-    once.  ``given`` values that are not None override the file; unset
-    fields keep the dataclass defaults."""
+def _ini_config(cls, cp, sections, **given):
+    """``cls`` from the fields set in the INI sections, each at most once,
+    and the ``given`` values that are not None, which override the file;
+    unset fields keep the dataclass defaults.  Each check of ``cls`` reads
+    one field, so each value is checked on its own and one that ``cls``
+    rejects is named by where it came from: an override by its flag
+    ``--key``, first, then a key as written, in file order."""
     types = typing.get_type_hints(cls)
+    overrides = {key: value for key, value in given.items() if value is not None}
+    checks = [(f"--{key} {value}", key, value) for key, value in overrides.items()]
     values = {}
     for section in sections:
         for key, text in _sec(cp, section).items():
             if (section, key) == ("train", "holdout_fraction"):
                 continue  # read by _holdout_fraction
+            where = f"[{section}] {key} = {text!r}"
             try:
                 if key not in types:
                     raise ValueError("unknown key")
                 value = config.coerce(text, types[key])
             except ValueError as e:
-                raise ValueError(f"[{section}] {key} = {text!r}: {e}") from None
+                raise ValueError(f"{where}: {e}") from None
             if key in values:
                 raise ValueError(f"[{section}] {key}: {key} is already set")
             values[key] = value
-    return {**values, **{k: v for k, v in given.items() if v is not None}}
-
-
-def _ini_config(cls, cp, sections, **given):
-    """``cls`` from its :func:`_ini_values`.  Each check of ``cls`` reads
-    one field, so a value that parses but that ``cls`` rejects is named by
-    where it came from: a command-line override that ``cls`` rejects on
-    its own by its flag ``--key``, else the first key, as written, that
-    ``cls`` rejects on its own."""
-    values = _ini_values(cls, cp, sections, **given)
-    try:
-        return cls(**values)
-    except ValueError as e:
-        error = e
-    for key, value in given.items():
-        if value is not None:
-            try:
-                cls(**{key: value})
-            except ValueError as e:
-                raise ValueError(f"--{key} {value}: {e}") from None
-    for section in sections:
-        for key, text in _sec(cp, section).items():
-            try:
-                cls(**_ini_values(cls, {section: {key: text}}, (section,)))
-            except ValueError as e:
-                raise ValueError(f"[{section}] {key} = {text!r}: {e}") from None
-    raise error
+            checks.append((where, key, value))
+    for where, key, value in checks:
+        try:
+            cls(**{key: value})
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+    return cls(**{**values, **overrides})
 
 
 def _synth_config(cp, seed=None, n=None) -> SynthConfig:
@@ -499,7 +485,8 @@ def cmd_sweep(args) -> int:
             analytic_deg = "" if math.isnan(a) else f"{math.degrees(a):.4f}"
             bins = ("," * num_bins if p.per_bin_angles is None
                     else "".join(f",{math.degrees(b):.4f}" for b in p.per_bin_angles))
-            fh.write(f"{f:.6f},{model_deg},{analytic_deg},{len(p.excluded)}{bins}\n")
+            factor = f"{f:.6e}" if f >= 1e6 else f"{f:.6f}"
+            fh.write(f"{factor},{model_deg},{analytic_deg},{len(p.excluded)}{bins}\n")
 
     print(f"swept {len(rows)} factors over sample {args.index}"
           f" ({args.which}), wrote {csv_path}")

@@ -452,6 +452,8 @@ class LossGraph:
     from it: its data leaves and the batch-derived constants of its
     ``cmul`` / ``cadd`` nodes.  ``include_mask`` is the exclusion vote's
     value, an array of the tape, so it changes when the tape is replayed.
+    ``grad`` is laid out like ``model.params``, and each parameter leaf's
+    gradient lands in its view of it.
     """
 
     tape: Tape
@@ -460,6 +462,7 @@ class LossGraph:
     param_nodes: list[tuple[str, int, np.ndarray]]
     write_inputs: Callable[[Batch], None]
     include_mask: np.ndarray
+    grad: np.ndarray
 
     def loss_value(self) -> float:
         return float(self.tape.value(self.loss)[0, 0])
@@ -551,10 +554,13 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         replay.tape.replay()
         return replay
     bcfg = cfg.bin_config()
+    grad = np.zeros_like(model.params)
+    grad_of = dict(_named_arrays(_carve(grad, cfg, model.context_width)))
     inputs, write_inputs = _graph_inputs(len(batch), model)
     write_inputs(batch)
     t = Tape()
-    param_nodes = [(name, t.leaf(arr), arr) for name, arr in named_parameters(model)]
+    param_nodes = [(name, t.leaf(arr, grad_of[name]), arr)
+                   for name, arr in named_parameters(model)]
     # named_parameters lists each layer's weights, then its bias: each
     # layer takes the next two leaves.
     leaves = (nid for _, nid, _ in param_nodes)
@@ -613,7 +619,7 @@ def build_loss_graph(model: OrientationNet, batch: Batch,
         cons = t.add(cons, t.mean(t.mul(resid_o, resid_o)))
         terms["consistency"] = t.cmul(cons, cfg.consistency_weight)
         loss = t.add(loss, terms["consistency"])
-    return LossGraph(t, loss, terms, param_nodes, write_inputs, include_mask)
+    return LossGraph(t, loss, terms, param_nodes, write_inputs, include_mask, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +657,15 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     time, which gives the indices of one draw per step.  The loss graph is
     recorded on the first step and replayed on every later one, each
     batch written into its inputs in place and each parameter gradient
-    landing in one flat array laid out like ``model.params``, so one SGD
-    step updates them all; the results are those of a new graph and a new
-    backward pass per step, bit for bit.
+    landing in the graph's flat ``grad``, laid out like ``model.params``,
+    so one SGD step updates them all; the results are those of a new graph
+    and a new backward pass per step, bit for bit.
 
     Raises:
         TrainingDivergedError: as soon as any loss term goes non-finite.
     """
     data = make_batch(samples)
     model = build_model(cfg, data.context.shape[1])
-    grad = np.zeros_like(model.params)
     velocity = np.zeros_like(model.params)
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[TrainLogRow] = []
@@ -671,10 +676,6 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
             block = rng.integers(0, len(data), size=(min(_INDEX_BLOCK, total_steps - step),
                                                     cfg.batch_size))
         lg = build_loss_graph(model, data.take(block[step % _INDEX_BLOCK]), replay=lg)
-        if step == 0:
-            grad_views = dict(_named_arrays(_carve(grad, cfg, model.context_width)))
-            lg.tape.keep_gradients(lg.loss, {nid: grad_views[name]
-                                             for name, nid, _ in lg.param_nodes})
         vals = lg.term_values()
         row = TrainLogRow(
             step=step,
@@ -688,7 +689,7 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
             raise TrainingDivergedError(step, vals)
         lg.tape.backward(lg.loss)
         try:
-            sgd_step(model.params, grad, velocity, row.lr, cfg.momentum)
+            sgd_step(model.params, lg.grad, velocity, row.lr, cfg.momentum)
         except NonFiniteGradientError as e:
             # Gradients can overflow a step before the logged loss does.
             raise TrainingDivergedError(step, vals) from e

@@ -7,9 +7,9 @@ Everything is float64 numpy.  Values flowing through a :class:`Tape` are
 explicit node list, so gradients are exact and reproducible, and a
 value-only node, such as a ``stop_gradient`` copy, takes no gradient,
 which cuts every path through it.  A tape is recorded once and can be
-replayed: new leaf data in, every node value and (with kept gradient
-arrays) every gradient overwritten in place, the arithmetic of each op
-written once for both.
+replayed: new leaf data in, every node value overwritten in place.  A
+backward walk is bound once per output, and the gradient arrays it
+writes are valid until the next backward.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ class TapeNode:
     run: Callable[[], None] | None = None
     grad_fn: Callable | None = None
     needs_grad: bool = True
+    grad: np.ndarray | None = None  # where a leaf's gradient lands, if given
 
 
 class Tape:
@@ -80,15 +81,15 @@ class Tape:
     place) and replaying recomputes the graph.  A replay overwrites every
     node value: a value read from the tape is valid until the next replay.
 
-    :meth:`backward` walks the node list in reverse and writes each
-    gradient into its own array, new on every call unless
-    :meth:`keep_gradients` fixed them.
+    :meth:`backward` walks the node list in reverse, a walk bound once per
+    output, and writes each gradient into its own array, valid until the
+    next backward.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
         self._runs: list[Callable[[], None]] = []
-        self._kept = None  # (output, steps, grads) of keep_gradients
+        self._walks: dict[int, tuple[list, dict[int, np.ndarray]]] = {}
 
     def _push(self, node: TapeNode) -> int:
         if node.run is not None:
@@ -104,10 +105,14 @@ class Tape:
     def value(self, nid: int) -> np.ndarray:
         return self.nodes[nid].value
 
-    def leaf(self, value) -> int:
+    def leaf(self, value, grad: np.ndarray | None = None) -> int:
         """A leaf that takes a gradient, such as a parameter.  A C-ordered
-        float64 array is held by reference, not copied."""
-        return self._push(TapeNode("leaf", np.asarray(value, dtype=float, order="C")))
+        float64 array is held by reference, not copied; its gradient lands
+        in ``grad``, shaped like it, if given, else in the tape's own array."""
+        v = np.asarray(value, dtype=float, order="C")
+        if grad is not None and grad.shape != v.shape:
+            raise ValueError(f"leaf: gradient shape {grad.shape} is not the value's {v.shape}")
+        return self._push(TapeNode("leaf", v, grad=grad))
 
     def data(self, value) -> int:
         """A leaf of input data: held like :meth:`leaf`, but it takes no
@@ -322,16 +327,6 @@ class Tape:
         for run in self._runs:
             run()
 
-    def keep_gradients(self, output: int, arrays: dict[int, np.ndarray]) -> None:
-        """Make every later ``backward(output)`` write into one fixed set of
-        gradient arrays: ``arrays`` for the node ids it names (each shaped
-        like the node's value, for example views of one flat buffer), new
-        ones for the other nodes.  Each call overwrites them and returns the
-        same dict, valid until the next call.  A node named here that
-        receives no gradient is left untouched."""
-        self._check_output(output)
-        self._kept = (output, *self._bind(output, arrays))
-
     def backward(self, output: int) -> dict[int, np.ndarray]:
         """Reverse-mode gradients of node ``output`` w.r.t. every node that
         depends on a leaf taking a gradient and reaches the output; the
@@ -341,14 +336,15 @@ class Tape:
         upstream through them.  Returns {node_id: gradient array}; other
         nodes are absent.  A node with several consumers
         accumulates their contributions in decreasing order of consumer
-        id, parents in argument order, by plain addition.  Treat the
-        gradient arrays as read-only.
+        id, parents in argument order, by plain addition.  Each call for
+        one output returns the same dict; treat its arrays as read-only.
         """
-        self._check_output(output)
-        if self._kept is not None and self._kept[0] == output:
-            _, steps, grads = self._kept
-        else:
-            steps, grads = self._bind(output, {})
+        walk = self._walks.get(output)
+        if walk is None:
+            if not 0 <= output < len(self.nodes):
+                raise ValueError(f"no node {output} on this tape")
+            walk = self._walks[output] = self._bind(output)
+        steps, grads = walk
         grads[output].fill(1.0)
         for grad_fn, g, outs, adds in steps:
             grad_fn(g, *outs)
@@ -356,17 +352,11 @@ class Tape:
                 np.add(total, part, out=total)
         return grads
 
-    def _check_output(self, output: int) -> None:
-        if not self.nodes:
-            raise ValueError("backward called on an empty tape")
-        if not (0 <= output < len(self.nodes)):
-            raise ValueError(f"no node {output} on this tape")
-
-    def _bind(self, output: int, arrays: dict[int, np.ndarray]):
+    def _bind(self, output: int):
         """Lay out one backward walk from ``output``.
 
         Returns (steps, grads): ``grads`` maps each node that receives a
-        gradient to its array, from ``arrays`` or new; each step is
+        gradient to its array, a leaf's own or new; each step is
         (grad_fn, the node's gradient, one destination per parent or None
         where the parent takes no gradient, (total, part) pairs to add
         afterwards).  A parent's first contribution is written into its
@@ -375,7 +365,7 @@ class Tape:
         nodes = self.nodes
 
         def array(nid):
-            a = arrays.get(nid)
+            a = nodes[nid].grad
             return np.empty(nodes[nid].value.shape) if a is None else a
 
         grads = {output: array(output)}

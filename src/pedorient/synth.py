@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Dims2D, Dims3D, implied_width_span, width_span, wrap_angle
+from .geometry import Dims2D, Dims3D, implied_width_span, width_span, width_span_abs, wrap_angle
 from .kitti_io import TrainingSample
 
 TWO_PI = 2.0 * math.pi
@@ -163,7 +163,7 @@ def gen_dataset(cfg: SynthConfig) -> tuple[list[TrainingSample], list[GenRecord]
 def _span_error(dims: Dims3D, target: float, i: np.ndarray, n: int):
     """The n-point grid over (-pi, pi] at indices i (mod n), and |span - target| there."""
     th = -math.pi + (i % n + 1.0) * (TWO_PI / n)
-    return th, np.abs(dims.w1 * np.abs(np.sin(th)) + dims.l1 * np.abs(np.cos(th)) - target)
+    return th, np.abs(width_span_abs(dims, th) - target)
 
 
 def oracle_candidates_for_span(dims: Dims3D, target: float) -> list[float]:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import configparser
 import csv
 import dataclasses
 import json
@@ -19,6 +20,7 @@ from pedorient.cli import (
     GradcheckSettings,
     _load_ini,
     _model_config,
+    _parse_factors,
     _settings,
     _synth_config,
     main,
@@ -258,6 +260,24 @@ class TestConfig:
         assert capsys.readouterr().err == (f"error: {path}: [compare] seeds = '1, -1':"
                                            " seeds must be >= 0, got (1, -1)\n")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+    def test_override_is_named_before_the_file_and_unknown_key_first(self):
+        # _synth_config read directly, with no _load_ini pass first: an
+        # unknown key is named before any value is checked, then a bad
+        # override before a bad file value, and a file value is checked
+        # even where an override replaces it.
+        def named(text, **given):
+            cp = configparser.ConfigParser()
+            cp.read_string(text)
+            with pytest.raises(ValueError) as e:
+                _synth_config(cp, **given)
+            return str(e.value)
+
+        assert named("[synth]\nn = -1\nsede = 3\n", seed=-2) == "[synth] sede = '3': unknown key"
+        assert named("[synth]\nn = -1\n", seed=-2) == "--seed -2: seed must be >= 0, got -2"
+        assert named("[synth]\nn = -1\n", n=5) == "[synth] n = '-1': n must be >= 0, got -1"
+        assert named("[synth]\ncontext_noise = 2\nn = -1\n") == \
+            "[synth] context_noise = '2': context_noise must be in [0, 1], got 2.0"
 
     def test_unreadable_ini_exits_1_naming_the_file(self, tmp_path, capsys):
         for text, why in (("[synth]\nn = 5\nn = 6\n", "option 'n' in section 'synth' already exists"),
@@ -619,6 +639,23 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert str(workspace["model"]) in manifest["inputs"]
+
+    def test_large_factors_keep_csv_lines_short(self, tmp_path, workspace):
+        # A factor of 1e6 or more is written with an exponent: in fixed
+        # point, 1e306 alone would take 307 digits.
+        for text, first_column in (("1:1e306:2", ["1.000000", "1.000000e+306"]),
+                                   ("0:2e6:3", ["0.000000", "1.000000e+06", "2.000000e+06"])):
+            out = tmp_path / text
+            rc = main(["sweep", "--checkpoint", str(workspace["model"]),
+                       "--data", str(workspace["data"]), "--out", str(out),
+                       "--which", "3d", f"--factors={text}"])
+            assert rc == 0
+            lines = (out / "sweep_3d.csv").read_text().splitlines()
+            assert all(len(line) < 120 for line in lines)
+            factors = [line.split(",")[0] for line in lines[1:]]
+            assert factors == first_column
+            np.testing.assert_allclose([float(f) for f in factors], _parse_factors(text),
+                                       rtol=1e-6)
 
     def test_height_sweep(self, tmp_path, workspace):
         out = tmp_path / "sweep3d"

@@ -445,6 +445,22 @@ class TestLossGraph:
         assert by_name["dims3d_regressor.0.weights"] is not None
         assert by_name["head.0.weights"] is None
 
+    @pytest.mark.parametrize("wiring", WIRINGS)
+    def test_parameter_gradients_land_in_the_flat_grad(self, wiring):
+        # Each parameter's gradient is the slice of lg.grad at that
+        # parameter's offset in model.params, so one SGD step on the two
+        # flat arrays updates every parameter.
+        model = build_model(tiny_cfg(use_consistency_loss=True, **WIRINGS[wiring]), WIDTH)
+        lg = build_loss_graph(model, make_batch(tiny_samples(6)))
+        assert lg.grad.shape == model.params.shape
+        grads = lg.tape.backward(lg.loss)
+        base = model.params.__array_interface__["data"][0]
+        for name, nid, arr in lg.param_nodes:
+            offset = (arr.__array_interface__["data"][0] - base) // arr.itemsize
+            view = lg.grad[offset:offset + arr.size].reshape(arr.shape)
+            assert np.shares_memory(grads[nid], view), name
+            assert np.array_equal(grads[nid], view) and np.any(view), name
+
     def test_data_leaves_take_no_gradient(self, monkeypatch):
         # The default wiring reads the batch through data leaves (context,
         # scaled 2D dims, true 3D dims): backward computes no gradient for

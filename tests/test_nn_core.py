@@ -237,10 +237,48 @@ class TestTapeGradients:
     def test_unreachable_nodes_absent(self):
         t = Tape()
         used = t.leaf(np.ones((1, 1)))
-        unused = t.leaf(np.ones((1, 1)))
+        kept = np.full((1, 1), 7.0)
+        unused = t.leaf(np.ones((1, 1)), kept)
         grads = t.backward(t.mean(used))
         assert used in grads
         assert unused not in grads
+        assert kept[0, 0] == 7.0  # an unreached leaf's array is left as it was
+
+    def test_leaf_gradient_lands_in_the_given_array(self):
+        # Two consumers: the first contribution is written into the
+        # array, the later ones added on; the rest of the buffer is not
+        # touched.
+        x = np.array([[3.0, -1.0]])
+        buf = np.full(5, np.nan)
+        gx = buf[1:3].reshape(1, 2)
+        t = Tape()
+        ix = t.leaf(x, gx)
+        out = t.mean(t.add(t.mul(ix, ix), ix))
+        grads = t.backward(out)
+        assert grads[ix] is gx
+        np.testing.assert_array_equal(buf[1:3], [3.5, -0.5])  # (2x + 1) / 2
+        assert np.isnan(buf[[0, 3, 4]]).all()
+
+    def test_leaf_rejects_a_misshaped_gradient_array(self):
+        t = Tape()
+        with pytest.raises(ValueError, match=r"gradient shape \(3, 2\).*\(2, 3\)"):
+            t.leaf(np.ones((2, 3)), np.empty((3, 2)))
+        assert t.nodes == []
+
+    def test_backward_after_replay_reuses_its_walk(self):
+        x = np.array([[1.0, 2.0]])
+        t = Tape()
+        ix = t.leaf(x)
+        out = t.mean(t.mul(ix, ix))
+        first = t.backward(out)
+        arrays = dict(first)
+        np.testing.assert_array_equal(first[ix], x)
+        x *= 3.0
+        t.replay()
+        second = t.backward(out)
+        assert second is first
+        assert all(second[nid] is g for nid, g in arrays.items())
+        np.testing.assert_array_equal(second[ix], [[3.0, 6.0]])
 
     def test_backward_validates(self):
         t = Tape()
