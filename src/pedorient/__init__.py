@@ -91,7 +91,6 @@ from .model import (
 )
 from .nn_core import (
     GradCheckReport,
-    NonFiniteGradientError,
     Tape,
     finite_diff_check,
     sgd_step,

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config
-from .evaluation import MIN_IOU, Detection, GroundTruth, evaluate_detections
+from .evaluation import MIN_IOU, Detection, GroundTruth, _check_box, evaluate_detections
 from .geometry import (Dims2D, Dims3D, circ_abs_diff, implied_width_span,
                        invert_orientation_candidates)
 from .kitti_io import DONT_CARE, Difficulty, classify_difficulty, parse_label_file
@@ -57,8 +57,7 @@ from .model import (
     sweep_3d_height,
     train,
 )
-from .nn_core import (GRADCHECK_STEPS, GRADCHECK_THRESHOLD, NonFiniteGradientError,
-                      check_at_steps)
+from .nn_core import GRADCHECK_STEPS, GRADCHECK_THRESHOLD, check_at_steps
 from .synth import (_CLUSTER_TOL, GRID_STEP, SynthConfig, brute_force_orientation_oracle,
                     gen_dataset, read_dataset, write_dataset)
 
@@ -380,22 +379,21 @@ def _read_labels(path):
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    gt_parsed, _ = _read_labels(args.labels)
+    gt_parsed, gt_lines = _read_labels(args.labels)
     det_parsed, det_lines = _read_labels(args.detections)
     tier = Difficulty(args.difficulty)
     included = set(_TIER_ORDER[: _TIER_ORDER.index(tier) + 1])
 
     gts, ignores = [], []
-    for lb in gt_parsed.labels:
-        if lb.class_name == DONT_CARE or lb.class_name in _SIMILAR_CLASSES:
-            ignores.append(lb.box2d)
-            continue
-        if lb.class_name != _PEDESTRIAN:
-            continue
-        if classify_difficulty(lb) in included:
+    for line_no, lb in zip(gt_lines, gt_parsed.labels):
+        if lb.class_name == _PEDESTRIAN and classify_difficulty(lb) in included:
             gts.append(GroundTruth(lb.box2d, getattr(lb, args.orientation)))
-        else:
-            ignores.append(lb.box2d)
+        elif lb.class_name in (_PEDESTRIAN, DONT_CARE, *_SIMILAR_CLASSES):
+            # DontCare rows skip validation at parse time: check their boxes here.
+            try:
+                ignores.append(_check_box(lb.box2d))
+            except ValueError as e:
+                raise ValueError(f"{args.labels}: line {line_no}: {e}") from None
     if not gts:
         raise ValueError(f"{args.labels}: no {_PEDESTRIAN} label at difficulty {tier.value}"
                          " or easier; evaluation undefined without ground truths")
@@ -485,8 +483,7 @@ def cmd_sweep(args) -> int:
             analytic_deg = "" if math.isnan(a) else f"{math.degrees(a):.4f}"
             bins = ("," * num_bins if p.per_bin_angles is None
                     else "".join(f",{math.degrees(b):.4f}" for b in p.per_bin_angles))
-            factor = f"{f:.6e}" if f >= 1e6 else f"{f:.6f}"
-            fh.write(f"{factor},{model_deg},{analytic_deg},{len(p.excluded)}{bins}\n")
+            fh.write(f"{_short(f)},{model_deg},{analytic_deg},{len(p.excluded)}{bins}\n")
 
     print(f"swept {len(rows)} factors over sample {args.index}"
           f" ({args.which}), wrote {csv_path}")
@@ -499,6 +496,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _short(x: float) -> str:
+    """``x`` to six decimals, with an exponent from 1e6 up, so no line runs long."""
+    return f"{x:.6e}" if x >= 1e6 else f"{x:.6f}"
+
+
 def cmd_invert(args) -> int:
     for flag, value in (("--h2d", args.h2d), ("--w2d", args.w2d), ("--h1", args.h1),
                         ("--w1", args.w1), ("--l1", args.l1)):
@@ -507,10 +509,13 @@ def cmd_invert(args) -> int:
     d2 = Dims2D(args.h2d, args.w2d)
     dims = Dims3D(args.h1, args.w1, args.l1)
     implied = implied_width_span(d2, dims.h1)
+    if not math.isfinite(implied):
+        raise ValueError(f"--h1 {args.h1} * --w2d {args.w2d} / --h2d {args.h2d}:"
+                         f" implied width span {implied} is not finite")
     max_span = math.hypot(dims.w1, dims.l1)
     result = invert_orientation_candidates(d2, dims)
 
-    print(f"implied width span {implied:.6f} m (max possible {max_span:.6f} m)")
+    print(f"implied width span {_short(implied)} m (max possible {_short(max_span)} m)")
     if result.infeasible:
         print("infeasible: implied span exceeds the maximum for these dimensions")
     if not result.candidates:
@@ -644,7 +649,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, TrainingDivergedError, NonFiniteGradientError) as e:
+    except (ValueError, OSError, TrainingDivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception:

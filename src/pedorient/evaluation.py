@@ -128,22 +128,20 @@ def _score_order(dets) -> list[int]:
     return sorted(range(len(dets)), key=neg.__getitem__)
 
 
-def match_detections(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()) -> MatchResult:
+def match_detections(dets, gts, ignore_boxes=()) -> MatchResult:
     """Greedily match detections to ground truths by descending score.
 
     Each detection claims the highest-IoU still-unclaimed ground truth if
-    that IoU reaches the threshold.  Unmatched detections overlapping an
-    ignore region by at least the threshold (measured against the
+    that IoU reaches ``MIN_IOU``.  Unmatched detections overlapping an
+    ignore region by at least ``MIN_IOU`` (measured against the
     detection's own area) are set aside as ignored.  Each ignore box is
     checked once per call, like the records' boxes at construction.
     """
-    return _match_in_order(dets, gts, iou_threshold, ignore_boxes, _score_order(dets))
+    return _match_in_order(dets, gts, ignore_boxes, _score_order(dets))
 
 
-def _match_in_order(dets, gts, iou_threshold, ignore_boxes, order) -> MatchResult:
+def _match_in_order(dets, gts, ignore_boxes, order) -> MatchResult:
     """:func:`match_detections`, walking the detections in ``order``."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     result = MatchResult()
     ignore_boxes = [_check_box(b) for b in ignore_boxes]
     # box_iou's arithmetic in its order, inline, with each ground truth's
@@ -167,10 +165,10 @@ def _match_in_order(dets, gts, iou_threshold, ignore_boxes, order) -> MatchResul
             iou = inter / (area + gt_area - inter)
             if iou > best_iou:
                 best_gi, best_iou = gi, iou
-        if best_gi >= 0 and best_iou >= iou_threshold:
+        if best_gi >= 0 and best_iou >= MIN_IOU:
             taken.add(best_gi)
             result.matches.append((di, best_gi, best_iou))
-        elif any(_ignore_overlap(det_box, ib) >= iou_threshold for ib in ignore_boxes):
+        elif any(_ignore_overlap(det_box, ib) >= MIN_IOU for ib in ignore_boxes):
             result.ignored_dets.append(di)
         else:
             result.unmatched_dets.append(di)
@@ -222,7 +220,7 @@ def _eleven_point(recalls: list[float], *series: list[float]) -> list[float]:
     return means
 
 
-def aos(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()):
+def aos(dets, gts, ignore_boxes=()):
     """Average orientation similarity with 11-point recall interpolation.
 
     Returns:
@@ -232,13 +230,13 @@ def aos(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()):
     Raises:
         ValueError: when there are no ground truths to recall.
     """
-    report = evaluate_detections(dets, gts, iou_threshold, ignore_boxes)
+    report = evaluate_detections(dets, gts, ignore_boxes)
     return report.aos, report.os_recall_curve
 
 
-def average_precision(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()) -> float:
+def average_precision(dets, gts, ignore_boxes=()) -> float:
     """11-point interpolated average precision over the same matching."""
-    return evaluate_detections(dets, gts, iou_threshold, ignore_boxes).ap
+    return evaluate_detections(dets, gts, ignore_boxes).ap
 
 
 def error_histogram(angle_pairs) -> np.ndarray:
@@ -290,12 +288,12 @@ class EvalReport:
         }
 
 
-def evaluate_detections(dets, gts, iou_threshold: float = MIN_IOU, ignore_boxes=()) -> EvalReport:
+def evaluate_detections(dets, gts, ignore_boxes=()) -> EvalReport:
     """Full evaluation: AOS, AP, error histogram, and mean angular error."""
     if not gts:
         raise ValueError("evaluation undefined without ground truths")
     order = _score_order(dets)
-    match = _match_in_order(dets, gts, iou_threshold, ignore_boxes, order)
+    match = _match_in_order(dets, gts, ignore_boxes, order)
     recalls, precisions, os_precisions = _score_walk(dets, gts, match, order)
     errs = [math.degrees(circ_abs_diff(dets[di].theta, gts[gi].theta))
             for di, gi, _ in match.matches]

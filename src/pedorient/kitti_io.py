@@ -163,8 +163,8 @@ def _parse_line(line_no: int, parts: list[str]) -> tuple[ObjectLabel, int]:
     return label, warnings
 
 
-def parse_label_file(text) -> ParseResult:
-    """Parse a label file given as a string or an iterable of lines.
+def parse_label_file(text: str) -> ParseResult:
+    """Parse the text of a label file.
 
     Blank lines are skipped.  Angles outside (-pi, pi] on non-DontCare rows
     are wrapped into range and counted in ``angle_warnings``.
@@ -173,10 +173,9 @@ def parse_label_file(text) -> ParseResult:
         KittiParseError: on wrong field counts, non-numeric fields, or
             values that violate a field's range, naming line and field.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
     labels: list[ObjectLabel] = []
     warnings = 0
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue

@@ -35,17 +35,18 @@ from . import config
 from .binning import BinConfig, exclusion_mask_batch, orientation_loss
 from .geometry import candidates_for_span, circ_abs_diff, implied_width_span, wrap_angle
 from .kitti_io import TrainingSample
-from .nn_core import NonFiniteGradientError, Tape, finite_diff_check, sgd_step
+from .nn_core import Tape, finite_diff_check, sgd_step
 
 DEFAULT_SWEEP_FACTORS = tuple(np.linspace(0.1, 2.0, 20))
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training hit a non-finite loss; carries the step and term values."""
+    """Training hit a non-finite loss or gradient (``what``); carries the
+    step and that step's loss term values."""
 
-    def __init__(self, step: int, terms: dict[str, float]):
+    def __init__(self, step: int, terms: dict[str, float], what: str = "loss"):
         msg = ", ".join(f"{k}={v!r}" for k, v in terms.items())
-        super().__init__(f"non-finite loss at step {step}: {msg}")
+        super().__init__(f"non-finite {what} at step {step}: {msg}")
         self.step = step
         self.terms = terms
 
@@ -277,9 +278,11 @@ def _wiring(cfg: ModelConfig, inputs: dict, apply: Callable, concat: Callable,
 
 
 def forward_batch(model: OrientationNet, batch: Batch,
-                  h1_feed_scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+                  h1_feed_scale=None) -> tuple[np.ndarray, np.ndarray]:
     """Value-only forward over a batch.  ``h1_feed_scale`` (a scalar, or
     one factor per row) scales the 3D height fed to the dimension processor.
+    A row's last bits depend on the rows batched with it: the matrix
+    products may sum another batch shape in another order.
 
     Returns:
         (dims3d_pred (n, 3), bin_outputs (n, 2 * num_bins)).
@@ -291,8 +294,8 @@ def forward_batch(model: OrientationNet, batch: Batch,
         )
 
     def feed(x: np.ndarray) -> np.ndarray:
-        if type(h1_feed_scale) is float and h1_feed_scale == 1.0:
-            return x  # scaling by 1.0 is the identity; x is not written
+        if h1_feed_scale is None:
+            return x
         x = x.copy()
         x[:, 0] *= h1_feed_scale
         return x
@@ -662,7 +665,8 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
     and a new backward pass per step, bit for bit.
 
     Raises:
-        TrainingDivergedError: as soon as any loss term goes non-finite.
+        TrainingDivergedError: as soon as any loss term or any gradient
+            entry goes non-finite.
     """
     data = make_batch(samples)
     model = build_model(cfg, data.context.shape[1])
@@ -688,11 +692,10 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
         if not math.isfinite(row.total):
             raise TrainingDivergedError(step, vals)
         lg.tape.backward(lg.loss)
-        try:
-            sgd_step(model.params, lg.grad, velocity, row.lr, cfg.momentum)
-        except NonFiniteGradientError as e:
-            # Gradients can overflow a step before the logged loss does.
-            raise TrainingDivergedError(step, vals) from e
+        # Gradients can overflow a step before the logged loss does.
+        if not np.all(np.isfinite(lg.grad)):
+            raise TrainingDivergedError(step, vals, "gradient")
+        sgd_step(model.params, lg.grad, velocity, row.lr, cfg.momentum)
         log.append(row)
     return TrainResult(model, log)
 
@@ -737,7 +740,9 @@ def evaluate_model(model: OrientationNet, samples) -> dict:
 def sweep_2d_width(model: OrientationNet, sample: TrainingSample,
                    factors=None) -> list[ForwardResult]:
     """Scale the sample's 2D box width by each factor and re-predict: one
-    result per factor, in factor order."""
+    result per factor, in factor order.  The factors run as one batch, so
+    the row at factor 1.0 gives :func:`predict_orientation`'s yaw to within
+    1e-12 rad, not bit for bit (see :func:`forward_batch`)."""
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
     batch = make_batch([sample]).take(np.zeros(len(factors), dtype=int))
     widths = batch.dims2d[:, 1]
@@ -754,7 +759,8 @@ def sweep_3d_height(model: OrientationNet, sample: TrainingSample,
     one result per factor, in factor order.
 
     The scaling applies to the processor's input, the predicted height,
-    not to the sample's ground truth.
+    not to the sample's ground truth.  The factors run as one batch, as in
+    :func:`sweep_2d_width`.
     """
     factors = np.asarray(DEFAULT_SWEEP_FACTORS if factors is None else factors, dtype=float)
     batch = make_batch([sample]).take(np.zeros(len(factors), dtype=int))

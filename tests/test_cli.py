@@ -402,6 +402,23 @@ class TestTrain:
                               " lr_schedule must total at least one step"), err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_gradient_and_writes_nothing(self, tmp_path, capsys):
+        # Both loss terms are still finite at the step whose gradient overflows.
+        ini = tmp_path / "diverge.ini"
+        ini.write_text("[synth]\nn = 200\ncontext_width = 8\n"
+                       "[model]\nencoder_hidden = 8, 8\nproc_hidden = 8, 8\nhead_hidden = 8\n"
+                       "[train]\nlr_schedule = 200:1e12\n")
+        assert main(["gen", "--config", str(ini), "--out", str(tmp_path / "gen")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(ini), "--data", str(tmp_path / "gen" / "dataset.txt"),
+                     "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.splitlines()[-1].startswith("error: non-finite gradient at step"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     @pytest.mark.parametrize("n, holdout, held_out", [(0, 0.2, 0), (1, 0.9, 1)])
     def test_empty_training_set_exits_1_naming_the_file(self, tmp_path, capsys, command,
@@ -609,6 +626,21 @@ class TestEval:
         assert capsys.readouterr() == ("", f"error: {gt}: no Pedestrian label at difficulty"
                                            f" {difficulty} or easier; evaluation undefined"
                                            " without ground truths\n")
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("corner", ["560", "nan"])
+    def test_bad_dont_care_box_names_the_file_and_its_line(self, tmp_path, capsys, corner):
+        # DontCare rows skip validation at parse time; their boxes are
+        # checked as they become ignore regions.
+        gt, det = self.write_labels(tmp_path)
+        gt.write_text(GT_LINES.splitlines()[0] + "\nDontCare -1 -1 -10 " + corner
+                      + " 100 500 160 -1 -1 -1 -1000 -1000 -1000 -10\n")
+        rc = main(["eval", "--labels", str(gt), "--detections", str(det),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"error: {gt}: line 2: degenerate or non-finite box"), err
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan", "inf"])
@@ -829,6 +861,23 @@ class TestInvert:
     def test_bad_grid_step_names_the_flag_before_any_output(self, capsys, step):
         # The cross-check's step is fixed at 1e-3 degrees, with no flag.
         assert_refused_by_name(EXEMPLAR, f"--grid-step-deg={step}", capsys)
+
+    def test_overflowing_span_names_its_flags(self, capsys):
+        # Each flag is finite and > 0, but h1 * w2d / h2d overflows.
+        argv = list(EXEMPLAR)
+        argv[argv.index("--h2d") + 1] = "1e-320"
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: --h1 1.68 * --w2d 33.0 / --h2d 1e-320:"), err
+
+    def test_huge_dimensions_keep_lines_short(self, capsys):
+        argv = list(EXEMPLAR)
+        argv[argv.index("--w1") + 1] = argv[argv.index("--l1") + 1] = "1e308"
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "max possible 1.414214e+308 m" in lines[0]
+        assert all(len(line) < 120 for line in lines), lines
 
     def test_degenerate_box_rejected(self, capsys):
         # Each is rejected by its flag before anything is printed.

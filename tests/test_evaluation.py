@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pedorient.evaluation import (
+    MIN_IOU,
     Detection,
     GroundTruth,
     aos,
@@ -147,11 +148,10 @@ class TestMatching:
                               else "disjoint" if hi[0] < lo[0] or hi[1] < lo[1]
                               else "touch" if hi[0] == lo[0] or hi[1] == lo[1]
                               else "overlap")
-            for threshold in (0.1, 0.5, 1.0):
-                m = match_detections(dets, gts, threshold)
-                assert m.matches == reference(dets, gts, threshold)
-                for di, gi, iou in m.matches:
-                    assert iou.hex() == box_iou(dets[di].box2d, gts[gi].box2d).hex()
+            m = match_detections(dets, gts)
+            assert m.matches == reference(dets, gts, MIN_IOU)
+            for di, gi, iou in m.matches:
+                assert iou.hex() == box_iou(dets[di].box2d, gts[gi].box2d).hex()
         assert kinds == {"coincide", "nest", "disjoint", "touch", "overlap"}
 
     def test_iou_gate(self):
@@ -190,10 +190,6 @@ class TestMatching:
             with pytest.raises(ValueError):
                 match_detections([det(0.0)], [gt(0.0)], ignore_boxes=[box])
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            match_detections([], [gt(0.0)], iou_threshold=0.0)
-
 
 def covered_share(box, region):
     """The share of ``box``'s area that lies inside ``region``."""
@@ -202,7 +198,7 @@ def covered_share(box, region):
     return max(iw, 0.0) * max(ih, 0.0) / ((box[2] - box[0]) * (box[3] - box[1]))
 
 
-def brute_force_report(dets, gts, ignore_boxes=(), iou_threshold=0.5):
+def brute_force_report(dets, gts, ignore_boxes=()):
     """AP, AOS and the (recall, os-precision) curve from scratch: greedy
     matching over a stable descending argsort of the scores, every counted
     prefix of that order tallied anew, then at each 11-point anchor the
@@ -215,10 +211,10 @@ def brute_force_report(dets, gts, ignore_boxes=(), iou_threshold=0.5):
             iou = box_iou(dets[di].box2d, g.box2d)
             if gi not in taken and iou > best_iou:
                 best_gi, best_iou = gi, iou
-        if best_iou >= iou_threshold:
+        if best_iou >= MIN_IOU:
             taken.add(best_gi)
             matched_gt[di] = best_gi
-        elif any(covered_share(dets[di].box2d, ib) >= iou_threshold for ib in ignore_boxes):
+        elif any(covered_share(dets[di].box2d, ib) >= MIN_IOU for ib in ignore_boxes):
             ignored.add(di)
     counted = [di for di in order if di not in ignored]
     recalls, precisions, os_precisions = [], [], []

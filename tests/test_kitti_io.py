@@ -145,10 +145,6 @@ class TestParsing:
         res = parse_label_file(text)
         assert len(res.labels) == 2
 
-    def test_accepts_iterable_of_lines(self):
-        res = parse_label_file([PED_LINE, DET_LINE])
-        assert len(res.labels) == 2
-
     def test_out_of_range_angle_wrapped_and_counted(self):
         parts = PED_LINE.split()
         parts[14] = "5.0"  # rotation_y beyond pi

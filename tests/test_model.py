@@ -630,6 +630,30 @@ class TestTraining:
             train(samples, cfg)
         assert isinstance(exc_info.value.step, int)
 
+    def test_divergence_names_the_loss_or_the_gradient(self, monkeypatch):
+        # A gradient can go non-finite while every loss term is finite.
+        samples = tiny_samples(20)
+        cfg = tiny_cfg(seed=0, lr_schedule=((5, 1e-3),))
+        real_backward = Tape.backward
+
+        def overflowing(tape, output):
+            grads = real_backward(tape, output)
+            for g in grads.values():  # the parameter leaves' land in lg.grad
+                g.fill(math.inf)
+            return grads
+
+        monkeypatch.setattr(Tape, "backward", overflowing)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite gradient at step 0: ") as info:
+            train(samples, cfg)
+        assert info.value.step == 0 and all(map(math.isfinite, info.value.terms.values()))
+
+        monkeypatch.setattr(Tape, "backward", real_backward)
+        monkeypatch.setattr(model_module.LossGraph, "term_values",
+                            lambda lg: {"dims": math.nan, "orientation": 1.0})
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at step 0: dims=nan"):
+            train(samples, cfg)
+
     def test_trains_at_the_width_of_its_data(self):
         # No config names the width: a 9-wide dataset gives a 9-wide encoder.
         samples = gen_dataset(SynthConfig(n=12, seed=1, context_width=9))[0]
@@ -749,7 +773,7 @@ class TestSweeps:
         factors = (0.5, 1.0, 1.5, 2.0)
         real_forward = model_module.forward_batch
 
-        def forced(m, batch, h1_feed_scale=1.0):
+        def forced(m, batch, h1_feed_scale=None):
             dims, out = real_forward(m, batch, h1_feed_scale)
             out[1] = (0.0, 0.0, 0.3, 1.0)
             out[2] = (1.0, 0.0, 1.0, 0.0)
@@ -763,6 +787,20 @@ class TestSweeps:
             assert rows[2].theta_pred is None and len(rows[2].per_bin_angles) == 2
             assert rows[2].degenerate_bins == ()
             assert rows[0].theta_pred is not None and rows[3].theta_pred is not None
+
+    def test_unit_factor_row_agrees_with_a_single_sample_forward(self):
+        # A row's last bits depend on the rows batched with it: the matrix
+        # products of a two-row batch may sum in another order than those
+        # of one row.  So row 1 of a sweep at (0.5, 1.0) reads the yaw of
+        # predict_orientation to within 1e-12 rad, not bit for bit.
+        cp = _load_ini(Path(__file__).resolve().parents[1] / "configs" / "quick.ini")
+        samples, _ = gen_dataset(dataclasses.replace(_synth_config(cp), n=300))
+        cfg = dataclasses.replace(_model_config(cp), lr_schedule=((60, 1e-3), (40, 1e-4)))
+        model = train(samples, cfg).model
+        for sweep in (sweep_2d_width, sweep_3d_height):
+            for s in samples[:200]:
+                theta, _ = predict_orientation(model, s)
+                assert circ_abs_diff(sweep(model, s, (0.5, 1.0))[1].theta_pred, theta) <= 1e-12
 
     def test_height_sweep_inert_for_plain_model(self):
         model = build_model(tiny_cfg(use_feedforward=False), WIDTH)

@@ -8,8 +8,8 @@ import pytest
 
 from pedorient.nn_core import (
     GRADCHECK_STEPS,
+    GRADCHECK_THRESHOLD,
     GradCheckReport,
-    NonFiniteGradientError,
     Tape,
     check_at_steps,
     finite_diff_check,
@@ -310,11 +310,6 @@ class TestSgdStep:
         sgd_step(p, np.zeros(2), np.zeros(2), lr=0.1, momentum=0.9)
         assert np.array_equal(p, orig)
 
-    def test_nonfinite_gradient_rejected(self):
-        p = np.ones(2)
-        with pytest.raises(NonFiniteGradientError):
-            sgd_step(p, np.array([1.0, np.nan]), np.zeros(2), lr=0.1)
-        assert np.array_equal(p, np.ones(2))
 
 
 class TestFiniteDiffCheck:
@@ -366,8 +361,8 @@ class TestFiniteDiffCheck:
             finite_diff_check([("w", w)], lambda: 0.0, {"w": np.ones(3)})
 
     def test_report_threshold(self):
-        assert GradCheckReport(5e-5).passed(1e-4)
-        assert not GradCheckReport(2e-4).passed(1e-4)
+        assert GradCheckReport(5e-5).passed()
+        assert not GradCheckReport(GRADCHECK_THRESHOLD).passed()
 
     @pytest.mark.parametrize("errors, steps_run, passed", [
         ((5e-5, None), 1, True),    # passes at the first step
