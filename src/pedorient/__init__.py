@@ -26,13 +26,8 @@ from .evaluation import (
     Detection,
     EvalReport,
     GroundTruth,
-    MatchResult,
-    aos,
-    average_precision,
     box_iou,
-    error_histogram,
     evaluate_detections,
-    match_detections,
     orientation_similarity,
 )
 from .geometry import (

@@ -366,26 +366,23 @@ _TIER_ORDER = (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD)
 
 
 def _read_labels(path):
-    """Parse the label file at ``path``: its ``ParseResult`` and the
-    line in the file of each label.  An error names the file and the line."""
+    """The ``ParseResult`` of the label file at ``path``; an error names
+    the file and the line."""
     try:
-        text = Path(path).read_text()
-        parsed = parse_label_file(text)
+        return parse_label_file(Path(path).read_text())
     except ValueError as e:  # a UnicodeDecodeError too
         raise ValueError(f"{path}: {e}") from None
-    # Every line that is not blank holds one label.
-    return parsed, [no for no, line in enumerate(text.splitlines(), start=1) if line.split()]
 
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    gt_parsed, gt_lines = _read_labels(args.labels)
-    det_parsed, det_lines = _read_labels(args.detections)
+    gt_parsed = _read_labels(args.labels)
+    det_parsed = _read_labels(args.detections)
     tier = Difficulty(args.difficulty)
     included = set(_TIER_ORDER[: _TIER_ORDER.index(tier) + 1])
 
     gts, ignores = [], []
-    for line_no, lb in zip(gt_lines, gt_parsed.labels):
+    for line_no, lb in zip(gt_parsed.line_numbers, gt_parsed.labels):
         if lb.class_name == _PEDESTRIAN and classify_difficulty(lb) in included:
             gts.append(GroundTruth(lb.box2d, getattr(lb, args.orientation)))
         elif lb.class_name in (_PEDESTRIAN, DONT_CARE, *_SIMILAR_CLASSES):
@@ -399,7 +396,7 @@ def cmd_eval(args) -> int:
                          " or easier; evaluation undefined without ground truths")
 
     dets = []
-    for line_no, lb in zip(det_lines, det_parsed.labels):
+    for line_no, lb in zip(det_parsed.line_numbers, det_parsed.labels):
         if lb.class_name != _PEDESTRIAN:
             continue
         if lb.score is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,97 +107,10 @@ def orientation_similarity(theta_pred: float, theta_true: float) -> float:
     return (1.0 + math.cos(wrap_angle(theta_pred - theta_true))) / 2.0
 
 
-@dataclass
-class MatchResult:
-    """Outcome of greedy matching.
-
-    ``matches`` holds (det_index, gt_index, iou); ``ignored_dets`` are
-    unmatched detections absorbed by ignore regions.  Index order within
-    ``matches`` follows descending detection score.
-    """
-
-    matches: list[tuple[int, int, float]] = field(default_factory=list)
-    unmatched_dets: list[int] = field(default_factory=list)
-    unmatched_gts: list[int] = field(default_factory=list)
-    ignored_dets: list[int] = field(default_factory=list)
-
-
 def _score_order(dets) -> list[int]:
     """Detection indices by descending score, ties in input order."""
     neg = [-d.score for d in dets]
     return sorted(range(len(dets)), key=neg.__getitem__)
-
-
-def match_detections(dets, gts, ignore_boxes=()) -> MatchResult:
-    """Greedily match detections to ground truths by descending score.
-
-    Each detection claims the highest-IoU still-unclaimed ground truth if
-    that IoU reaches ``MIN_IOU``.  Unmatched detections overlapping an
-    ignore region by at least ``MIN_IOU`` (measured against the
-    detection's own area) are set aside as ignored.  Each ignore box is
-    checked once per call, like the records' boxes at construction.
-    """
-    return _match_in_order(dets, gts, ignore_boxes, _score_order(dets))
-
-
-def _match_in_order(dets, gts, ignore_boxes, order) -> MatchResult:
-    """:func:`match_detections`, walking the detections in ``order``."""
-    result = MatchResult()
-    ignore_boxes = [_check_box(b) for b in ignore_boxes]
-    # box_iou's arithmetic in its order, inline, with each ground truth's
-    # area taken once; a pair that does not overlap (IoU 0) never wins.
-    gt_boxes = [(*box, (box[2] - box[0]) * (box[3] - box[1]))
-                for box in (gt.box2d for gt in gts)]
-    taken = set()
-    for di in order:
-        det_box = dets[di].box2d
-        al, at, ar, ab = det_box
-        area = (ar - al) * (ab - at)
-        best_gi, best_iou = -1, 0.0
-        for gi, (bl, bt, br, bb, gt_area) in enumerate(gt_boxes):
-            if gi in taken:
-                continue
-            iw = min(ar, br) - max(al, bl)
-            ih = min(ab, bb) - max(at, bt)
-            if iw <= 0 or ih <= 0:
-                continue
-            inter = iw * ih
-            iou = inter / (area + gt_area - inter)
-            if iou > best_iou:
-                best_gi, best_iou = gi, iou
-        if best_gi >= 0 and best_iou >= MIN_IOU:
-            taken.add(best_gi)
-            result.matches.append((di, best_gi, best_iou))
-        elif any(_ignore_overlap(det_box, ib) >= MIN_IOU for ib in ignore_boxes):
-            result.ignored_dets.append(di)
-        else:
-            result.unmatched_dets.append(di)
-    result.unmatched_gts = [gi for gi in range(len(gts)) if gi not in taken]
-    return result
-
-
-def _score_walk(dets, gts, match: MatchResult, order):
-    """Walk the detections in ``order`` (descending score); return the
-    recall, precision and orientation-similarity precision after each
-    counted detection, as three lists."""
-    matched_gt = {di: gi for di, gi, _ in match.matches}
-    ignored = set(match.ignored_dets)
-    n_gt = len(gts)
-    tp = fp = 0
-    sim_sum = 0.0
-    recalls, precisions, os_precisions = [], [], []
-    for di in order:
-        if di in ignored:
-            continue
-        if di in matched_gt:
-            tp += 1
-            sim_sum += orientation_similarity(dets[di].theta, gts[matched_gt[di]].theta)
-        else:
-            fp += 1
-        recalls.append(tp / n_gt)
-        precisions.append(tp / (tp + fp))
-        os_precisions.append(sim_sum / (tp + fp))
-    return recalls, precisions, os_precisions
 
 
 def _eleven_point(recalls: list[float], *series: list[float]) -> list[float]:
@@ -220,49 +133,12 @@ def _eleven_point(recalls: list[float], *series: list[float]) -> list[float]:
     return means
 
 
-def aos(dets, gts, ignore_boxes=()):
-    """Average orientation similarity with 11-point recall interpolation.
-
-    Returns:
-        (value, curve) where curve is the list of (recall, os-precision)
-        pairs traced while sweeping the score threshold.
-
-    Raises:
-        ValueError: when there are no ground truths to recall.
-    """
-    report = evaluate_detections(dets, gts, ignore_boxes)
-    return report.aos, report.os_recall_curve
-
-
-def average_precision(dets, gts, ignore_boxes=()) -> float:
-    """11-point interpolated average precision over the same matching."""
-    return evaluate_detections(dets, gts, ignore_boxes).ap
-
-
-def error_histogram(angle_pairs) -> np.ndarray:
-    """Histogram of absolute circular errors in degrees.
-
-    Eighteen bins cover [0, 180] in 10-degree steps; an error of exactly
-    180 degrees lands in the last bin.
-
-    Args:
-        angle_pairs: iterable of (theta_pred, theta_true) in radians.
-    """
-    return _degree_histogram([math.degrees(circ_abs_diff(tp, tt)) for tp, tt in angle_pairs])
-
-
-def _degree_histogram(errs_deg) -> np.ndarray:
-    """:func:`error_histogram` of errors already in degrees."""
-    counts = [0] * 18
-    for err in errs_deg:
-        counts[min(int(err / 10.0), 17)] += 1
-    return np.array(counts)
-
-
 @dataclass
 class EvalReport:
     """Bundle of detection-orientation metrics.
 
+    ``matches`` holds the (det_index, gt_index, iou) of each match, in
+    descending detection score; :meth:`to_dict` leaves it out.
     Invariants: ``aos <= ap`` and the histogram sums to ``n_matched``.
     """
 
@@ -273,7 +149,11 @@ class EvalReport:
     mean_abs_angular_error_deg: float
     n_gt: int
     n_det: int
-    n_matched: int
+    matches: list[tuple[int, int, float]]
+
+    @property
+    def n_matched(self) -> int:
+        return len(self.matches)
 
     def to_dict(self) -> dict:
         return {
@@ -289,22 +169,75 @@ class EvalReport:
 
 
 def evaluate_detections(dets, gts, ignore_boxes=()) -> EvalReport:
-    """Full evaluation: AOS, AP, error histogram, and mean angular error."""
+    """AOS, AP, the error histogram and the mean angular error of ``dets``
+    against ``gts``, with ``ignore_boxes`` as ignore regions.
+
+    The detections are matched greedily in descending score order, ties in
+    input order.  Each claims the highest-IoU still-unclaimed ground truth
+    if that IoU reaches ``MIN_IOU``.  An unmatched detection overlapping an
+    ignore region by at least ``MIN_IOU`` (measured against the
+    detection's own area) is ignored: it counts as neither a hit nor a
+    false positive.  Each ignore box is checked once per call, like the
+    records' boxes at construction.
+
+    Raises:
+        ValueError: when there are no ground truths to recall, or an
+            ignore box is degenerate or not finite.
+    """
     if not gts:
         raise ValueError("evaluation undefined without ground truths")
-    order = _score_order(dets)
-    match = _match_in_order(dets, gts, ignore_boxes, order)
-    recalls, precisions, os_precisions = _score_walk(dets, gts, match, order)
-    errs = [math.degrees(circ_abs_diff(dets[di].theta, gts[gi].theta))
-            for di, gi, _ in match.matches]
+    ignore_boxes = [_check_box(b) for b in ignore_boxes]
+    # box_iou's arithmetic in its order, inline, with each ground truth's
+    # area taken once; a pair that does not overlap (IoU 0) never wins.
+    gt_boxes = [(*box, (box[2] - box[0]) * (box[3] - box[1]))
+                for box in (gt.box2d for gt in gts)]
+    n_gt = len(gts)
+    taken = set()
+    matches, errs, histogram = [], [], [0] * 18
+    recalls, precisions, os_precisions = [], [], []
+    tp = fp = 0
+    sim_sum = 0.0
+    for di in _score_order(dets):
+        det = dets[di]
+        al, at, ar, ab = det.box2d
+        area = (ar - al) * (ab - at)
+        best_gi, best_iou = -1, 0.0
+        for gi, (bl, bt, br, bb, gt_area) in enumerate(gt_boxes):
+            if gi in taken:
+                continue
+            iw = min(ar, br) - max(al, bl)
+            ih = min(ab, bb) - max(at, bt)
+            if iw <= 0 or ih <= 0:
+                continue
+            inter = iw * ih
+            iou = inter / (area + gt_area - inter)
+            if iou > best_iou:
+                best_gi, best_iou = gi, iou
+        if best_iou >= MIN_IOU:
+            taken.add(best_gi)
+            matches.append((di, best_gi, best_iou))
+            theta_true = gts[best_gi].theta
+            tp += 1
+            sim_sum += orientation_similarity(det.theta, theta_true)
+            err = math.degrees(circ_abs_diff(det.theta, theta_true))
+            errs.append(err)
+            # Ten-degree bins; an error of exactly 180 lands in the last.
+            histogram[min(int(err / 10.0), 17)] += 1
+        elif any(_ignore_overlap(det.box2d, ib) >= MIN_IOU for ib in ignore_boxes):
+            continue
+        else:
+            fp += 1
+        recalls.append(tp / n_gt)
+        precisions.append(tp / (tp + fp))
+        os_precisions.append(sim_sum / (tp + fp))
     aos_value, ap_value = _eleven_point(recalls, os_precisions, precisions)
     return EvalReport(
         aos=aos_value,
         ap=ap_value,
         os_recall_curve=list(zip(recalls, os_precisions)),
-        histogram=_degree_histogram(errs),
+        histogram=np.array(histogram),
         mean_abs_angular_error_deg=float(np.mean(errs)) if errs else float("nan"),
-        n_gt=len(gts),
+        n_gt=n_gt,
         n_det=len(dets),
-        n_matched=len(match.matches),
+        matches=matches,
     )

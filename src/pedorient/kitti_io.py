@@ -112,10 +112,13 @@ class ObjectLabel:
 
 @dataclass
 class ParseResult:
-    """Labels plus a count of angles that had to be wrapped into range."""
+    """Labels, the line of the text each came from (counted from 1, blank
+    lines included), and a count of angles that had to be wrapped into
+    range."""
 
     labels: list[ObjectLabel]
-    angle_warnings: int = 0
+    line_numbers: list[int]
+    angle_warnings: int
 
 
 def _parse_line(line_no: int, parts: list[str]) -> tuple[ObjectLabel, int]:
@@ -166,23 +169,24 @@ def _parse_line(line_no: int, parts: list[str]) -> tuple[ObjectLabel, int]:
 def parse_label_file(text: str) -> ParseResult:
     """Parse the text of a label file.
 
-    Blank lines are skipped.  Angles outside (-pi, pi] on non-DontCare rows
+    Blank lines are skipped; each label's line is kept in
+    ``line_numbers``.  Angles outside (-pi, pi] on non-DontCare rows
     are wrapped into range and counted in ``angle_warnings``.
 
     Raises:
         KittiParseError: on wrong field counts, non-numeric fields, or
             values that violate a field's range, naming line and field.
     """
-    labels: list[ObjectLabel] = []
-    warnings = 0
+    result = ParseResult([], [], 0)
     for line_no, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
         label, w = _parse_line(line_no, parts)
-        labels.append(label)
-        warnings += w
-    return ParseResult(labels, warnings)
+        result.labels.append(label)
+        result.line_numbers.append(line_no)
+        result.angle_warnings += w
+    return result
 
 
 # One label row: the class, truncation, occlusion, then alpha, the box, the

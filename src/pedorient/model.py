@@ -41,12 +41,21 @@ DEFAULT_SWEEP_FACTORS = tuple(np.linspace(0.1, 2.0, 20))
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training hit a non-finite loss or gradient (``what``); carries the
-    step and that step's loss term values."""
+    """Training hit a non-finite loss or gradient; carries the step and
+    that step's loss term values.  For a gradient, ``bad_arrays`` holds the
+    names of the parameter arrays whose gradient is not finite, in
+    :func:`named_parameters` order, and the count of all the arrays."""
 
-    def __init__(self, step: int, terms: dict[str, float], what: str = "loss"):
+    def __init__(self, step: int, terms: dict[str, float],
+                 bad_arrays: tuple[list[str], int] | None = None):
         msg = ", ".join(f"{k}={v!r}" for k, v in terms.items())
-        super().__init__(f"non-finite {what} at step {step}: {msg}")
+        if bad_arrays is None:
+            super().__init__(f"non-finite loss at step {step}: {msg}")
+        else:
+            names, n_arrays = bad_arrays
+            super().__init__(f"non-finite gradient at step {step}: in {len(names)} of"
+                             f" {n_arrays} parameter arrays, first {names[0]};"
+                             f" loss terms {msg}")
         self.step = step
         self.terms = terms
 
@@ -650,6 +659,9 @@ class TrainResult:
     log: list[TrainLogRow]
 
 
+# The loss and gradient checks catch every non-finite value, so NumPy's
+# warnings on the way there would only repeat them.
+@np.errstate(all="ignore")
 def train(samples, cfg: ModelConfig) -> TrainResult:
     """Train a freshly initialized model on the given samples, at their
     context width.
@@ -694,7 +706,9 @@ def train(samples, cfg: ModelConfig) -> TrainResult:
         lg.tape.backward(lg.loss)
         # Gradients can overflow a step before the logged loss does.
         if not np.all(np.isfinite(lg.grad)):
-            raise TrainingDivergedError(step, vals, "gradient")
+            grads = _named_arrays(_carve(lg.grad, cfg, model.context_width))
+            bad = [name for name, g in grads if not np.isfinite(g).all()]
+            raise TrainingDivergedError(step, vals, (bad, len(grads)))
         sgd_step(model.params, lg.grad, velocity, row.lr, cfg.momentum)
         log.append(row)
     return TrainResult(model, log)

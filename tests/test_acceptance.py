@@ -27,8 +27,7 @@ from pedorient.cli import _split_holdout, main
 from pedorient.evaluation import (
     Detection,
     GroundTruth,
-    aos,
-    average_precision,
+    evaluate_detections,
 )
 from pedorient.geometry import (
     Dims2D,
@@ -318,9 +317,10 @@ def test_criterion_10_orientation_similarity_metric(capsys):
     perfect = [_det(50.0 * i, score=1.0 - 0.1 * i) for i in range(5)]
     flipped = [_det(50.0 * i, score=1.0 - 0.1 * i, theta=math.pi)
                for i in range(5)]
-    aos_perfect, _ = aos(perfect, gts)
-    aos_flipped, _ = aos(flipped, gts)
-    aos_half, curve = aos([_det(0.0, 0.9, math.pi / 2.0)], [_gt(0.0)])
+    aos_perfect = evaluate_detections(perfect, gts).aos
+    aos_flipped = evaluate_detections(flipped, gts).aos
+    half = evaluate_detections([_det(0.0, 0.9, math.pi / 2.0)], [_gt(0.0)])
+    aos_half, curve = half.aos, half.os_recall_curve
 
     rng = np.random.default_rng(10)
     bounded = True
@@ -341,8 +341,8 @@ def test_criterion_10_orientation_similarity_metric(capsys):
                 x = rng.uniform(600.0, 1000.0)
                 dets_r.append(_det(x, rng.random(),
                                    rng.uniform(-math.pi, math.pi)))
-        a, _ = aos(dets_r, gts_r)
-        if a > average_precision(dets_r, gts_r) + 1e-12:
+        rep = evaluate_detections(dets_r, gts_r)
+        if rep.aos > rep.ap + 1e-12:
             bounded = False
             break
     ok = (aos_perfect == 1.0 and aos_flipped == 0.0 and aos_half == 0.5

@@ -1,4 +1,5 @@
-"""Tests for detection matching, AOS/AP, and error histograms."""
+"""Tests for detection matching, AOS/AP, and error histograms, all read
+from one call of evaluate_detections."""
 
 import math
 
@@ -9,12 +10,8 @@ from pedorient.evaluation import (
     MIN_IOU,
     Detection,
     GroundTruth,
-    aos,
-    average_precision,
     box_iou,
-    error_histogram,
     evaluate_detections,
-    match_detections,
     orientation_similarity,
 )
 
@@ -97,14 +94,15 @@ class TestOrientationSimilarity:
 
 
 class TestMatching:
+    # A detection that is counted, matched or not, adds one point to the
+    # curve; an ignored one adds none.
     def test_greedy_by_score(self):
         # Both detections sit on the same ground truth; the higher score wins.
         gts = [gt(0.0)]
         dets = [det(1.0, score=0.5), det(0.5, score=0.9)]
-        m = match_detections(dets, gts)
-        assert [(di, gi) for di, gi, _ in m.matches] == [(1, 0)]
-        assert m.unmatched_dets == [0]
-        assert m.unmatched_gts == []
+        rep = evaluate_detections(dets, gts)
+        assert [(di, gi) for di, gi, _ in rep.matches] == [(1, 0)]
+        assert len(rep.os_recall_curve) == 2  # detection 0 unmatched, not ignored
 
     def test_match_iou_is_box_iou_and_follows_a_greedy_reference(self):
         # Corners on a coarse grid of inexact floats (sums round), so pairs
@@ -148,47 +146,46 @@ class TestMatching:
                               else "disjoint" if hi[0] < lo[0] or hi[1] < lo[1]
                               else "touch" if hi[0] == lo[0] or hi[1] == lo[1]
                               else "overlap")
-            m = match_detections(dets, gts)
-            assert m.matches == reference(dets, gts, MIN_IOU)
-            for di, gi, iou in m.matches:
+            matches = evaluate_detections(dets, gts).matches
+            assert matches == reference(dets, gts, MIN_IOU)
+            for di, gi, iou in matches:
                 assert iou.hex() == box_iou(dets[di].box2d, gts[gi].box2d).hex()
         assert kinds == {"coincide", "nest", "disjoint", "touch", "overlap"}
 
     def test_iou_gate(self):
         gts = [gt(0.0)]
-        m = match_detections([det(8.0)], gts)  # IoU 2/18 < 0.5
-        assert m.matches == []
-        assert m.unmatched_dets == [0]
-        assert m.unmatched_gts == [0]
+        rep = evaluate_detections([det(8.0)], gts)  # IoU 2/18 < 0.5
+        assert rep.matches == []
+        assert len(rep.os_recall_curve) == 1  # a false positive, not ignored
 
     def test_each_gt_claimed_once(self):
         gts = [gt(0.0), gt(100.0)]
         dets = [det(0.0, score=0.9), det(1.0, score=0.8), det(100.0, score=0.7)]
-        m = match_detections(dets, gts)
-        assert {(di, gi) for di, gi, _ in m.matches} == {(0, 0), (2, 1)}
-        assert m.unmatched_dets == [1]
+        rep = evaluate_detections(dets, gts)
+        assert {(di, gi) for di, gi, _ in rep.matches} == {(0, 0), (2, 1)}
+        assert len(rep.os_recall_curve) == 3  # detection 1 unmatched, not ignored
 
     def test_ignore_region_absorbs(self):
         gts = [gt(0.0)]
         stray = det(200.0, score=0.9)
-        m = match_detections([stray], gts, ignore_boxes=[(195.0, 0.0, 230.0, 30.0)])
-        assert m.ignored_dets == [0]
-        assert m.unmatched_dets == []
+        rep = evaluate_detections([stray], gts, ignore_boxes=[(195.0, 0.0, 230.0, 30.0)])
+        assert rep.matches == []
+        assert rep.os_recall_curve == []  # ignored, not a false positive
 
     def test_ignore_uses_detection_area(self):
         # Tiny detection fully inside a big ignore box: overlap/IoU would be
         # small, overlap/det-area is 1.
-        m = match_detections(
+        rep = evaluate_detections(
             [det(200.0, size=5.0)], [gt(0.0)],
             ignore_boxes=[(150.0, -50.0, 400.0, 200.0)],
         )
-        assert m.ignored_dets == [0]
+        assert rep.matches == [] and rep.os_recall_curve == []
 
     def test_bad_ignore_box_rejected(self):
         # Checked once per call, whether or not a detection reaches it.
         for box in ((0, 0, 0, 10), (0, 0, 10, math.nan), (0, 0, 10)):
             with pytest.raises(ValueError):
-                match_detections([det(0.0)], [gt(0.0)], ignore_boxes=[box])
+                evaluate_detections([det(0.0)], [gt(0.0)], ignore_boxes=[box])
 
 
 def covered_share(box, region):
@@ -260,8 +257,6 @@ class TestAosAndAp:
             rep = evaluate_detections(dets, gts, ignore_boxes=ignore)
             want_ap, want_aos, want_curve = brute_force_report(dets, gts, ignore)
             assert (rep.ap, rep.aos, rep.os_recall_curve) == (want_ap, want_aos, want_curve)
-            assert (rep.ap, rep.aos) == (average_precision(dets, gts, ignore_boxes=ignore),
-                                         aos(dets, gts, ignore_boxes=ignore)[0])
             n_ties += len({d.score for d in dets}) < len(dets)
             n_ignored += len(want_curve) < len(dets)
             n_unmatched += rep.n_matched == 0
@@ -277,37 +272,37 @@ class TestAosAndAp:
     def test_perfect_detections(self):
         gts = [gt(0.0, theta=0.5), gt(100.0, theta=-2.0)]
         dets = [det(0.0, score=0.9, theta=0.5), det(100.0, score=0.8, theta=-2.0)]
-        value, curve = aos(dets, gts)
-        assert value == pytest.approx(1.0)
-        assert average_precision(dets, gts) == pytest.approx(1.0)
-        assert curve[-1] == (1.0, 1.0)
+        rep = evaluate_detections(dets, gts)
+        assert rep.aos == pytest.approx(1.0)
+        assert rep.ap == pytest.approx(1.0)
+        assert rep.os_recall_curve[-1] == (1.0, 1.0)
 
     def test_pi_flip_zeroes_aos_not_ap(self):
         gts = [gt(0.0, theta=0.0)]
         dets = [det(0.0, score=0.9, theta=math.pi)]
-        value, _ = aos(dets, gts)
-        assert value == pytest.approx(0.0, abs=1e-15)
-        assert average_precision(dets, gts) == pytest.approx(1.0)
+        rep = evaluate_detections(dets, gts)
+        assert rep.aos == pytest.approx(0.0, abs=1e-15)
+        assert rep.ap == pytest.approx(1.0)
 
     def test_quarter_turn_single_detection(self):
         gts = [gt(0.0, theta=0.0)]
         dets = [det(0.0, score=0.9, theta=math.pi / 2)]
-        value, curve = aos(dets, gts)
-        assert value == 0.5
-        assert curve == [(1.0, 0.5)]
+        rep = evaluate_detections(dets, gts)
+        assert rep.aos == 0.5
+        assert rep.os_recall_curve == [(1.0, 0.5)]
 
     def test_missed_gt_caps_recall(self):
         gts = [gt(0.0), gt(100.0)]
         dets = [det(0.0, score=0.9)]
         # Recall tops out at 0.5: anchors 0.0-0.5 see precision 1, the rest 0.
-        assert average_precision(dets, gts) == pytest.approx(6 / 11)
+        assert evaluate_detections(dets, gts).ap == pytest.approx(6 / 11)
 
     def test_interleaved_false_positive(self):
         gts = [gt(0.0), gt(100.0)]
         dets = [det(0.0, score=0.9), det(50.0, score=0.8), det(100.0, score=0.7)]
         # Precision walk: 1/1, 1/2, 2/3; recalls 0.5, 0.5, 1.0.
         want = (6 * 1.0 + 5 * (2 / 3)) / 11
-        assert average_precision(dets, gts) == pytest.approx(want)
+        assert evaluate_detections(dets, gts).ap == pytest.approx(want)
 
     def test_aos_bounded_by_ap_random(self):
         rng = np.random.default_rng(42)
@@ -322,34 +317,37 @@ class TestAosAndAp:
                                 theta=rng.uniform(-math.pi, math.pi)))
             if not dets:
                 continue
-            value, _ = aos(dets, gts)
-            assert value <= average_precision(dets, gts) + 1e-12
+            rep = evaluate_detections(dets, gts)
+            assert rep.aos <= rep.ap + 1e-12
 
     def test_no_gts_rejected(self):
-        with pytest.raises(ValueError):
-            aos([det(0.0)], [])
-        with pytest.raises(ValueError):
-            average_precision([det(0.0)], [])
+        with pytest.raises(ValueError, match="without ground truths"):
+            evaluate_detections([det(0.0)], [])
 
     def test_ignored_detection_does_not_hurt(self):
         gts = [gt(0.0, theta=1.0)]
         clean = [det(0.0, score=0.9, theta=1.0)]
         with_stray = clean + [det(200.0, score=0.95, theta=0.0)]
         ignore = [(195.0, -5.0, 215.0, 15.0)]
-        a_clean, _ = aos(clean, gts)
-        a_stray, _ = aos(with_stray, gts, ignore_boxes=ignore)
+        a_clean = evaluate_detections(clean, gts).aos
+        a_stray = evaluate_detections(with_stray, gts, ignore_boxes=ignore).aos
         assert a_stray == pytest.approx(a_clean)
 
 
 class TestErrorHistogram:
     def test_binning(self):
-        pairs = [
-            (0.0, 0.0),                      # 0 deg -> bin 0
-            (0.0, math.radians(15.0)),       # 15 deg -> bin 1
-            (0.0, math.radians(175.0)),      # 175 deg -> bin 17
-            (0.0, math.pi),                  # 180 deg -> clamped to bin 17
+        # Four matched pairs, each predicting 0 for a true yaw of:
+        true_thetas = [
+            0.0,                    # 0 deg -> bin 0
+            math.radians(15.0),     # 15 deg -> bin 1
+            math.radians(175.0),    # 175 deg -> bin 17
+            math.pi,                # 180 deg -> clamped to bin 17
         ]
-        counts = error_histogram(pairs)
+        gts = [gt(100.0 * i, theta=t) for i, t in enumerate(true_thetas)]
+        dets = [det(100.0 * i, score=1.0 - 0.1 * i) for i in range(4)]
+        rep = evaluate_detections(dets, gts)
+        assert rep.n_matched == 4
+        counts = rep.histogram
         assert counts.shape == (18,)
         assert counts[0] == 1 and counts[1] == 1 and counts[17] == 2
         assert counts.sum() == 4
@@ -367,11 +365,16 @@ class TestEvalReport:
         assert rep.aos <= rep.ap + 1e-12
         assert rep.histogram.sum() == rep.n_matched
         assert rep.n_gt == 5 and rep.n_det == 6
-        pairs = [(dets[di].theta, gts[gi].theta)
-                 for di, gi, _ in match_detections(dets, gts).matches]
+        pairs = [(dets[di].theta, gts[gi].theta) for di, gi, _ in rep.matches]
         want_mae = np.mean([math.degrees(abs(math.remainder(a - b, 2 * math.pi)))
                             for a, b in pairs])
         assert rep.mean_abs_angular_error_deg == pytest.approx(want_mae)
+
+    def test_no_detections(self):
+        rep = evaluate_detections([], [gt(0.0), gt(100.0)])
+        assert (rep.aos, rep.ap) == (0.0, 0.0)
+        assert rep.os_recall_curve == [] and rep.matches == []
+        assert math.isnan(rep.mean_abs_angular_error_deg)
 
     def test_no_matches_gives_nan_mae(self):
         rep = evaluate_detections([det(500.0, score=0.2)], [gt(0.0)])

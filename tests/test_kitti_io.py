@@ -144,6 +144,7 @@ class TestParsing:
         text = "\n" + PED_LINE + "\n\n" + DONT_CARE_LINE + "\n"
         res = parse_label_file(text)
         assert len(res.labels) == 2
+        assert res.line_numbers == [2, 4]
 
     def test_out_of_range_angle_wrapped_and_counted(self):
         parts = PED_LINE.split()
